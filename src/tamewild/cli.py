@@ -60,16 +60,10 @@ class RunConfig:
 
 def element_from_string(ctx, text):
     """Parse '1+3*pi^2' style field-element syntax (pi, p and integers)."""
-    ops = {
-        "add": lambda a, b: a + b,
-        "sub": lambda a, b: a - b,
-        "mul": lambda a, b: a * b,
-        "neg": lambda a: -a,
-        "pow": lambda a, n: a ** n,
-        "int": lambda n: ctx.from_int(n),
+    return parse_ring_expr(text, {
+        "int": ctx.from_int,
         "var": {"pi": ctx.pi, "p": ctx.from_int(ctx.p)},
-    }
-    return parse_ring_expr(text, ops)
+    })
 
 
 def _load_field(args, cfg):
@@ -243,7 +237,9 @@ def _cmd_residue(args, cfg):
 
 
 def _cmd_selftest(args, cfg):
-    from .acceptance import run_all
+    from .acceptance import CRITERIA, run_all
+    if args.only is not None and not 1 <= args.only <= len(CRITERIA):
+        raise BadInput(f"--only must be a criterion number 1..{len(CRITERIA)}")
     results = run_all(cfg, only=args.only)
     failed = 0
     for r in results:

@@ -689,10 +689,6 @@ class _Laurent:
         self.c = coeffs
         self.prec = prec
 
-    @classmethod
-    def from_poly_coeffs(cls, res, coeffs, prec):
-        return cls(res, 0, coeffs[:], prec)
-
     def coeff(self, i):
         j = i - self.lead
         if 0 <= j < len(self.c):
@@ -894,38 +890,45 @@ def residue_theorem_check(f, g):
 # parsing helpers shared with the CLI
 # ---------------------------------------------------------------------------
 
-def poly_from_string(gf, text):
-    """Parse 't^2+2*t+1' style polynomial syntax over F_q."""
-    from .parsing import parse_ring_expr
-    ops = {
-        "add": lambda a, b: a + b,
-        "sub": lambda a, b: a - b,
-        "mul": lambda a, b: a * b,
-        "neg": lambda a: -a,
-        "pow": lambda a, n: _poly_pow(a, n),
-        "int": lambda n: FqPoly.const(gf, n % gf.p),
-        "var": {"t": FqPoly.x(gf)},
-    }
-    return parse_ring_expr(text, ops)
+#: Cap on powers in parsed F_q(t) expressions: an exponent n above it, or a
+#: power a^n whose degree would exceed it, is rejected with BadInput.
+MAX_EXPONENT = 1024
 
 
-def _poly_pow(a, n):
-    r = FqPoly(a.gf, [1])
-    for _ in range(n):
-        r = r * a
+def _power(a, n, one):
+    """a^n by square-and-multiply, within MAX_EXPONENT."""
+    deg = max(a.num.degree(), a.den.degree()) \
+        if isinstance(a, FqRational) else a.degree()
+    if n > MAX_EXPONENT or n * deg > MAX_EXPONENT:
+        raise BadInput(f"power ^{n} exceeds the cap of {MAX_EXPONENT} on "
+                       f"exponents and degrees")
+    r = one
+    while n:
+        if n & 1:
+            r = r * a
+        n >>= 1
+        if n:
+            a = a * a
     return r
 
 
+def _parse(gf, text, lift, **ops):
+    """Parse over F_q[t] lifted into FqPoly or FqRational by `lift`."""
+    from .parsing import parse_ring_expr
+    one = lift(FqPoly.const(gf, 1))
+    return parse_ring_expr(text, {
+        "pow": lambda a, n: _power(a, n, one),
+        "int": lambda n: lift(FqPoly.const(gf, n % gf.p)),
+        "var": {"t": lift(FqPoly.x(gf))},
+        **ops})
+
+
+def poly_from_string(gf, text):
+    """Parse 't^2+2*t+1' style polynomial syntax over F_q."""
+    return _parse(gf, text, lambda poly: poly)
+
+
 def rational_from_string(gf, text):
-    """Parse 'num/den' with parenthesised polynomial parts."""
-    depth = 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "/" and depth == 0:
-            num = poly_from_string(gf, text[:i].strip().strip("()"))
-            den = poly_from_string(gf, text[i + 1:].strip().strip("()"))
-            return FqRational(num, den)
-    return FqRational(poly_from_string(gf, text))
+    """Parse a rational function of t over F_q: polynomial syntax plus '/',
+    which binds like '*' (so 't+1/t' is t + 1/t)."""
+    return _parse(gf, text, FqRational, div=lambda a, b: a * b.inverse())

@@ -1,10 +1,12 @@
 """Arithmetic in F = F0(pi) for an Eisenstein polynomial f over O0.
 
-Elements are dense coefficient vectors (a_0, ..., a_{e-1}) over O0 in the
-basis 1, pi, ..., pi^{e-1}; all arithmetic is performed mod (f, p^N).  The
-pi-adic valuation of a_i pi^i is e*val_p(a_i) + i, and these candidates are
-pairwise distinct mod e, so the valuation of a vector is their minimum and
-is attained at a unique index.
+An element is one flat tuple of e*d integers in [0, p^N): the coefficient
+of x^j pi^i sits at index i*d + j, where x is the root of the unramified
+modulus g (so block i, indices i*d .. i*d+d-1, is the O0-coefficient of
+pi^i).  All arithmetic is performed mod (g, f, p^N).  The pi-adic valuation
+of the pi^i term is e*val_p(block i) + i, and these candidates are pairwise
+distinct mod e, so the valuation of an element is their minimum and is
+attained at a unique index.
 
 Working pi-precision is M = e*N.  An element whose canonical form is the
 zero vector is indistinguishable from 0 at that precision.
@@ -13,6 +15,7 @@ zero vector is indistinguishable from 0 at that precision.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _iproduct
@@ -26,7 +29,7 @@ from .errors import (
     PrecisionExhausted,
     UnsupportedField,
 )
-from .padic import O0Elem, PadicCtx, invert, val_p
+from .padic import O0Elem, PadicCtx, val_p_coeffs
 
 
 class LocalFieldCtx:
@@ -34,46 +37,80 @@ class LocalFieldCtx:
 
     Derived data: ramification index e = deg f, q = p^d, e1 = e/(p-1) kept
     as an exact Fraction, pi-precision M = e*N, and the wild exponent k with
-    #mu(F) = p^k (q-1) (computed lazily by compute_mu).
+    #mu(F) = p^k (q-1) (computed lazily by compute_mu).  f is kept as a
+    flat tuple of (e+1)*d ints in the element layout.
     """
 
     def __init__(self, base: PadicCtx, f, name=None):
         self.base = base
         self.p, self.N, self.d, self.q = base.p, base.N, base.d, base.q
-        f = [c if isinstance(c, O0Elem) else base.from_int(c) for c in f]
+        self.mod = base.mod
         e = len(f) - 1
         if e < 1:
             raise ValueError("f must have degree >= 1")
-        if f[e] != base.one:
+        f = tuple(x for c in f for x in self._block(c))
+        d = self.d
+        if f[e * d:] != self._block(1):
             raise ValueError("f must be monic")
-        for c in f[:e]:
-            v = val_p(c)
-            if not (v is PRECISION_EXHAUSTED or v >= 1):
-                raise ValueError("f is not Eisenstein: a lower coefficient "
-                                 "is a unit")
-        if val_p(f[0]) != 1:
+        if any(c % self.p for c in f[:e * d]):
+            raise ValueError("f is not Eisenstein: a lower coefficient "
+                             "is a unit")
+        if val_p_coeffs(f[:d], self.p) != 1:
             raise ValueError("f is not Eisenstein: constant term must have "
                              "valuation exactly 1")
-        self.f = tuple(f)
+        self.f = f
         self.e = e
         self.e1 = Fraction(e, self.p - 1)
         self.M = e * self.N
         self.name = name
         self._cache = {}
+        self._build_fold()
 
     def __repr__(self):
         tag = self.name or f"e={self.e},d={self.d}"
         return f"LocalFieldCtx(p={self.p}, {tag}, N={self.N})"
 
+    def _block(self, c):
+        """The d ints of an O0 coefficient given as an O0Elem or an int."""
+        if isinstance(c, O0Elem):
+            return c.coeffs
+        return (int(c) % self.mod,) + (0,) * (self.d - 1)
+
+    def _build_fold(self):
+        """Tables for FElem.__mul__: row k <= 2e-2 (width 2d-1) of the padded
+        product holds the x-polynomial coefficient of pi^k, slot s of an
+        element sits at _pad[s], and _fold pairs each position outside the
+        basis with the normal form of its monomial mod (g, f, p^N)."""
+        e, d, m, g, f = self.e, self.d, self.mod, self.base.g, self.f
+        w = 2 * d - 1
+        forms = {}
+        for k in range(2 * e - 1):
+            for j in range(w):
+                if k < e and j < d:
+                    forms[k, j] = [int(s == k * d + j) for s in range(e * d)]
+                    continue
+                if j >= d:
+                    terms = [(g[t], (k, j - d + t)) for t in range(d)]
+                else:
+                    terms = [(f[i * d + t], (k - e + i, j + t))
+                             for i in range(e) for t in range(d)]
+                forms[k, j] = [-sum(c * forms[key][s] for c, key in terms) % m
+                               for s in range(e * d)]
+        self._pad = tuple(i * w + j for i in range(e) for j in range(d))
+        self._conv_len = (2 * e - 1) * w
+        self._fold = tuple(
+            (k * w + j, tuple((self._pad[s], c)
+                              for s, c in enumerate(forms[k, j]) if c))
+            for (k, j) in forms if k >= e or j >= d)
+
     # -- constructors ---------------------------------------------------
 
     def elem(self, coeffs):
-        out = []
-        for c in coeffs:
-            out.append(c if isinstance(c, O0Elem) else self.base.from_int(c))
-        if len(out) != self.e:
+        """The element sum_i coeffs[i] pi^i, each coefficient an int or an
+        O0Elem."""
+        if len(coeffs) != self.e:
             raise ValueError("coefficient vector has wrong length")
-        return FElem(self, tuple(out))
+        return FElem(self, tuple(x for c in coeffs for x in self._block(c)))
 
     def from_int(self, n):
         return self.elem([n] + [0] * (self.e - 1))
@@ -93,7 +130,7 @@ class LocalFieldCtx:
     def pi(self):
         if self.e == 1:
             # pi = -f[0] is the chosen uniformizer of an unramified field
-            return self.from_o0(-self.f[0])
+            return FElem(self, tuple(-c % self.mod for c in self.f[:self.d]))
         return self.monomial(1)
 
     def monomial(self, i, c=1):
@@ -108,9 +145,9 @@ class LocalFieldCtx:
     def w_unit(self):
         """The unit pi^e / p (from the Eisenstein relation)."""
         if "w" not in self._cache:
-            e = self.e
-            coeffs = [(-c).div_exact_p(1) for c in self.f[:e]]
-            self._cache["w"] = self.elem(coeffs)
+            m, p = self.mod, self.p
+            self._cache["w"] = FElem(self, tuple(
+                -c % m // p for c in self.f[:self.e * self.d]))
         return self._cache["w"]
 
     @property
@@ -134,7 +171,7 @@ class LocalFieldCtx:
         """Residue of p * pi^{-e}; multiplication by rho is the graded
         p-power map on levels above e1."""
         if "rho" not in self._cache:
-            self._cache["rho"] = self.w_inv.coeffs[0].residue()
+            self._cache["rho"] = self.w_inv.residue()
         return self._cache["rho"]
 
     @property
@@ -163,12 +200,13 @@ class LocalFieldCtx:
     # -- descriptors ------------------------------------------------------
 
     def descriptor(self):
+        d = self.d
         return {
             "p": self.p,
-            "d": self.d,
+            "d": d,
             "N": self.N,
             "gbar": list(self.base.kappa.gbar),
-            "f": [list(c.coeffs) for c in self.f],
+            "f": [list(self.f[i:i + d]) for i in range(0, len(self.f), d)],
             "name": self.name,
         }
 
@@ -214,23 +252,28 @@ def eisenstein_root(p, e, N=64, d=1):
     return LocalFieldCtx(base, f, name=name)
 
 
+_PRESET = re.compile(r"(qp|qp-zeta|sqrt|cbrt|root(\d+))-(\d+)")
+
+
 def preset(name, N=64):
-    """Resolve a preset name: qp-P, qp-zeta-P, sqrt-P, cbrt-P, rootE-P."""
-    parts = name.split("-")
+    """Resolve a preset name: qp-P, qp-zeta-P, sqrt-P, cbrt-P, rootE-P.
+
+    A name of another shape is an unknown preset; a field that cannot be
+    built (P not prime, N < 8) raises UnsupportedField naming the cause.
+    """
+    match = _PRESET.fullmatch(name)
+    if match is None:
+        raise UnsupportedField(f"unknown field preset {name!r}")
+    kind, p = match.group(1), int(match.group(3))
     try:
-        if parts[0] == "qp" and len(parts) == 2:
-            return qp(int(parts[1]), N)
-        if parts[0] == "qp" and parts[1] == "zeta":
-            return qp_zeta(int(parts[2]), N)
-        if parts[0] == "sqrt":
-            return eisenstein_root(int(parts[1]), 2, N)
-        if parts[0] == "cbrt":
-            return eisenstein_root(int(parts[1]), 3, N)
-        if parts[0].startswith("root"):
-            return eisenstein_root(int(parts[1]), int(parts[0][4:]), N)
-    except (ValueError, IndexError):
-        pass
-    raise UnsupportedField(f"unknown field preset {name!r}")
+        if kind == "qp":
+            return qp(p, N)
+        if kind == "qp-zeta":
+            return qp_zeta(p, N)
+        e = {"sqrt": 2, "cbrt": 3}.get(kind) or int(match.group(2))
+        return eisenstein_root(p, e, N)
+    except ValueError as exc:
+        raise UnsupportedField(f"field preset {name!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -238,26 +281,28 @@ def preset(name, N=64):
 # ---------------------------------------------------------------------------
 
 class FElem:
-    """An integral element of F as a coefficient vector over O0."""
+    """An integral element of F as one flat tuple of e*d ints mod p^N (the
+    coefficient of x^j pi^i at index i*d + j; see the module docstring)."""
 
-    __slots__ = ("ctx", "coeffs")
+    __slots__ = ("ctx", "flat")
 
-    def __init__(self, ctx, coeffs):
+    def __init__(self, ctx, flat):
         self.ctx = ctx
-        self.coeffs = coeffs
+        self.flat = flat
 
     def __repr__(self):
-        return f"FElem({[list(c.coeffs) for c in self.coeffs]})"
+        d, f = self.ctx.d, self.flat
+        return f"FElem({[list(f[i:i + d]) for i in range(0, len(f), d)]})"
 
     def __eq__(self, other):
         return (isinstance(other, FElem) and self.ctx is other.ctx
-                and self.coeffs == other.coeffs)
+                and self.flat == other.flat)
 
     def __hash__(self):
-        return hash(tuple(c.coeffs for c in self.coeffs))
+        return hash(self.flat)
 
     def is_zero(self):
-        return all(c.is_zero() for c in self.coeffs)
+        return not any(self.flat)
 
     def _coerce(self, other):
         if isinstance(other, FElem):
@@ -274,8 +319,9 @@ class FElem:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return FElem(self.ctx, tuple(a + b for a, b in
-                                     zip(self.coeffs, other.coeffs)))
+        m = self.ctx.mod
+        return FElem(self.ctx, tuple((a + b) % m for a, b in
+                                     zip(self.flat, other.flat)))
 
     __radd__ = __add__
 
@@ -283,8 +329,9 @@ class FElem:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return FElem(self.ctx, tuple(a - b for a, b in
-                                     zip(self.coeffs, other.coeffs)))
+        m = self.ctx.mod
+        return FElem(self.ctx, tuple((a - b) % m for a, b in
+                                     zip(self.flat, other.flat)))
 
     def __rsub__(self, other):
         coerced = self._coerce(other)
@@ -293,31 +340,34 @@ class FElem:
         return coerced - self
 
     def __neg__(self):
-        return FElem(self.ctx, tuple(-a for a in self.coeffs))
+        m = self.ctx.mod
+        return FElem(self.ctx, tuple(-a % m for a in self.flat))
 
     def __mul__(self, other):
-        if isinstance(other, (int, O0Elem)):
-            scal = other
-            return FElem(self.ctx, tuple(a * scal for a in self.coeffs))
-        if not isinstance(other, FElem):
-            return NotImplemented
-        other = self._coerce(other)
+        """The product mod (g, f, p^N): an integer convolution, the
+        out-of-basis monomials folded back by their normal forms
+        (LocalFieldCtx._build_fold), one reduction mod p^N per slot."""
         ctx = self.ctx
-        e = ctx.e
-        conv = [None] * (2 * e - 1) if e > 1 else [None]
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                t = a * b
-                conv[i + j] = t if conv[i + j] is None else conv[i + j] + t
-        zero = ctx.base.zero
-        conv = [c if c is not None else zero for c in conv]
-        # reduce by monic f: pi^e = -(f_0 + ... + f_{e-1} pi^{e-1})
-        for i in range(2 * e - 2, e - 1, -1):
-            c = conv[i]
-            if not c.is_zero():
-                for j in range(e):
-                    conv[i - e + j] = conv[i - e + j] - c * ctx.f[j]
-        return FElem(ctx, tuple(conv[:e]))
+        if isinstance(other, int):
+            m = ctx.mod
+            return FElem(ctx, tuple(a * other % m for a in self.flat))
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        pad = ctx._pad
+        right = [(pt, b) for pt, b in zip(pad, other.flat) if b]
+        conv = [0] * ctx._conv_len
+        for ps, a in zip(pad, self.flat):
+            if a:
+                for pt, b in right:
+                    conv[ps + pt] += a * b
+        for h, form in ctx._fold:
+            c = conv[h]
+            if c:
+                for pos, r in form:
+                    conv[pos] += c * r
+        m = ctx.mod
+        return FElem(ctx, tuple(conv[ps] % m for ps in pad))
 
     __rmul__ = __mul__
 
@@ -339,7 +389,8 @@ class FElem:
 
     def residue(self):
         """Image in the residue field (the constant coefficient's residue)."""
-        return self.coeffs[0].residue()
+        p = self.ctx.p
+        return tuple(c % p for c in self.flat[:self.ctx.d])
 
     def div_p(self):
         """Exact division by p (valuation must be >= e).
@@ -347,16 +398,21 @@ class FElem:
         Dividing by pi^v is exact in value but costs v levels of certified
         pi-precision: results are certified mod pi^{M-v}.
         """
-        return FElem(self.ctx, tuple(c.div_exact_p(1) for c in self.coeffs))
+        p = self.ctx.p
+        if any(c % p for c in self.flat):
+            raise ValueError("element not divisible by p")
+        return FElem(self.ctx, tuple(c // p for c in self.flat))
 
     def div_pi(self):
         """Exact division by pi (valuation must be >= 1); see div_p for the
         precision cost."""
         ctx = self.ctx
         if ctx.e == 1:
-            return FElem(ctx, (self.coeffs[0].div_exact_p(1),)) * ctx.w_inv
-        b = self.coeffs[0].div_exact_p(1)
-        shifted = FElem(ctx, self.coeffs[1:] + (ctx.base.zero,))
+            return self.div_p() * ctx.w_inv
+        d = ctx.d
+        # a_0 = p b with b in O0, and p / pi = p_over_pi
+        b = FElem(ctx, self.flat[:d] + (0,) * (len(self.flat) - d)).div_p()
+        shifted = FElem(ctx, self.flat[d:] + (0,) * d)
         return shifted + ctx.p_over_pi * b
 
     def div_pi_pow(self, n):
@@ -377,12 +433,14 @@ class FElem:
         return x
 
     def invert_unit(self):
-        """Inverse of a unit (valuation 0), by Newton from the residue."""
+        """Inverse of a unit (valuation 0), by Newton from the lifted inverse
+        of the residue; each step doubles the pi-adic precision."""
         v = valuation(self)
         if v is PRECISION_EXHAUSTED or v != 0:
             raise BadInput("invert_unit needs a unit (valuation 0)")
         ctx = self.ctx
-        y = ctx.from_o0(invert(self.coeffs[0]))
+        r = ctx.base.kappa.inv(self.residue())
+        y = FElem(ctx, r + (0,) * (len(self.flat) - ctx.d))
         two = ctx.from_int(2)
         k = 1
         while k < ctx.M:
@@ -392,7 +450,9 @@ class FElem:
         return y
 
     def to_json(self):
-        return [c.to_json() for c in self.coeffs]
+        d = self.ctx.d
+        return [[str(c) for c in self.flat[i:i + d]]
+                for i in range(0, len(self.flat), d)]
 
 
 # ---------------------------------------------------------------------------
@@ -400,18 +460,20 @@ class FElem:
 # ---------------------------------------------------------------------------
 
 def valuation(x):
-    """pi-adic valuation min_i (e*val_p(a_i) + i), PRECISION_EXHAUSTED if the
-    canonical form is the zero vector."""
-    e = x.ctx.e
+    """pi-adic valuation min_i (e*val_p(block i) + i), PRECISION_EXHAUSTED
+    if the canonical form is the zero vector.  Block i's candidate is at
+    least i, so the scan stops once the best candidate is <= i."""
+    ctx = x.ctx
+    e, d, p = ctx.e, ctx.d, ctx.p
+    flat = x.flat
     best = None
-    seen = set()
-    for i, c in enumerate(x.coeffs):
-        v = val_p(c)
+    for i in range(e):
+        if best is not None and best <= i:
+            break
+        v = val_p_coeffs(flat[i * d:(i + 1) * d], p)
         if v is PRECISION_EXHAUSTED:
             continue
         cand = e * v + i
-        assert cand not in seen  # candidates are distinct mod e
-        seen.add(cand)
         if best is None or cand < best:
             best = cand
     return PRECISION_EXHAUSTED if best is None else best
@@ -455,15 +517,6 @@ def unit_level(u):
     if lv <= 0:
         raise NotPrincipalUnit("v(u-1) <= 0")
     return lv
-
-
-def leading_digit(u):
-    """(level, residue digit) of a principal unit u != 1 at precision."""
-    s = unit_level(u)
-    if s is PRECISION_EXHAUSTED:
-        raise PrecisionExhausted("unit is 1 at working precision")
-    z = (u - u.ctx.one).div_pi_pow(s)
-    return s, z.residue()
 
 
 def spanning_units(ctx, lo, hi):
@@ -566,15 +619,10 @@ def hasse_forward(ctx, t, depth=None):
     below = Fraction(t) <= ctx.e1
     required = ctx.p * t if below else t + ctx.e
     entries = []
-    one = ctx.one
-    for s in range(t, t + depth):
-        pis = ctx.pi ** s
-        for a in range(ctx.d):
-            g = one + ctx.teichmuller_power(a) * pis
-            gp = g ** ctx.p
-            lv = unit_level(gp)
-            landing = ctx.M if lv is PRECISION_EXHAUSTED else lv
-            entries.append((s, a, landing))
+    for idx, g in enumerate(spanning_units(ctx, t, t + depth)):
+        s, a = divmod(idx, ctx.d)
+        lv = unit_level(g ** ctx.p)
+        entries.append((t + s, a, ctx.M if lv is PRECISION_EXHAUSTED else lv))
     min_landing = min(en[2] for en in entries)
     return HasseForwardReport(
         t=t,

@@ -29,7 +29,7 @@ from .errors import (
     UnsupportedSplitting,
     ZeroInput,
 )
-from .localfield import LocalFieldCtx, valuation
+from .localfield import FElem, LocalFieldCtx, valuation
 from .padic import PadicCtx, hensel_root
 
 
@@ -407,49 +407,42 @@ class _UnramifiedKummer:
         self.ctx = ctx
         self.m = m
         big = PadicCtx(ctx.p, ctx.N, m)
-        fints = [c.coeffs[0] for c in ctx.f]
-        self.big_field = LocalFieldCtx(big, [big.from_int(c) for c in fints])
+        self.big_field = LocalFieldCtx(big, list(ctx.f))
         # Frobenius on the big unramified ring: theta -> the root of g
         # congruent to theta_bar^p, extended to coefficient vectors
         theta_bar = tuple([0, 1] + [0] * (m - 2))
         target = big.kappa.pow(theta_bar, ctx.p)
         gpoly = [big.from_int(c) for c in big.g]
         root = hensel_root(gpoly, big.lift_residue(target))
-        self._root_pows = [big.one]
-        for _ in range(m - 1):
-            self._root_pows.append(self._root_pows[-1] * root)
+        self._root_rows = [(root ** j).coeffs for j in range(m)]
         self.big = big
 
-    def _frob_o0(self, o):
-        acc = self.big.zero
-        for j, c in enumerate(o.coeffs):
-            if c:
-                acc = acc + self._root_pows[j] * c
-        return acc
-
     def _frob(self, z):
-        return self.big_field.elem([self._frob_o0(c) for c in z.coeffs])
+        """Frobenius on each block of z: sum c_j theta^j -> sum c_j root^j."""
+        m, mod, rows = self.m, self.big.mod, self._root_rows
+        out = []
+        for i in range(0, len(z.flat), m):
+            block = z.flat[i:i + m]
+            out.extend(sum(c * row[t] for c, row in zip(block, rows)) % mod
+                       for t in range(m))
+        return FElem(self.big_field, tuple(out))
 
     def norm(self, z):
-        acc = z
-        w = z
+        acc = w = z
         for _ in range(self.m - 1):
             w = self._frob(w)
             acc = acc * w
-        coeffs = []
-        for c in acc.coeffs:
-            assert all(x == 0 for x in c.coeffs[1:]), "norm did not descend"
-            coeffs.append(c.coeffs[0])
-        return self.ctx.elem(coeffs), 0
+        m = self.m
+        if any(c for i, c in enumerate(acc.flat) if i % m):
+            raise UnsupportedSplitting("norm did not descend to F")
+        return FElem(self.ctx, acc.flat[::m]), 0
 
     def spanning_norms(self, high):
         bf = self.big
         L = self.big_field
         out = [(self.ctx.pi ** self.m, 0)]  # pi stays prime; N(pi) = pi^m
         omega_L = bf.teichmuller(bf.kappa.generator())
-        om_pows = [bf.one]
-        for _ in range(self.m - 1):
-            om_pows.append(om_pows[-1] * omega_L)
+        om_pows = [omega_L ** c for c in range(self.m)]
         out.append(self.norm(L.from_o0(omega_L)))
         for s in range(1, high):
             pis = L.pi ** s

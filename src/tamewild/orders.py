@@ -18,7 +18,7 @@ from .errors import (
     PrecisionExhausted,
 )
 from .localfield import spanning_units, valuation
-from .padic import val_p
+from .padic import val_p_coeffs
 
 
 class OrderRm:
@@ -36,11 +36,13 @@ class OrderRm:
     def __repr__(self):
         return f"OrderRm(m={self.m}, ctx={self.ctx!r})"
 
-    def _coeff_ok(self, c, bound):
-        """Certify e*val_p(c) >= bound at precision."""
+    def _coeff_ok(self, x, i, bound):
+        """Certify e*val_p(a_i) >= bound at precision, a_i the O0-coefficient
+        of pi^i in x."""
         if bound <= 0:
             return True
-        v = val_p(c)
+        d = self.ctx.d
+        v = val_p_coeffs(x.flat[i * d:(i + 1) * d], self.ctx.p)
         if v is PRECISION_EXHAUSTED:
             if self.ctx.e * self.ctx.N >= bound:
                 return True
@@ -50,11 +52,8 @@ class OrderRm:
 
     def contains(self, x):
         """x in O0 + pi^m O_F (integrality of a_0 is built into FElem)."""
-        e = self.ctx.e
-        for i in range(1, e):
-            if not self._coeff_ok(x.coeffs[i], self.m - i):
-                return False
-        return True
+        return all(self._coeff_ok(x, i, self.m - i)
+                   for i in range(1, self.ctx.e))
 
     def ideal_contains(self, z):
         """z in the maximal ideal: p O0 + pi^m O_F for m >= 1, pi O_F for
@@ -62,12 +61,8 @@ class OrderRm:
         if self.m == 0:
             v = valuation(z)
             return v is PRECISION_EXHAUSTED or v >= 1
-        if not self._coeff_ok(z.coeffs[0], self.ctx.e):  # val_p(a_0) >= 1
-            return False
-        for i in range(1, self.ctx.e):
-            if not self._coeff_ok(z.coeffs[i], self.m - i):
-                return False
-        return True
+        # val_p(a_0) >= 1, and the R_m constraints on the higher blocks
+        return self._coeff_ok(z, 0, self.ctx.e) and self.contains(z)
 
     def in_maximal_ideal(self, x):
         return self.ideal_contains(x)

@@ -420,9 +420,13 @@ def val_p(x):
     Returns PRECISION_EXHAUSTED when x is indistinguishable from 0 at
     precision (every coefficient vanishes mod p^N).
     """
-    p, N = x.ctx.p, x.ctx.N
+    return val_p_coeffs(x.coeffs, x.ctx.p)
+
+
+def val_p_coeffs(coeffs, p):
+    """val_p of a coefficient vector given as plain ints (see val_p)."""
     best = None
-    for c in x.coeffs:
+    for c in coeffs:
         if c == 0:
             continue
         v = 0
@@ -450,21 +454,6 @@ def invert(x):
         k *= 2
     assert (x * y) == ctx.one
     return y
-
-
-def invert_geometric(x):
-    """Same inverse via the geometric series 1/x = y0 * sum (1 - x*y0)^l."""
-    v = val_p(x)
-    if v is PRECISION_EXHAUSTED or v > 0:
-        raise NotAUnit("val_p(x) must be 0")
-    ctx = x.ctx
-    y0 = ctx.lift_residue(ctx.kappa.inv(x.residue()))
-    t = ctx.one - x * y0
-    acc, term = ctx.one, t
-    while not term.is_zero():
-        acc = acc + term
-        term = term * t
-    return y0 * acc
 
 
 def teichmuller(ctx, c):

@@ -1,13 +1,17 @@
 """A small recursive-descent parser for ring expressions.
 
-Grammar: expr := term (('+'|'-') term)*; term := factor ('*' factor)*;
-factor := '-' factor | atom ('^' uint)?; atom := uint | name | '(' expr ')'.
-Whitespace is ignored.  The `ops` table supplies the ring operations and
-the named constants, so the same parser serves F_q[t] and local fields.
+Grammar: expr := term (('+'|'-') term)*; term := factor (('*'|'/')? factor)*
+(a missing operator multiplies); factor := '-' factor | atom ('^' uint)?;
+atom := uint | name | '(' expr ')'.  Whitespace is ignored.  The `ops` table
+supplies "int", the named constants ("var") and optionally "div", and may
+override the Python operators behind "add", "sub", "mul", "neg" and "pow",
+so the same parser serves F_q[t], F_q(t) and local fields; without "div",
+'/' is rejected with BadInput.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 
 from .errors import BadInput
@@ -32,7 +36,9 @@ class _Parser:
     def __init__(self, tokens, ops):
         self.toks = tokens
         self.i = 0
-        self.ops = ops
+        self.ops = {"add": operator.add, "sub": operator.sub,
+                    "mul": operator.mul, "neg": operator.neg,
+                    "pow": operator.pow, **ops}
 
     def peek(self):
         return self.toks[self.i] if self.i < len(self.toks) else None
@@ -60,6 +66,12 @@ class _Parser:
             if tok == "*":
                 self.take()
                 acc = self.ops["mul"](acc, self.factor())
+            elif tok == "/":
+                if "div" not in self.ops:
+                    raise BadInput("operator '/' is not supported in this "
+                                   "expression")
+                self.take()
+                acc = self.ops["div"](acc, self.factor())
             elif tok is not None and (tok.isdigit() or tok.isidentifier()
                                       or tok == "("):
                 # implicit multiplication: 2t, 3(t+1)

@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from sympy import isprime
+
 from .errors import (
     PRECISION_EXHAUSTED,
     BadInput,
@@ -30,17 +32,11 @@ from .errors import (
     PrecisionExhausted,
     ZeroInput,
 )
-from .localfield import unit_level, valuation
+from .localfield import FElem, unit_level, valuation
 
 #: Module constant (see module docstring): units act on mu_{p^infty} by
 #: their inverse under the local reciprocity map.
 WILD_UNIT_ACTS_BY_INVERSE = True
-
-
-def norm_residue_trivial(x, y, m, high_cutoff=None):
-    """Re-exported from normoracle: True iff x is a norm from F(y^{1/m})."""
-    from .normoracle import norm_residue_trivial as _impl
-    return _impl(x, y, m, high_cutoff)
 
 
 @dataclass(frozen=True)
@@ -150,33 +146,34 @@ def _split_rational(a, p):
     return alpha, u
 
 
+def _hilbert_closed_form(p, alpha, u, beta, v):
+    """(p^alpha u, p^beta v)_p for integers u, v prime to p."""
+    if p == 2:
+        eps_u, eps_v = (u - 1) // 2 % 2, (v - 1) // 2 % 2
+        om_u, om_v = (u * u - 1) // 8 % 2, (v * v - 1) // 8 % 2
+        expo = eps_u * eps_v + alpha * om_v + beta * om_u
+        return -1 if expo % 2 else 1
+    sign = -1 if (alpha * beta * (p - 1) // 2) % 2 else 1
+    return (sign * _legendre(u, p) ** (beta % 2)
+            * _legendre(v, p) ** (alpha % 2))
+
+
 def hilbert_quadratic_q(a, b, place):
     """The quadratic Hilbert symbol (a, b)_v over Q by the classical closed
     forms; contract-checked against the norm-residue oracle.
 
-    place is a prime number or the string "inf" (math.inf also accepted).
+    place is a prime number or the string "inf" (math.inf also accepted);
+    anything else raises BadInput.
     """
     a, b = Fraction(a), Fraction(b)
     if a == 0 or b == 0:
         raise ZeroInput("Hilbert symbol of zero")
     if place in ("inf", "oo", float("inf")):
         return -1 if a < 0 and b < 0 else 1
-    p = int(place)
-    if p == 2:
-        alpha, u = _split_rational(a, 2)
-        beta, v = _split_rational(b, 2)
-        eps_u, eps_v = (u - 1) // 2 % 2, (v - 1) // 2 % 2
-        om_u, om_v = (u * u - 1) // 8 % 2, (v * v - 1) // 8 % 2
-        expo = eps_u * eps_v + alpha * om_v + beta * om_u
-        return -1 if expo % 2 else 1
-    alpha, u = _split_rational(a, p)
-    beta, v = _split_rational(b, p)
-    sign = 1
-    if (alpha * beta * (p - 1) // 2) % 2:
-        sign = -sign
-    sign *= _legendre(u, p) ** (beta % 2)
-    sign *= _legendre(v, p) ** (alpha % 2)
-    return sign
+    if not isinstance(place, int) or not isprime(place):
+        raise BadInput(f"place must be a prime or 'inf', got {place!r}")
+    return _hilbert_closed_form(place, *_split_rational(a, place),
+                                *_split_rational(b, place))
 
 
 def hilbert_quadratic_padic(x, y, ctx):
@@ -184,24 +181,13 @@ def hilbert_quadratic_padic(x, y, ctx):
     the same closed form applied to (valuation, unit residue)."""
     if ctx.e != 1 or ctx.d != 1:
         raise BadInput("p-adic quadratic reading needs a Q_p context")
-    p = ctx.p
     a = valuation(x)
     b = valuation(y)
     if a is PRECISION_EXHAUSTED or b is PRECISION_EXHAUSTED:
         raise PrecisionExhausted("uncertified valuation")
-    u = x.div_pi_pow(a).coeffs[0].coeffs[0] if a else x.coeffs[0].coeffs[0]
-    v = y.div_pi_pow(b).coeffs[0].coeffs[0] if b else y.coeffs[0].coeffs[0]
-    if p == 2:
-        eps_u, eps_v = (u - 1) // 2 % 2, (v - 1) // 2 % 2
-        om_u, om_v = (u * u - 1) // 8 % 2, (v * v - 1) // 8 % 2
-        expo = eps_u * eps_v + a * om_v + b * om_u
-        return -1 if expo % 2 else 1
-    sign = 1
-    if (a * b * (p - 1) // 2) % 2:
-        sign = -sign
-    sign *= _legendre(u, p) ** (b % 2)
-    sign *= _legendre(v, p) ** (a % 2)
-    return sign
+    u = (x.div_pi_pow(a) if a else x).flat[0]
+    v = (y.div_pi_pow(b) if b else y).flat[0]
+    return _hilbert_closed_form(ctx.p, a, u, b, v)
 
 
 # ---------------------------------------------------------------------------
@@ -233,43 +219,21 @@ def _int_det(rows):
 
 def norm_to_base(x):
     """N_{F/Q_p}(x) mod p^N: the determinant of multiplication by x in the
-    Z_p-basis {theta^a pi^i} of O_F."""
+    Z_p-basis {theta^a pi^i} of O_F, whose images are the flat tuples of x
+    times each basis vector (the columns; the determinant of the transpose
+    is the same)."""
     ctx = x.ctx
-    e, d = ctx.e, ctx.d
-    n = e * d
-    cols = []
-    for i in range(e):
-        for a in range(d):
-            basis_elt = ctx.elem(
-                [ctx.base.elem([1 if (bb == a) else 0 for bb in range(d)])
-                 if ii == i else 0 for ii in range(e)])
-            prod = x * basis_elt
-            col = []
-            for ii in range(e):
-                col.extend(prod.coeffs[ii].coeffs)
-            cols.append(col)
-    rows = [[cols[j][i] for j in range(n)] for i in range(n)]
-    return _int_det(rows) % ctx.base.mod
-
-
-def _vp_int(n, p, cap):
-    if n == 0:
-        return None
-    v = 0
-    while n % p == 0 and v < cap:
-        n //= p
-        v += 1
-    return v
+    n = ctx.e * ctx.d
+    cols = [(x * FElem(ctx, tuple(int(s == t) for t in range(n)))).flat
+            for s in range(n)]
+    return _int_det(cols) % ctx.mod
 
 
 def is_cyclotomic_ctx(ctx):
     """True for the shipped Q_p(zeta_p) shape: f = ((T+1)^p - 1)/T over Z_p."""
     import math
-    if ctx.d != 1 or ctx.e != ctx.p - 1:
-        return False
-    want = [math.comb(ctx.p, j + 1) % ctx.base.mod for j in range(ctx.p)]
-    got = [c.coeffs[0] for c in ctx.f]
-    return got == want
+    return ctx.d == 1 and list(ctx.f) == [
+        math.comb(ctx.p, j + 1) % ctx.mod for j in range(ctx.p)]
 
 
 def wild_symbol_zeta(x, ctx):
@@ -300,10 +264,8 @@ def wild_symbol_zeta(x, ctx):
             raise PrecisionExhausted(
                 "norm unit part is uncertified mod p^2 at this precision")
         x = x.div_pi_pow(v)
-    nx = norm_to_base(x)
-    t = _vp_int(nx, p, ctx.N)
-    assert t == 0, "norm of a unit must be a unit"
-    u = nx
+    # the norm of a unit is a unit, and here even 1 mod p
+    u = norm_to_base(x)
     if u % p != 1:
         raise NormUnitNotPrincipal(
             f"unit part of the norm is {u % p} mod p, expected 1")

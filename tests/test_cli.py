@@ -1,7 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import tamewild
 from tamewild.cli import RunConfig, dispatch, element_from_string
+from tamewild.errors import BadInput
 from tamewild.localfield import qp_zeta
+from tamewild.symbols import hilbert_quadratic_q
 
 
 def _run(capsys, argv):
@@ -24,6 +33,12 @@ def test_element_parser():
     assert element_from_string(ctx, "2pi") == ctx.pi * 2
 
 
+def test_element_parser_rejects_division():
+    ctx = qp_zeta(3, 16)
+    with pytest.raises(BadInput, match="'/'"):
+        element_from_string(ctx, "1/p")
+
+
 def test_moore_subcommand(capsys):
     code, doc = _run_json(capsys, ["moore", "--a", "13", "--b", "17"])
     assert code == 0
@@ -43,6 +58,15 @@ def test_hilbert2_subcommand(capsys):
     code, doc = _run_json(capsys, ["hilbert2", "--place", "3",
                                    "--a", "1/3", "--b=-5/7"])
     assert code == 0
+
+
+@pytest.mark.parametrize("place", [-3, 4, 1, -1, 0])
+def test_hilbert2_rejects_places_that_are_not_primes(capsys, place):
+    with pytest.raises(BadInput):
+        hilbert_quadratic_q(3, 5, place)
+    assert dispatch(["hilbert2", f"--place={place}", "--a", "3",
+                     "--b", "5"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_tame_subcommand(capsys):
@@ -118,6 +142,44 @@ def test_usage_errors(capsys):
     capsys.readouterr()
     assert dispatch(["lattice", "--p", "11"]) == 2
     capsys.readouterr()
+
+
+def test_residue_parses_quotients_of_products(capsys):
+    for f in ("(t+1)*(t+2)/t", "t/(t+1)^2"):
+        code, doc = _run_json(capsys, ["residue", "--q", "5", "--f", f,
+                                       "--g", "t"])
+        assert code == 0 and doc["result"]["sum_is_zero"]
+    code, doc = _run_json(capsys, ["residue", "--q", "5", "--f",
+                                   "(t+1)*(t+2)/t", "--g", "t"])
+    assert doc["result"]["table"] == {"[0, 1]": 2, "inf": 3}
+
+
+def test_huge_power_exits_promptly():
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(tamewild.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "from tamewild.cli import main; main()",
+         "weil", "--q", "3", "--f", "t^100000000", "--g", "t"],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 2
+    assert "cap" in proc.stderr
+
+
+def test_selftest_rejects_unknown_criterion(capsys):
+    assert dispatch(["selftest", "--only", "99"]) == 2
+    captured = capsys.readouterr()
+    assert "criteria passed" not in captured.out
+    assert "1..11" in captured.err
+
+
+def test_preset_errors_name_the_cause(capsys):
+    assert dispatch(["tame", "--preset", "qp-5", "-N", "4",
+                     "--x", "p", "--y", "2"]) == 2
+    assert "at least 8" in capsys.readouterr().err
+    assert dispatch(["tame", "--preset", "qp-4", "--x", "p", "--y", "2"]) == 2
+    assert "not prime" in capsys.readouterr().err
+    assert dispatch(["tame", "--preset", "qp-x", "--x", "p", "--y", "2"]) == 2
+    assert "unknown field preset" in capsys.readouterr().err
 
 
 def test_field_json_descriptor(tmp_path, capsys):

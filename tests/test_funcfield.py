@@ -5,6 +5,7 @@ import pytest
 from tamewild.errors import BadInput, ZeroInput
 from tamewild.funcfield import (
     GF,
+    MAX_EXPONENT,
     FFPlace,
     FqPoly,
     FqRational,
@@ -307,3 +308,35 @@ def test_order_at():
     assert order_at(f, FFPlace.infinity()) == -1
     assert order_at(f, FFPlace.finite(FqPoly.x(gf))) == -1
     assert order_at(f, FFPlace.finite(poly_from_string(gf, "t^2+1"))) == 1
+
+
+def test_rational_parsing_division():
+    gf = GF(5)
+    t = rational_from_string(gf, "t")
+    one = rational_from_string(gf, "1")
+    assert rational_from_string(gf, "(t+1)*(t+2)/t") == \
+        (t + one) * (t + one + one) * t.inverse()
+    assert rational_from_string(gf, "t/(t+1)^2") == \
+        t * ((t + one) * (t + one)).inverse()
+    # '/' binds like '*': t+1/t is t + 1/t, and a/b*c is (a/b)*c
+    assert rational_from_string(gf, "t+1/t") == t + t.inverse()
+    assert rational_from_string(gf, "t+1/t") != \
+        rational_from_string(gf, "(t+1)/t")
+    assert rational_from_string(gf, "1/t*t") == one
+    with pytest.raises(ZeroDivisionError):
+        rational_from_string(gf, "1/(t-t)")
+    with pytest.raises(BadInput):
+        poly_from_string(gf, "1/t")
+
+
+def test_power_cap():
+    gf = GF(3)
+    assert poly_from_string(gf, f"t^{MAX_EXPONENT}").degree() == MAX_EXPONENT
+    assert poly_from_string(gf, "(t+1)^9") == poly_from_string(gf, "t^9+1")
+    assert poly_from_string(gf, "2^1024") == poly_from_string(gf, "1")
+    for text in (f"t^{MAX_EXPONENT + 1}", "(t^100)^100", "t^100000000",
+                 "2^100000"):
+        with pytest.raises(BadInput):
+            poly_from_string(gf, text)
+        with pytest.raises(BadInput):
+            rational_from_string(gf, text)

@@ -14,7 +14,6 @@ from tamewild.padic import (
     default_modulus,
     hensel_root,
     invert,
-    invert_geometric,
     teichmuller,
     val_p,
     zp_binomial,
@@ -74,6 +73,19 @@ def test_invert_identity_and_errors():
         invert(ctx.from_int(5))
     with pytest.raises(NotAUnit):
         invert(ctx.from_int(0))
+
+
+def invert_geometric(x):
+    """The inverse of a unit by the geometric series
+    1/x = y0 * sum (1 - x*y0)^l, y0 the lifted residue inverse."""
+    ctx = x.ctx
+    y0 = ctx.lift_residue(ctx.kappa.inv(x.residue()))
+    t = ctx.one - x * y0
+    acc, term = ctx.one, t
+    while not term.is_zero():
+        acc = acc + term
+        term = term * t
+    return y0 * acc
 
 
 def test_invert_paths_agree_and_roundtrip():
