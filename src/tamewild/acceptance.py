@@ -25,6 +25,7 @@ from .funcfield import residue_theorem_check as _residue_check
 from .funcfield import weil_reciprocity_check as _weil_check
 from .globalrecip import global_optimal_lattice, moore_product_q
 from .localfield import (
+    FElem,
     eisenstein_root,
     hasse_forward,
     pth_root_in_filtration,
@@ -286,8 +287,7 @@ def brute_force_index(ctx, m):
     total = 0
     for coeffs in itertools.product(range(p ** K), repeat=e * d):
         total += 1
-        vecs = [ctx.base.elem(coeffs[i * d:(i + 1) * d]) for i in range(e)]
-        if order.contains(ctx.elem(vecs)):
+        if order.contains(FElem(ctx, coeffs)):
             members += 1
     return total // members
 
