@@ -2,6 +2,7 @@
 
 Subpackages:
 
+- finitefield: the finite fields F_q (residue and constant fields) and F_q[x]
 - padic: truncated arithmetic in Z_p and unramified extensions
 - localfield: totally-ramified-over-unramified extensions F = F0(pi)
 - orders: the singular subrings O0 + m^m O_F and the optimal-order bound
@@ -13,6 +14,7 @@ Subpackages:
 """
 
 from .errors import PRECISION_EXHAUSTED
+from .finitefield import GF, FiniteField, FqPoly
 from .padic import PadicCtx, O0Elem, val_p, invert, teichmuller, hensel_root, zp_binomial
 from .localfield import (
     LocalFieldCtx,
@@ -53,8 +55,6 @@ from .globalrecip import (
     global_optimal_lattice,
 )
 from .funcfield import (
-    GF,
-    FqPoly,
     FqRational,
     FFPlace,
     divisor,
@@ -78,6 +78,6 @@ __all__ = [
     "steinberg_check", "triviality_oracle", "norm_residue_trivial",
     "Place", "GlobalOrderLattice", "mu_counts_q", "moore_product_q",
     "quadratic_reciprocity_view", "global_optimal_lattice",
-    "GF", "FqPoly", "FqRational", "FFPlace", "divisor", "ff_tame_symbol",
+    "GF", "FiniteField", "FqPoly", "FqRational", "FFPlace", "divisor", "ff_tame_symbol",
     "weil_reciprocity_check", "ff_hilbert_check", "residue_theorem_check",
 ]

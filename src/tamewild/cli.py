@@ -22,8 +22,8 @@ from .errors import (
     UnsupportedField,
     UnsupportedSplitting,
 )
+from .finitefield import GF
 from .funcfield import (
-    GF,
     ff_hilbert_check,
     rational_from_string,
     residue_theorem_check,

@@ -94,5 +94,9 @@ class NormUnitNotPrincipal(RuntimeError):
     """A norm's unit part failed to be a principal unit; indicates a bug."""
 
 
+class InvariantFailed(RuntimeError):
+    """A result contradicts an identity that holds by theory; a bug."""
+
+
 class PIsTwo(ValueError):
     """Order-theoretic bounds are defined for odd residue characteristic only."""

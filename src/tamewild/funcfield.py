@@ -1,10 +1,11 @@
 """Places of P^1 over F_q, tame symbols, Weil reciprocity and the residue
 theorem for rational 1-forms.
 
-F_q is realised for prime powers q = p^s by the same deterministic modulus
-choice as the p-adic presets; elements are integers in [0, q) encoding
-base-p digit vectors.  Polynomials are dense coefficient lists (low degree
-first); rational functions are reduced fractions with monic denominator.
+F_q and F_q[t] are finitefield.GF(q) and finitefield.FqPoly, the same
+layer as the p-adic residue fields: elements are integers in [0, q)
+encoding base-p digit vectors, polynomials dense coefficient lists (low
+degree first).  This module adds factoring over F_q, and rational functions
+as reduced fractions with monic denominator.
 Places are monic irreducible polynomials plus the degree-one place at
 infinity; local expansions use truncated Laurent series, exact because
 residues depend on finitely many terms.
@@ -14,260 +15,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 
-import sympy
-
-from .errors import BadInput, ZeroInput
-from .padic import default_modulus
-
-
-# ---------------------------------------------------------------------------
-# F_q arithmetic (table-based; q stays desk-sized)
-# ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def GF(q):
-    fac = sympy.factorint(q)
-    if len(fac) != 1:
-        raise BadInput(f"q = {q} is not a prime power")
-    (p, s), = fac.items()
-    return _GFq(int(p), int(s))
-
-
-class _GFq:
-    """F_{p^s} with elements packed as integers in [0, p^s)."""
-
-    def __init__(self, p, s):
-        self.p = p
-        self.s = s
-        self.q = p ** s
-        self.modulus = default_modulus(p, s)  # shared with the p-adic side
-        self.zero, self.one = 0, 1 % self.q
-        self._mul = None
-
-    def __repr__(self):
-        return f"GF({self.q})"
-
-    def _digits(self, a):
-        out = []
-        for _ in range(self.s):
-            a, r = divmod(a, self.p)
-            out.append(r)
-        return out
-
-    def _pack(self, digits):
-        acc = 0
-        for d in reversed(digits):
-            acc = acc * self.p + d
-        return acc
-
-    def add(self, a, b):
-        da, db = self._digits(a), self._digits(b)
-        return self._pack([(x + y) % self.p for x, y in zip(da, db)])
-
-    def neg(self, a):
-        return self._pack([-x % self.p for x in self._digits(a)])
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
-    def mul(self, a, b):
-        if self.s == 1:
-            return a * b % self.p
-        if self._mul is None:
-            self._build_tables()
-        return self._mul[a][b]
-
-    def _build_tables(self):
-        p, s = self.p, self.s
-        g = self.modulus
-        tbl = [[0] * self.q for _ in range(self.q)]
-        for a in range(self.q):
-            da = self._digits(a)
-            for b in range(a, self.q):
-                db = self._digits(b)
-                conv = [0] * (2 * s - 1)
-                for i, x in enumerate(da):
-                    if x:
-                        for j, y in enumerate(db):
-                            conv[i + j] += x * y
-                for i in range(2 * s - 2, s - 1, -1):
-                    c = conv[i] % p
-                    if c:
-                        for j in range(s):
-                            conv[i - s + j] -= c * g[j]
-                    conv[i] = 0
-                val = self._pack([c % p for c in conv[:s]])
-                tbl[a][b] = tbl[b][a] = val
-        self._mul = tbl
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero in F_q")
-        return self.pow(a, self.q - 2)
-
-    def pow(self, a, n):
-        if a == 0:
-            if n <= 0:
-                raise ZeroDivisionError("0^n for n <= 0")
-            return 0
-        n %= self.q - 1
-        r, b = self.one, a
-        while n:
-            if n & 1:
-                r = self.mul(r, b)
-            b = self.mul(b, b)
-            n >>= 1
-        return r
-
-    def elements(self):
-        return range(self.q)
+from .errors import BadInput, InvariantFailed, ZeroInput
+from .finitefield import GF, FqPoly, is_irreducible  # noqa: F401 - re-exported
+# perfbench/tracing.py wraps the F_q methods through this name
+from .finitefield import FiniteField as _GFq  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
-# polynomials over F_q
+# factorization over F_q
 # ---------------------------------------------------------------------------
-
-def _trim(c):
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-class FqPoly:
-    """Dense polynomial over F_q, low coefficient first; [] is zero."""
-
-    __slots__ = ("gf", "c")
-
-    def __init__(self, gf, coeffs):
-        self.gf = gf
-        self.c = _trim(coeffs)
-
-    @classmethod
-    def const(cls, gf, a):
-        return cls(gf, [a])
-
-    @classmethod
-    def x(cls, gf):
-        return cls(gf, [0, 1])
-
-    def __repr__(self):
-        return f"FqPoly({self.c} /F{self.gf.q})"
-
-    def __eq__(self, other):
-        return isinstance(other, FqPoly) and self.gf is other.gf \
-            and self.c == other.c
-
-    def __hash__(self):
-        return hash((self.gf.q, tuple(self.c)))
-
-    def is_zero(self):
-        return not self.c
-
-    def degree(self):
-        return len(self.c) - 1 if self.c else -1
-
-    def lead(self):
-        return self.c[-1] if self.c else 0
-
-    def __add__(self, other):
-        gf = self.gf
-        n = max(len(self.c), len(other.c))
-        a = self.c + [0] * (n - len(self.c))
-        b = other.c + [0] * (n - len(other.c))
-        return FqPoly(gf, [gf.add(x, y) for x, y in zip(a, b)])
-
-    def __neg__(self):
-        return FqPoly(self.gf, [self.gf.neg(x) for x in self.c])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        gf = self.gf
-        if isinstance(other, int):
-            return FqPoly(gf, [gf.mul(x, other) for x in self.c])
-        if self.is_zero() or other.is_zero():
-            return FqPoly(gf, [])
-        out = [0] * (len(self.c) + len(other.c) - 1)
-        for i, x in enumerate(self.c):
-            if x:
-                for j, y in enumerate(other.c):
-                    out[i + j] = gf.add(out[i + j], gf.mul(x, y))
-        return FqPoly(gf, out)
-
-    __rmul__ = __mul__
-
-    def monic(self):
-        if self.is_zero():
-            return self
-        return self * self.gf.inv(self.lead())
-
-    def divmod(self, other):
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        gf = self.gf
-        a = list(self.c)
-        b = other.c
-        inv_lead = gf.inv(b[-1])
-        q = [0] * max(0, len(a) - len(b) + 1)
-        while len(a) >= len(b):
-            f = gf.mul(a[-1], inv_lead)
-            shift = len(a) - len(b)
-            q[shift] = f
-            for i, bc in enumerate(b):
-                a[shift + i] = gf.sub(a[shift + i], gf.mul(f, bc))
-            a = _trim(a)
-        return FqPoly(gf, q), FqPoly(gf, a)
-
-    def __mod__(self, other):
-        return self.divmod(other)[1]
-
-    def __floordiv__(self, other):
-        return self.divmod(other)[0]
-
-    def gcd(self, other):
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic()
-
-    def pow_mod(self, n, mod):
-        r = FqPoly(self.gf, [1])
-        b = self % mod
-        while n:
-            if n & 1:
-                r = (r * b) % mod
-            b = (b * b) % mod
-            n >>= 1
-        return r
-
-    def derivative(self):
-        gf = self.gf
-        out = []
-        for i in range(1, len(self.c)):
-            out.append(gf.mul(self.c[i], i % gf.p))
-        return FqPoly(gf, out)
-
-    def eval(self, a):
-        gf = self.gf
-        acc = 0
-        for c in reversed(self.c):
-            acc = gf.add(gf.mul(acc, a), c)
-        return acc
-
-    def pth_root(self):
-        """Inverse of Frobenius on coefficients, for f = g(x^p)."""
-        gf = self.gf
-        out = []
-        for i in range(0, len(self.c), gf.p):
-            out.append(gf.pow(self.c[i], gf.q // gf.p))
-        return FqPoly(gf, out)
-
-
-# -- factorization ----------------------------------------------------------
 
 def squarefree_decomposition(f):
     """[(g, multiplicity)] with g squarefree pairwise-coprime monic."""
@@ -357,13 +114,6 @@ def factor(f):
     return out
 
 
-def is_irreducible(f):
-    if f.degree() < 1:
-        return False
-    fac = factor(f)
-    return len(fac) == 1 and fac[0][1] == 1 and fac[0][0] == f.monic()
-
-
 # ---------------------------------------------------------------------------
 # rational functions and places
 # ---------------------------------------------------------------------------
@@ -450,25 +200,24 @@ class FFPlace:
                                                tuple(self.poly.c))
 
 
+def _strip(poly, pi):
+    """(k, poly / pi^k) for the multiplicity k of pi in the nonzero poly."""
+    k = 0
+    while True:
+        q, r = poly.divmod(pi)
+        if not r.is_zero():
+            return k, poly
+        poly = q
+        k += 1
+
+
 def order_at(f: FqRational, place: FFPlace) -> int:
     """ord_v(f)."""
     if f.is_zero():
         raise ZeroInput("order of zero")
     if place.is_infinite():
         return f.den.degree() - f.num.degree()
-
-    def mult(poly):
-        k = 0
-        while True:
-            q, r = poly.divmod(place.poly)
-            if not r.is_zero():
-                return k, poly
-            k += 1
-            poly = q
-
-    kn, _ = mult(f.num)
-    kd, _ = mult(f.den)
-    return kn - kd
+    return _strip(f.num, place.poly)[0] - _strip(f.den, place.poly)[0]
 
 
 def divisor(f: FqRational):
@@ -541,15 +290,18 @@ class ResidueAt:
         for _ in range(self.deg - 1):
             conj = self.pow(conj, self.gf.q)
             acc = self.mul(acc, conj)
-        assert acc.degree() <= 0, "norm did not land in the base field"
-        return acc.c[0] if acc.c else 0
+        return self._in_base(acc)
 
     def power_norm(self, a):
         """The same norm as the (q^deg - 1)/(q - 1)-th power map."""
         e = (self.gf.q ** self.deg - 1) // (self.gf.q - 1)
-        val = self.pow(a, e)
-        assert val.degree() <= 0
-        return val.c[0] if val.c else 0
+        return self._in_base(self.pow(a, e))
+
+    @staticmethod
+    def _in_base(a):
+        if a.degree() > 0:
+            raise InvariantFailed("norm did not land in the base field")
+        return a.c[0] if a.c else 0
 
     def trace(self, a):
         """Tr_{kappa(v)/F_q} via the multiplication-matrix trace."""
@@ -565,27 +317,17 @@ class ResidueAt:
         return tr
 
 
-def _unit_part_at(f, place, v):
-    """f * pi_v^{-v} evaluated in kappa(v) (finite place)."""
+def _order_and_unit_at(f, place):
+    """(v, f * pi_v^{-v} evaluated in kappa(v)) with v = ord_v(f), at a
+    finite place."""
     pi = place.poly
-
-    def strip(poly):
-        k = 0
-        while True:
-            q, r = poly.divmod(pi)
-            if not r.is_zero():
-                return poly, k
-            poly = q
-            k += 1
-
-    num, kn = strip(f.num)
-    den, kd = strip(f.den)
-    assert kn - kd == v
+    kn, num = _strip(f.num, pi)
+    kd, den = _strip(f.den, pi)
     res = ResidueAt(f.gf(), place)
-    return res.mul(num % pi, res.inv(den % pi))
+    return kn - kd, res.mul(num % pi, res.inv(den % pi))
 
 
-def _unit_value_at_infinity(f, v):
+def _unit_value_at_infinity(f):
     """Leading-coefficient ratio: the value of f * t^{v_inf} at infinity."""
     gf = f.gf()
     return gf.mul(f.num.lead(), gf.inv(f.den.lead()))
@@ -599,18 +341,16 @@ def ff_tame_symbol(f, g, place):
     gf = f.gf()
     if place.is_infinite():
         a, b = order_at(f, place), order_at(g, place)
-        uf = _unit_value_at_infinity(f, a)
-        ug = _unit_value_at_infinity(g, b)
+        uf = _unit_value_at_infinity(f)
+        ug = _unit_value_at_infinity(g)
         val = gf.mul(gf.pow(uf, b) if b >= 0 else gf.inv(gf.pow(uf, -b)),
                      gf.inv(gf.pow(ug, a)) if a >= 0 else gf.pow(ug, -a))
         if (a * b) % 2:
             val = gf.neg(val)
         return FqPoly.const(gf, val)
-    a = order_at(f, place)
-    b = order_at(g, place)
+    a, uf = _order_and_unit_at(f, place)
+    b, ug = _order_and_unit_at(g, place)
     res = ResidueAt(gf, place)
-    uf = _unit_part_at(f, place, a)
-    ug = _unit_part_at(g, place, b)
     val = res.mul(res.pow(uf, b), res.pow(ug, -a))
     if (a * b) % 2:
         val = -val
@@ -628,9 +368,10 @@ def _support(f, g):
     return sorted(places, key=lambda pl: pl.sort_key())
 
 
-def weil_reciprocity_check(f, g):
-    """prod_v N_{kappa(v)/F_q} of the tame symbols over the support; the
-    product must be 1.  Returns (ok, [(place, norm value)])."""
+def _symbol_norms(f, g, power):
+    """The pass shared by both checks: the norm of the tame symbol at each
+    place of the support (the Frobenius-orbit product; with `power`, also
+    the power map, which must agree) and whether their product is 1."""
     if f.is_zero() or g.is_zero():
         raise ZeroInput("reciprocity check of zero")
     gf = f.gf()
@@ -641,33 +382,26 @@ def weil_reciprocity_check(f, g):
         if pl.is_infinite():
             val = sym.c[0] if sym.c else 0
         else:
-            val = ResidueAt(gf, pl).norm(sym)
+            res = ResidueAt(gf, pl)
+            val = res.norm(sym)
+            if power and res.power_norm(sym) != val:
+                raise InvariantFailed("power and Frobenius norms disagree")
         table.append((pl, val))
         prod = gf.mul(prod, val)
     return prod == gf.one, table
+
+
+def weil_reciprocity_check(f, g):
+    """prod_v N_{kappa(v)/F_q} of the tame symbols over the support; the
+    product must be 1.  Returns (ok, [(place, norm value)])."""
+    return _symbol_norms(f, g, power=False)
 
 
 def ff_hilbert_check(f, g):
     """Same product with the exponents written as m_v/m = (q^deg - 1)/(q-1);
-    asserts factor-by-factor agreement with the norm formulation."""
-    if f.is_zero() or g.is_zero():
-        raise ZeroInput("reciprocity check of zero")
-    gf = f.gf()
-    table = []
-    prod = gf.one
-    for pl in _support(f, g):
-        sym = ff_tame_symbol(f, g, pl)
-        if pl.is_infinite():
-            val = sym.c[0] if sym.c else 0
-            other = val
-        else:
-            res = ResidueAt(gf, pl)
-            val = res.power_norm(sym)
-            other = res.norm(sym)
-        assert val == other, "power and Frobenius norms disagree"
-        table.append((pl, val))
-        prod = gf.mul(prod, val)
-    return prod == gf.one, table
+    raises InvariantFailed unless every factor agrees with the norm
+    formulation, so its verdict and table are also Weil's."""
+    return _symbol_norms(f, g, power=True)
 
 
 # ---------------------------------------------------------------------------
@@ -787,16 +521,6 @@ def _rational_series(res, f, series):
     return num * den.inverse()
 
 
-def _poly_multiplicity(poly, pi):
-    k = 0
-    while True:
-        q, r = poly.divmod(pi)
-        if not r.is_zero():
-            return k
-        poly = q
-        k += 1
-
-
 def residue_at(f, g, place):
     """res_v(f dg) as an element of kappa(v) (FqPoly mod pi_v)."""
     gf = f.gf()
@@ -808,7 +532,7 @@ def residue_at(f, g, place):
     res = ResidueAt(gf, place)
     h = f * dg  # h dt; res_v(h dt) = coeff_{-1} of h(T(s)) T'(s)
     # dividing by the denominator's zero of order k costs 2k precision
-    k = _poly_multiplicity(h.den, place.poly)
+    k = _strip(h.den, place.poly)[0]
     prec = 2 * k + 2
     T = _uniformizer_expansion(res, prec)
     series = _rational_series(res, h, T) * T.derivative()

@@ -17,7 +17,13 @@ from fractions import Fraction
 import sympy
 from sympy.matrices.normalforms import hermite_normal_form
 
-from .errors import BadInput, ComplexPlace, UnsupportedField, ZeroInput
+from .errors import (
+    BadInput,
+    ComplexPlace,
+    InvariantFailed,
+    UnsupportedField,
+    ZeroInput,
+)
 from .localfield import qp_zeta
 from .orders import OrderRm, m0_bound
 from .symbols import hilbert_quadratic_q
@@ -224,6 +230,7 @@ def global_optimal_lattice(p, m=None, N=32):
     H = hermite_normal_form(A)
     index = abs(H.det())
     order = OrderRm(ctx, m)
-    assert index == order.index_in_of(), "lattice index != local closed form"
+    if index != order.index_in_of():
+        raise InvariantFailed("lattice index != local closed form")
     basis = tuple(tuple(int(H[i, j]) for j in range(n)) for i in range(n))
     return GlobalOrderLattice(p=p, m=m, basis=basis, index=int(index))

@@ -24,6 +24,7 @@ from .errors import (
     PRECISION_EXHAUSTED,
     BadInput,
     BelowThreshold,
+    InvariantFailed,
     NotInIdeal,
     NotPrincipalUnit,
     PrecisionExhausted,
@@ -205,7 +206,7 @@ class LocalFieldCtx:
             "p": self.p,
             "d": d,
             "N": self.N,
-            "gbar": list(self.base.kappa.gbar),
+            "gbar": list(self.base.kappa.modulus),
             "f": [list(self.f[i:i + d]) for i in range(0, len(self.f), d)],
             "name": self.name,
         }
@@ -244,6 +245,9 @@ def qp_zeta(p, N=64):
 def eisenstein_root(p, e, N=64, d=1):
     """Q_p-extension with f = T^e - p (the e-th root of p), optionally over
     an unramified base of degree d."""
+    if e < 1:
+        raise UnsupportedField(f"ramification index e = {e} must be at "
+                               f"least 1")
     base = PadicCtx(p, N, d)
     f = [-p] + [0] * (e - 1) + [1]
     name = {2: f"sqrt-{p}", 3: f"cbrt-{p}"}.get(e, f"root{e}-{p}")
@@ -389,8 +393,7 @@ class FElem:
 
     def residue(self):
         """Image in the residue field (the constant coefficient's residue)."""
-        p = self.ctx.p
-        return tuple(c % p for c in self.flat[:self.ctx.d])
+        return self.ctx.base.kappa.pack(self.flat[:self.ctx.d])
 
     def div_p(self):
         """Exact division by p (valuation must be >= e).
@@ -439,14 +442,14 @@ class FElem:
         if v is PRECISION_EXHAUSTED or v != 0:
             raise BadInput("invert_unit needs a unit (valuation 0)")
         ctx = self.ctx
-        r = ctx.base.kappa.inv(self.residue())
-        y = FElem(ctx, r + (0,) * (len(self.flat) - ctx.d))
+        kappa = ctx.base.kappa
+        r = kappa.digits(kappa.inv(self.residue()))
+        y = FElem(ctx, tuple(r) + (0,) * (len(self.flat) - ctx.d))
         two = ctx.from_int(2)
         k = 1
         while k < ctx.M:
             y = y * (two - self * y)
             k *= 2
-        assert self * y == ctx.one
         return y
 
     def to_json(self):
@@ -501,7 +504,8 @@ def unit_decompose(x):
     i = ctx.base.kappa.dlog(y.residue())
     u = y * ctx.teichmuller_power(-i)
     lv = valuation(u - ctx.one)
-    assert lv is PRECISION_EXHAUSTED or lv >= 1
+    if lv is not PRECISION_EXHAUSTED and lv < 1:
+        raise InvariantFailed("x * pi^-n * omega^-i is not a principal unit")
     return UnitDecomposition(n, i, u)
 
 
@@ -660,7 +664,8 @@ def pth_root_in_filtration(w, t):
         if dl is PRECISION_EXHAUSTED:
             break
         s = dl - ctx.e
-        assert s >= t
+        if s < t:
+            raise InvariantFailed(f"defect at level {dl} is below t + e")
         c = (defect - ctx.one).div_pi_pow(dl).residue()
         a = kappa.mul(c, rho_inv)
         corr = ctx.one + ctx.base.lift_residue(a) * (ctx.pi ** s)
@@ -769,14 +774,14 @@ def _find_zeta(ctx, j, sstar, verify_count=False):
     L = max(L0, Lsuff, sstar)
     kappa = ctx.base.kappa
     digits = list(kappa.elements())
-    nonzero = [c for c in digits if c != kappa.zero]
+    nonzero = [c for c in digits if c]
     pis = [ctx.pi ** s for s in range(sstar, L + 1)]
     found = []
     for lead in nonzero:
         for tail in _iproduct(digits, repeat=L - sstar):
             x0 = ctx.one + ctx.base.lift_residue(lead) * pis[0]
             for idx, c in enumerate(tail):
-                if c != kappa.zero:
+                if c:
                     x0 = x0 + ctx.base.lift_residue(c) * pis[idx + 1]
             refined = _newton_in_f(ctx, j, x0)
             if refined is None:
@@ -792,8 +797,9 @@ def _find_zeta(ctx, j, sstar, verify_count=False):
                 found.append(root)
     if verify_count and found:
         expected = p ** j - p ** (j - 1)
-        assert len(found) == expected, (
-            f"found {len(found)} primitive p^{j} roots, expected {expected}")
+        if len(found) != expected:
+            raise InvariantFailed(f"found {len(found)} primitive p^{j} "
+                                  f"roots, expected {expected}")
         return found[0]
     return None
 

@@ -38,32 +38,34 @@ from .padic import PadicCtx, hensel_root
 # ---------------------------------------------------------------------------
 
 class _DigitSpan:
-    """Echelonized F_p-span of kappa-elements (as F_p^d vectors); rows carry
-    witness data, reductions report the combination used."""
+    """Echelonized F_p-span of kappa-elements (as F_p^d digit vectors); rows
+    carry witness data, reductions report the combination used."""
 
     def __init__(self, kappa):
         self.kappa = kappa
         self.p = kappa.p
-        self.rows = []  # (vec, pivot_index, witness)
+        self.rows = []  # (vec, pivot digit index, its inverse, witness)
 
     def reduce(self, vec):
         """(residual, combo) with combo = [(witness, scale), ...] such that
         vec = residual + sum scale * row_vec."""
+        k = self.kappa
         combo = []
-        for row_vec, piv, wit in self.rows:
-            c = vec[piv]
+        for row_vec, piv, inv, wit in self.rows:
+            c = k.digits(vec)[piv]
             if c:
-                scale = c * pow(row_vec[piv], -1, self.p) % self.p
-                vec = self.kappa.sub(vec, self.kappa.scale(row_vec, scale))
+                scale = c * inv % self.p
+                vec = k.sub(vec, k.scale(row_vec, scale))
                 combo.append((wit, scale))
         return vec, combo
 
     def insert(self, vec, witness):
         """Insert a row whose vector is already reduced against this span."""
-        if vec == self.kappa.zero:
+        if not vec:
             raise ValueError("cannot insert a zero row")
-        piv = next(i for i, c in enumerate(vec) if c)
-        self.rows.append((vec, piv, witness))
+        piv, lead = next((i, c) for i, c in enumerate(self.kappa.digits(vec))
+                         if c)
+        self.rows.append((vec, piv, pow(lead, -1, self.p), witness))
 
 
 class _Pivots:
@@ -270,7 +272,6 @@ class _Reducer:
         j = st.n * pow(n0, -1, self.m) % self.m
         self._divide(st, piv, j)
         st.n %= self.m
-        assert st.n == 0
         return True
 
     def _solve_omega(self, st, pivots):
@@ -280,7 +281,6 @@ class _Reducer:
         _, piv = entry
         self._divide(st, piv, st.i % 2)
         st.i %= 2
-        assert st.i == 0
         return True
 
     def _solve_digit(self, st, pos, digit, pivots):
@@ -290,7 +290,7 @@ class _Reducer:
         residual, combo = span.reduce(digit)
         for piv, scale in combo:
             self._divide(st, piv, scale)
-        if residual == self.kappa.zero:
+        if not residual:
             return True, None
         return False, residual
 
@@ -365,9 +365,7 @@ class _RamifiedKummer:
         scaled by a unit."""
         ctx, m, lam = self.ctx, self.m, self.lam
         a = s * pow(lam, -1, m) % m
-        bnum = s - a * lam
-        assert bnum % m == 0
-        b = bnum // m
+        b = (s - a * lam) // m
         vec = [ctx.zero] * m
         base = ctx.one if scale is None else scale
         if b >= 0:
@@ -409,11 +407,11 @@ class _UnramifiedKummer:
         big = PadicCtx(ctx.p, ctx.N, m)
         self.big_field = LocalFieldCtx(big, list(ctx.f))
         # Frobenius on the big unramified ring: theta -> the root of g
-        # congruent to theta_bar^p, extended to coefficient vectors
-        theta_bar = tuple([0, 1] + [0] * (m - 2))
-        target = big.kappa.pow(theta_bar, ctx.p)
+        # congruent to theta^p, extended to coefficient vectors (no residue
+        # field tables: q = p^p is 823543 at p = 7)
+        theta = big.elem([0, 1] + [0] * (m - 2))
         gpoly = [big.from_int(c) for c in big.g]
-        root = hensel_root(gpoly, big.lift_residue(target))
+        root = hensel_root(gpoly, theta ** ctx.p)
         self._root_rows = [(root ** j).coeffs for j in range(m)]
         self.big = big
 
@@ -489,7 +487,9 @@ class NormResidueOracle:
             c = pow(nprime, -1, m)
             t = (nprime * c - 1) // m
             ydouble = (yprime ** c).div_pi_pow(m * t) if t else yprime ** c
-            assert valuation(ydouble) == 1
+            if valuation(ydouble) != 1:
+                raise UnsupportedSplitting("y normalised to a non-prime "
+                                           "element")
             rhs = [ctx.zero] * m
             rhs[0] = ydouble
             return _RamifiedKummer(ctx, m, rhs, lam=1)
@@ -507,7 +507,9 @@ class NormResidueOracle:
             y_red = y_red * (ctx.one
                              + ctx.base.lift_residue(dig) * ctx.pi ** s)
         lam = lead_pos[1]
-        assert lam % ctx.p, "fundamental level unexpectedly divisible by p"
+        if lam % ctx.p == 0:
+            raise UnsupportedSplitting(f"fundamental level {lam} is "
+                                       f"divisible by p")
         rhs = [ctx.zero] * m  # relation (1+G)^p = y_red
         rhs[0] = y_red - ctx.one
         for j in range(1, m):

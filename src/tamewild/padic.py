@@ -5,6 +5,8 @@ unramified ring O0 of residue degree d is realised as Z[x]/(g, p**N) for a
 monic degree-d lift g of an irreducible polynomial gbar over F_p; elements
 are coefficient vectors in canonical form (each entry in [0, p**N)).
 
+The residue field kappa = F_p[x]/(gbar) is a finitefield.FiniteField, so
+residues are ints in [0, q) whose base-p digit j is the coefficient of x^j.
 Default moduli gbar are chosen deterministically (first irreducible in
 lexicographic coefficient order), so residue fields are reproducible across
 runs and shared with the function-field presets.
@@ -13,7 +15,6 @@ runs and shared with the function-field presets.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import sympy
 
@@ -24,207 +25,9 @@ from .errors import (
     PrecisionLoss,
     ZeroInput,
 )
-
-
-# ---------------------------------------------------------------------------
-# residue-field helpers: F_q = F_p[x]/(gbar), elements are int tuples mod p
-# ---------------------------------------------------------------------------
-
-def _poly_mod_trim(c):
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _poly_mod_divmod(a, b, p):
-    # both lists of ints mod p, b nonzero
-    a = _poly_mod_trim([x % p for x in a])
-    b = _poly_mod_trim([x % p for x in b])
-    inv_lead = pow(b[-1], -1, p)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b):
-        shift = len(a) - len(b)
-        factor = a[-1] * inv_lead % p
-        q[shift] = factor
-        for i, bc in enumerate(b):
-            a[shift + i] = (a[shift + i] - factor * bc) % p
-        a = _poly_mod_trim(a)
-    return q, a
-
-
-def _poly_mod_gcd(a, b, p):
-    a, b = _poly_mod_trim(a), _poly_mod_trim(b)
-    while b:
-        _, r = _poly_mod_divmod(a, b, p)
-        a, b = b, r
-    return a
-
-
-class ResidueField:
-    """F_q as tuples of d integers mod p (coefficients w.r.t. gbar's root)."""
-
-    def __init__(self, p, d, gbar):
-        self.p = p
-        self.d = d
-        self.gbar = tuple(c % p for c in gbar)  # length d+1, monic
-        self.q = p ** d
-        self.zero = (0,) * d
-        self.one = tuple([1] + [0] * (d - 1)) if d else ()
-        self._dlog = None
-        self._gen = None
-
-    def from_int(self, n):
-        return tuple([n % self.p] + [0] * (self.d - 1))
-
-    def add(self, a, b):
-        return tuple((x + y) % self.p for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        return tuple((x - y) % self.p for x, y in zip(a, b))
-
-    def neg(self, a):
-        return tuple(-x % self.p for x in a)
-
-    def scale(self, a, c):
-        return tuple(x * c % self.p for x in a)
-
-    def mul(self, a, b):
-        p, d = self.p, self.d
-        conv = [0] * (2 * d - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    conv[i + j] += x * y
-        # reduce by monic gbar
-        for i in range(2 * d - 2, d - 1, -1):
-            c = conv[i] % p
-            if c:
-                for j in range(d):
-                    conv[i - d + j] -= c * self.gbar[j]
-            conv[i] = 0
-        return tuple(c % p for c in conv[:d])
-
-    def pow(self, a, n):
-        if n < 0:
-            return self.pow(self.inv(a), -n)
-        r, b = self.one, a
-        while n:
-            if n & 1:
-                r = self.mul(r, b)
-            b = self.mul(b, b)
-            n >>= 1
-        return r
-
-    def inv(self, a):
-        if a == self.zero:
-            raise ZeroDivisionError("zero in residue field")
-        # extended gcd of a (as poly) against gbar
-        p = self.p
-        r0, r1 = list(self.gbar), _poly_mod_trim(a)
-        s0, s1 = [], [1]
-        while r1:
-            q, r = _poly_mod_divmod(r0, r1, p)
-            r0, r1 = r1, r
-            # s_next = s0 - q*s1
-            sn = list(s0) + [0] * max(0, len(q) + len(s1) - 1 - len(s0))
-            for i, qc in enumerate(q):
-                if qc:
-                    for j, sc in enumerate(s1):
-                        sn[i + j] = (sn[i + j] - qc * sc) % p
-            s0, s1 = s1, _poly_mod_trim(sn)
-        # r0 is the gcd, a nonzero constant
-        c = pow(r0[0], -1, p)
-        out = [x * c % p for x in s0]
-        out += [0] * (self.d - len(out))
-        return tuple(out[: self.d])
-
-    def elements(self):
-        from itertools import product
-        for digits in product(range(self.p), repeat=self.d):
-            yield tuple(digits)
-
-    def generator(self):
-        """Deterministic generator of F_q^x: first element of order q-1."""
-        if self._gen is not None:
-            return self._gen
-        order = self.q - 1
-        prime_facs = list(sympy.factorint(order)) if order > 1 else []
-        for a in self.elements():
-            if a == self.zero:
-                continue
-            if all(self.pow(a, order // f) != self.one for f in prime_facs):
-                self._gen = a
-                return a
-        raise RuntimeError("no generator found")  # pragma: no cover
-
-    def dlog(self, a):
-        """Discrete log w.r.t. the fixed generator (table-based, q is small)."""
-        if a == self.zero:
-            raise ZeroDivisionError("dlog of zero")
-        if self._dlog is None:
-            g = self.generator()
-            table, x = {}, self.one
-            for j in range(self.q - 1):
-                table[x] = j
-                x = self.mul(x, g)
-            self._dlog = table
-        return self._dlog[a]
-
-
-@lru_cache(maxsize=None)
-def default_modulus(p, d):
-    """First monic irreducible of degree d over F_p in lex coefficient order."""
-    if d == 1:
-        return (0, 1)
-    from itertools import product
-    for tail in product(range(p), repeat=d):
-        gbar = tuple(tail) + (1,)
-        if _is_irreducible_mod_p(gbar, p, d):
-            return gbar
-    raise RuntimeError("no irreducible polynomial found")  # pragma: no cover
-
-
-def _is_irreducible_mod_p(gbar, p, d):
-    # gcd with x^{p^i} - x for i < d, then x^{p^d} = x
-    if d == 1:
-        return True
-    if gbar[0] == 0:
-        return False
-    xq = [0, 1]
-    for i in range(1, d + 1):
-        # xq <- xq^p mod gbar
-        xq = _poly_pow_mod(xq, p, gbar, p)
-        if i < d:
-            g = _poly_mod_gcd(_poly_sub_x(xq, p), gbar, p)
-            if len(_poly_mod_trim(g)) > 1:
-                return False
-    return _poly_mod_trim(_poly_sub_x(xq, p)) == []
-
-
-def _poly_sub_x(a, p):
-    b = list(a) + [0] * max(0, 2 - len(a))
-    b[1] = (b[1] - 1) % p
-    return b
-
-
-def _poly_pow_mod(a, n, mod, p):
-    r, b = [1], list(a)
-    while n:
-        if n & 1:
-            r = _poly_mod_divmod(_poly_mul(r, b, p), mod, p)[1]
-        b = _poly_mod_divmod(_poly_mul(b, b, p), mod, p)[1]
-        n >>= 1
-    return r
-
-
-def _poly_mul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return out
+from .finitefield import FiniteField, default_modulus
+# perfbench/tracing.py wraps the F_q methods through this name
+from .finitefield import FiniteField as ResidueField  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
@@ -250,11 +53,9 @@ class PadicCtx:
         if gbar is None:
             gbar = default_modulus(p, d)
         gbar = tuple(c % p for c in gbar)
-        if len(gbar) != d + 1 or gbar[d] != 1:
-            raise ValueError("gbar must be monic of degree d")
-        if not _is_irreducible_mod_p(gbar, p, d):
-            raise ValueError("gbar is not irreducible over F_p")
-        self.kappa = ResidueField(p, d, gbar)
+        if len(gbar) != d + 1:
+            raise ValueError("gbar must have degree d")
+        self.kappa = FiniteField(p, gbar)  # BadInput unless monic irreducible
         self.q = p ** d
         if g is None:
             g = gbar
@@ -289,7 +90,7 @@ class PadicCtx:
 
     def lift_residue(self, c):
         """Plain digit lift of a residue-field element."""
-        return self.elem(c)
+        return self.elem(self.kappa.digits(c))
 
     def teichmuller(self, c):
         """The unique (q-1)-st root of unity congruent to c mod p.
@@ -297,15 +98,13 @@ class PadicCtx:
         Computed by iterating x -> x^q to its fixed point; every step gains
         at least one p-digit, so N steps certify the full precision.
         """
-        if c == self.kappa.zero:
+        if not c:
             raise ZeroInput("Teichmuller lift of zero")
-        c = tuple(x % self.p for x in c)
         if c in self._teich_cache:
             return self._teich_cache[c]
         x = self.lift_residue(c)
         for _ in range(self.N):
             x = x ** self.q
-        assert x ** (self.q - 1) == self.one
         self._teich_cache[c] = x
         return x
 
@@ -397,7 +196,7 @@ class O0Elem:
         return NotImplemented
 
     def residue(self):
-        return tuple(c % self.ctx.p for c in self.coeffs)
+        return self.ctx.kappa.pack(self.coeffs)
 
     def div_exact_p(self, k=1):
         """Exact division by p^k; every coefficient must be divisible."""
@@ -441,18 +240,18 @@ def val_p_coeffs(coeffs, p):
 
 
 def invert(x):
-    """Inverse of a unit of O0, by residue-field xgcd plus Newton lifting."""
+    """Inverse of a unit of O0, by Newton lifting from x^(q-2), an inverse
+    mod p (the residue field needs no tables, however large q is)."""
     v = val_p(x)
     if v is PRECISION_EXHAUSTED or v > 0:
         raise NotAUnit("val_p(x) must be 0")
     ctx = x.ctx
-    y = ctx.lift_residue(ctx.kappa.inv(x.residue()))
+    y = x ** (ctx.q - 2)
     two = ctx.from_int(2)
     k = 1
     while k < ctx.N:
         y = y * (two - x * y)
         k *= 2
-    assert (x * y) == ctx.one
     return y
 
 

@@ -172,6 +172,20 @@ def test_selftest_rejects_unknown_criterion(capsys):
     assert "1..11" in captured.err
 
 
+def test_rootE_preset_needs_positive_e(capsys):
+    # e = 0 used to build Q_3 silently and print tame_mod 2
+    assert dispatch(["tame", "--preset", "root0-3", "--x", "p", "--y", "2",
+                     "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "at least 1" in captured.err
+
+
+def test_finite_field_above_the_table_cap_exits_2(capsys):
+    assert dispatch(["weil", "--q", "177147", "--f", "t", "--g", "t+1"]) == 2
+    assert "MAX_Q" in capsys.readouterr().err
+
+
 def test_preset_errors_name_the_cause(capsys):
     assert dispatch(["tame", "--preset", "qp-5", "-N", "4",
                      "--x", "p", "--y", "2"]) == 2

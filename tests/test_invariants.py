@@ -10,7 +10,8 @@ from tamewild.errors import OracleUnavailable
 from tamewild.localfield import qp_zeta, zp_exp
 from tamewild.normoracle import norm_residue_trivial
 from tamewild.orders import OrderRm, estimate_m0
-from tamewild.padic import PadicCtx, default_modulus, _is_irreducible_mod_p
+from tamewild.finitefield import GF, FqPoly, is_irreducible
+from tamewild.padic import PadicCtx, default_modulus
 from tamewild.symbols import tame_symbol
 
 
@@ -19,7 +20,7 @@ def test_default_moduli_cover_small_fields():
         for d in (1, 2, 3):
             gbar = default_modulus(p, d)
             assert len(gbar) == d + 1 and gbar[d] == 1
-            assert _is_irreducible_mod_p(gbar, p, d)
+            assert is_irreducible(FqPoly(GF(p), gbar))
 
 
 def test_residue_generator_has_full_order():
