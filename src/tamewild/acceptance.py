@@ -16,8 +16,6 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-import sympy
-
 from .errors import PRECISION_EXHAUSTED
 from .finitefield import GF, FqPoly
 from .funcfield import FqRational
@@ -36,6 +34,7 @@ from .localfield import (
     valuation,
 )
 from .normoracle import norm_residue_trivial
+from .ntheory import primerange
 from .orders import OrderRm, estimate_m0, m0_bound
 from .symbols import (
     hilbert_quadratic_q,
@@ -53,7 +52,7 @@ class CriterionResult:
     name: str
     passed: bool
     detail: str
-    elapsed: float
+    elapsed: float | None = None  # seconds, set by run_all
 
 
 def _rng(cfg, tag):
@@ -83,9 +82,8 @@ def _euler_legendre(a, p):
 
 def criterion_1(cfg):
     """Quadratic reciprocity via the product formula."""
-    t0 = time.time()
     failures = []
-    odd_primes_200 = [p for p in sympy.primerange(3, 200)]
+    odd_primes_200 = primerange(3, 200)
     count = 0
     for p, q in itertools.permutations(odd_primes_200, 2):
         count += 1
@@ -102,7 +100,7 @@ def criterion_1(cfg):
         if moore_product_q(a, b).product != 1:
             failures.append(f"product != 1 at random ({a},{b})")
     qr_pairs = 0
-    for p, q in itertools.permutations(list(sympy.primerange(3, 100)), 2):
+    for p, q in itertools.permutations(primerange(3, 100), 2):
         qr_pairs += 1
         lhs = _euler_legendre(p, q) * _euler_legendre(q, p)
         rhs = -1 if ((p - 1) // 2) * ((q - 1) // 2) % 2 else 1
@@ -117,12 +115,11 @@ def criterion_1(cfg):
     if failures:
         detail += f"; FIRST FAILURE: {failures[0]}"
     return CriterionResult(1, "Moore product / quadratic reciprocity",
-                           not failures, detail, time.time() - t0)
+                           not failures, detail)
 
 
 def criterion_2(cfg):
     """Closed-form quadratic symbol vs norm-residue oracle."""
-    t0 = time.time()
     N = 32
     failures = []
     pairs_tested = 0
@@ -150,8 +147,7 @@ def criterion_2(cfg):
     if failures:
         detail += f"; FIRST FAILURE: {failures[0]}"
     return CriterionResult(2, "closed form vs norm-residue oracle",
-                           not failures and pairs_tested >= 200, detail,
-                           time.time() - t0)
+                           not failures and pairs_tested >= 200, detail)
 
 
 def _rational_in(ctx, r):
@@ -177,7 +173,6 @@ def _presets(cfg, N=None):
 
 def criterion_3(cfg):
     """Tame symbol laws: bilinearity, antisymmetry, Steinberg."""
-    t0 = time.time()
     failures = []
     total = 0
     for ctx in _presets(cfg):
@@ -204,8 +199,7 @@ def criterion_3(cfg):
     detail = f"{total} sampled triples over 4 presets at N={cfg.precision}"
     if failures:
         detail += f"; FIRST FAILURE: {failures[0]}"
-    return CriterionResult(3, "tame symbol laws", not failures, detail,
-                           time.time() - t0)
+    return CriterionResult(3, "tame symbol laws", not failures, detail)
 
 
 def _sample_in_order(ctx, order, rng):
@@ -220,7 +214,6 @@ def _sample_in_order(ctx, order, rng):
 
 def criterion_4(cfg):
     """Local-ring structure of R_m on sampled elements."""
-    t0 = time.time()
     failures = []
     checks = 0
     for ctx in _presets(cfg):
@@ -277,7 +270,7 @@ def criterion_4(cfg):
     if failures:
         detail += f"; FIRST FAILURE: {failures[0]}"
     return CriterionResult(4, "singular order local-ring suite",
-                           not failures, detail, time.time() - t0)
+                           not failures, detail)
 
 
 def brute_force_index(ctx, m):
@@ -296,7 +289,6 @@ def brute_force_index(ctx, m):
 
 def criterion_5(cfg):
     """Index formula against brute-force coset counting."""
-    t0 = time.time()
     N = 8
     failures = []
     cases = 0
@@ -314,12 +306,11 @@ def criterion_5(cfg):
     if failures:
         detail += f"; FIRST FAILURE: {failures[0]}"
     return CriterionResult(5, "index formula vs coset enumeration",
-                           not failures, detail, time.time() - t0)
+                           not failures, detail)
 
 
 def criterion_6(cfg):
     """Unit-filtration p-power landing bounds and constructive roots."""
-    t0 = time.time()
     failures = []
     fields = [qp_zeta(3, cfg.precision), qp_zeta(5, cfg.precision),
               eisenstein_root(3, 3, cfg.precision)]
@@ -350,12 +341,11 @@ def criterion_6(cfg):
     if failures:
         detail += f"; FIRST FAILURE: {failures[0]}"
     return CriterionResult(6, "p-power filtration compatibility",
-                           not failures, detail, time.time() - t0)
+                           not failures, detail)
 
 
 def criterion_7(cfg):
     """Wild symbol nontriviality at 1+p and vanishing above the bound."""
-    t0 = time.time()
     N = 32
     failures = []
     for p in (3, 5):
@@ -378,12 +368,11 @@ def criterion_7(cfg):
     if failures:
         detail += f"; FIRST FAILURE: {failures[0]}"
     return CriterionResult(7, "wild symbol vanishing bound", not failures,
-                           detail, time.time() - t0)
+                           detail)
 
 
 def criterion_8(cfg):
     """Symbol-reduction identities preserve values under all evaluators."""
-    t0 = time.time()
     failures = []
     total = 0
     for ctx in _presets(cfg):
@@ -421,12 +410,11 @@ def criterion_8(cfg):
     if failures:
         detail += f"; FIRST FAILURE: {failures[0]}"
     return CriterionResult(8, "symbol reduction identities", not failures,
-                           detail, time.time() - t0)
+                           detail)
 
 
 def criterion_9(cfg):
     """Stabilisation-index experiments."""
-    t0 = time.time()
     N = 32
     failures = []
     details = []
@@ -459,7 +447,7 @@ def criterion_9(cfg):
     if failures:
         detail += f"; FIRST FAILURE: {failures[0]}"
     return CriterionResult(9, "stabilisation index experiments",
-                           not failures, detail, time.time() - t0)
+                           not failures, detail)
 
 
 def _random_rational(gf, rng, max_deg=4):
@@ -476,7 +464,6 @@ def _random_rational(gf, rng, max_deg=4):
 
 def criterion_10(cfg):
     """Function-field reciprocity and the residue theorem."""
-    t0 = time.time()
     failures = []
     for q in (2, 3, 4, 5):
         gf = GF(q)
@@ -504,12 +491,11 @@ def criterion_10(cfg):
     if failures:
         detail += f"; FIRST FAILURE: {failures[0]}"
     return CriterionResult(10, "function-field reciprocity suite",
-                           not failures, detail, time.time() - t0)
+                           not failures, detail)
 
 
 def criterion_11(cfg):
     """The global lattice at p = 3, m = 2."""
-    t0 = time.time()
     failures = []
     lat = global_optimal_lattice(3, m=2, N=32)
     if not lat.contains_one():
@@ -527,7 +513,7 @@ def criterion_11(cfg):
     if failures:
         detail += f"; FIRST FAILURE: {failures[0]}"
     return CriterionResult(11, "global lattice of Q(zeta_3)", not failures,
-                           detail, time.time() - t0)
+                           detail)
 
 
 CRITERIA = [criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
@@ -536,9 +522,14 @@ CRITERIA = [criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
 
 
 def run_all(cfg, only=None):
+    """Run every criterion, or only the one numbered only, timing each on
+    the perf_counter clock."""
     results = []
     for i, crit in enumerate(CRITERIA, start=1):
         if only is not None and i != only:
             continue
-        results.append(crit(cfg))
+        t0 = time.perf_counter()
+        result = crit(cfg)
+        result.elapsed = time.perf_counter() - t0
+        results.append(result)
     return results

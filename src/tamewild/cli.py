@@ -241,14 +241,23 @@ def _cmd_selftest(args, cfg):
     if args.only is not None and not 1 <= args.only <= len(CRITERIA):
         raise BadInput(f"--only must be a criterion number 1..{len(CRITERIA)}")
     results = run_all(cfg, only=args.only)
-    failed = 0
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        timing = f" ({r.elapsed:.1f}s)" if args.timings else ""
-        print(f"[{status}] criterion {r.ident}: {r.name}{timing} {r.detail}")
-        if not r.passed:
-            failed += 1
-    print(f"{len(results) - failed}/{len(results)} criteria passed")
+    failed = sum(not r.passed for r in results)
+    if cfg.json_mode:
+        criteria = []
+        for r in results:
+            entry = {"number": r.ident, "name": r.name, "passed": r.passed,
+                     "detail": r.detail}
+            if args.timings:
+                entry["elapsed"] = round(r.elapsed, 6)
+            criteria.append(entry)
+        _emit(args, cfg, "selftest", {"criteria": criteria})
+    else:
+        for r in results:
+            status = "PASS" if r.passed else "FAIL"
+            timing = f" ({r.elapsed:.1f}s)" if args.timings else ""
+            print(f"[{status}] criterion {r.ident}: {r.name}{timing} "
+                  f"{r.detail}")
+        print(f"{len(results) - failed}/{len(results)} criteria passed")
     return 0 if failed == 0 else 1
 
 
@@ -364,8 +373,8 @@ def _build_parser():
     p.add_argument("--only", type=int, default=None,
                    help="run a single criterion by number")
     p.add_argument("--timings", action="store_true",
-                   help="include wall-clock timings (breaks byte-identical "
-                        "output)")
+                   help="include wall-clock timings, in seconds (breaks "
+                        "byte-identical output)")
     p.set_defaults(func=_cmd_selftest)
 
     return top

@@ -100,3 +100,7 @@ class InvariantFailed(RuntimeError):
 
 class PIsTwo(ValueError):
     """Order-theoretic bounds are defined for odd residue characteristic only."""
+
+
+class FactoringCapExceeded(ArithmeticError):
+    """An integer has no factor that rho finds within ntheory.RHO_STEPS."""

@@ -23,9 +23,8 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
-import sympy
-
 from .errors import BadInput
+from .ntheory import factorint
 
 #: Largest q whose exp/log/Zech tables are built; beyond it an operation that
 #: needs them raises BadInput.
@@ -116,7 +115,7 @@ class FiniteField:
         elements() order."""
         if self._gen is None:
             order = self.q - 1
-            facs = list(sympy.factorint(order)) if order > 1 else []
+            facs = list(factorint(order))
             self._gen = next(
                 a for a in self.elements()
                 if a and all(self._power(a, order // f) != 1 for f in facs))
@@ -211,11 +210,11 @@ class FiniteField:
 @lru_cache(maxsize=None)
 def GF(q):
     """The field with q elements on its default modulus."""
-    fac = sympy.factorint(q)
+    fac = factorint(q) if q > 1 else {}
     if len(fac) != 1:
         raise BadInput(f"q = {q} is not a prime power")
     (p, s), = fac.items()
-    return FiniteField(int(p), default_modulus(int(p), int(s)))
+    return FiniteField(p, default_modulus(p, s))
 
 
 @lru_cache(maxsize=None)
@@ -354,13 +353,6 @@ class FqPoly:
         for i in range(1, len(self.c)):
             out.append(gf.mul(self.c[i], i % gf.p))
         return FqPoly(gf, out)
-
-    def eval(self, a):
-        gf = self.gf
-        acc = 0
-        for c in reversed(self.c):
-            acc = gf.add(gf.mul(acc, a), c)
-        return acc
 
     def pth_root(self):
         """Inverse of Frobenius on coefficients, for f = g(x^p)."""

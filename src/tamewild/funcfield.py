@@ -621,8 +621,7 @@ MAX_EXPONENT = 1024
 
 def _power(a, n, one):
     """a^n by square-and-multiply, within MAX_EXPONENT."""
-    deg = max(a.num.degree(), a.den.degree()) \
-        if isinstance(a, FqRational) else a.degree()
+    deg = max(a.num.degree(), a.den.degree())
     if n > MAX_EXPONENT or n * deg > MAX_EXPONENT:
         raise BadInput(f"power ^{n} exceeds the cap of {MAX_EXPONENT} on "
                        f"exponents and degrees")
@@ -636,23 +635,13 @@ def _power(a, n, one):
     return r
 
 
-def _parse(gf, text, lift, **ops):
-    """Parse over F_q[t] lifted into FqPoly or FqRational by `lift`."""
+def rational_from_string(gf, text):
+    """Parse a rational function of t over F_q: polynomial syntax such as
+    't^2+2*t+1' plus '/', which binds like '*' (so 't+1/t' is t + 1/t)."""
     from .parsing import parse_ring_expr
-    one = lift(FqPoly.const(gf, 1))
+    one = FqRational(FqPoly.const(gf, 1))
     return parse_ring_expr(text, {
         "pow": lambda a, n: _power(a, n, one),
-        "int": lambda n: lift(FqPoly.const(gf, n % gf.p)),
-        "var": {"t": lift(FqPoly.x(gf))},
-        **ops})
-
-
-def poly_from_string(gf, text):
-    """Parse 't^2+2*t+1' style polynomial syntax over F_q."""
-    return _parse(gf, text, lambda poly: poly)
-
-
-def rational_from_string(gf, text):
-    """Parse a rational function of t over F_q: polynomial syntax plus '/',
-    which binds like '*' (so 't+1/t' is t + 1/t)."""
-    return _parse(gf, text, FqRational, div=lambda a, b: a * b.inverse())
+        "int": lambda n: FqRational(FqPoly.const(gf, n % gf.p)),
+        "var": {"t": FqRational(FqPoly.x(gf))},
+        "div": lambda a, b: a * b.inverse()})

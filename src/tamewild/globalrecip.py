@@ -11,11 +11,9 @@ ramified place.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import sympy
-from sympy.matrices.normalforms import hermite_normal_form
 
 from .errors import (
     BadInput,
@@ -25,6 +23,7 @@ from .errors import (
     ZeroInput,
 )
 from .localfield import qp_zeta
+from .ntheory import factorint, hnf, isprime
 from .orders import OrderRm, m0_bound
 from .symbols import hilbert_quadratic_q
 
@@ -37,7 +36,7 @@ class Place:
 
     def __post_init__(self):
         if self.kind == "finite" and (self.p is None
-                                      or not sympy.isprime(self.p)):
+                                      or not isprime(self.p)):
             raise BadInput("finite places carry a prime")
         if self.kind not in ("finite", "real", "complex"):
             raise BadInput(f"unknown place kind {self.kind!r}")
@@ -82,8 +81,8 @@ def _support_places(a, b):
     a, b = Fraction(a), Fraction(b)
     primes = {2}
     for r in (a, b):
-        primes |= {int(p) for p in sympy.factorint(r.numerator) if p > 1}
-        primes |= {int(p) for p in sympy.factorint(r.denominator) if p > 1}
+        primes |= set(factorint(abs(r.numerator))) | set(
+            factorint(r.denominator))
     return [Place.real()] + [Place.finite(p) for p in sorted(primes)]
 
 
@@ -111,8 +110,7 @@ def moore_product_q(a, b) -> MooreResult:
 def quadratic_reciprocity_view(p, q) -> dict:
     """Derive Legendre(p,q) Legendre(q,p) = (-1)^{(p-1)(q-1)/4} from the
     per-place table of the product formula, attributing each sign."""
-    if p == q or p == 2 or q == 2 or not (sympy.isprime(p)
-                                          and sympy.isprime(q)):
+    if p == q or p == 2 or q == 2 or not (isprime(p) and isprime(q)):
         raise BadInput("need distinct odd primes")
     res = moore_product_q(p, q)
     tab = {pl.label(): v for pl, v in res.table}
@@ -198,11 +196,17 @@ class GlobalOrderLattice:
 
 
 def _solve_integer(rows, target):
-    """Whether target is an integer combination of the matrix columns."""
-    A = sympy.Matrix([list(r) for r in rows])
-    v = sympy.Matrix(target)
-    x = A.solve(v)
-    return all(c == int(c) for c in x)
+    """Whether target is an integer combination of the columns of the
+    upper-triangular HNF matrix given by its rows: exact back-substitution,
+    failing at the first coordinate its pivot does not divide."""
+    n = len(rows)
+    x = [0] * n
+    for i in range(n - 1, -1, -1):
+        r = target[i] - sum(rows[i][j] * x[j] for j in range(i + 1, n))
+        x[i], rem = divmod(r, rows[i][i])
+        if rem:
+            return False
+    return True
 
 
 def global_optimal_lattice(p, m=None, N=32):
@@ -213,7 +217,7 @@ def global_optimal_lattice(p, m=None, N=32):
     optimal order is the maximal one, so only the place above p constrains.
     m defaults to the explicit local vanishing bound.
     """
-    if p == 2 or not sympy.isprime(p) or p > 7:
+    if p == 2 or not isprime(p) or p > 7:
         raise UnsupportedField("presets cover odd primes p <= 7")
     ctx = qp_zeta(p, N)
     if m is None:
@@ -226,11 +230,10 @@ def global_optimal_lattice(p, m=None, N=32):
     for i, col in enumerate(cols):
         depth = max(0, -((i - m) // n)) if i >= 1 else 0
         scaled.append([c * p ** depth for c in col])
-    A = sympy.Matrix([[scaled[j][i] for j in range(n)] for i in range(n)])
-    H = hermite_normal_form(A)
-    index = abs(H.det())
+    H = hnf([[scaled[j][i] for j in range(n)] for i in range(n)])
+    index = math.prod(H[i][i] for i in range(n))  # H is upper triangular
     order = OrderRm(ctx, m)
     if index != order.index_in_of():
         raise InvariantFailed("lattice index != local closed form")
-    basis = tuple(tuple(int(H[i, j]) for j in range(n)) for i in range(n))
-    return GlobalOrderLattice(p=p, m=m, basis=basis, index=int(index))
+    basis = tuple(tuple(r) for r in H)
+    return GlobalOrderLattice(p=p, m=m, basis=basis, index=index)

@@ -472,9 +472,6 @@ class NormResidueOracle:
     def class_key(self, y):
         return tuple(self.reducer.full_normal_form(y))
 
-    def is_mth_power(self, y):
-        return not self.class_key(y)
-
     def _build_extension(self, coords, y):
         ctx, m = self.ctx, self.m
         npart = dict(coords).get(("pi",), 0)

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import math
 
-import sympy
-
 from .errors import (
     PRECISION_EXHAUSTED,
     HenselHypothesisFailed,
@@ -28,6 +26,7 @@ from .errors import (
 from .finitefield import FiniteField, default_modulus
 # perfbench/tracing.py wraps the F_q methods through this name
 from .finitefield import FiniteField as ResidueField  # noqa: F401
+from .ntheory import isprime
 
 
 # ---------------------------------------------------------------------------
@@ -42,7 +41,7 @@ class PadicCtx:
     """
 
     def __init__(self, p, N=64, d=1, gbar=None, g=None):
-        if not sympy.isprime(p):
+        if not isprime(p):
             raise ValueError(f"p = {p} is not prime")
         if N < 8:
             raise ValueError("precision N must be at least 8")

@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from sympy import isprime
-
 from .errors import (
     PRECISION_EXHAUSTED,
     BadInput,
@@ -33,6 +31,7 @@ from .errors import (
     ZeroInput,
 )
 from .localfield import FElem, unit_level, valuation
+from .ntheory import isprime
 
 #: Module constant (see module docstring): units act on mu_{p^infty} by
 #: their inverse under the local reciprocity map.
@@ -61,9 +60,6 @@ class MuElem:
             raise ValueError("mixed root-of-unity groups")
         return MuElem(self.tame + other.tame, self.wild + other.wild,
                       self.tame_mod, self.wild_mod)
-
-    def is_trivial(self):
-        return self.tame == 0 and self.wild == 0
 
     def to_json(self):
         out = {"tame": self.tame, "tame_mod": self.tame_mod}

@@ -7,7 +7,7 @@ engine from the command line.
 
 import pytest
 
-from tamewild.acceptance import CRITERIA
+from tamewild.acceptance import CRITERIA, run_all
 from tamewild.cli import RunConfig
 
 
@@ -16,11 +16,11 @@ def cfg():
     return RunConfig(precision=64, budget=500, seed=0)
 
 
-@pytest.mark.parametrize("criterion", CRITERIA,
+@pytest.mark.parametrize("number", range(1, len(CRITERIA) + 1),
                          ids=[f"criterion_{i}" for i in
                               range(1, len(CRITERIA) + 1)])
-def test_acceptance(criterion, cfg):
-    result = criterion(cfg)
+def test_acceptance(number, cfg):
+    result, = run_all(cfg, only=number)
     status = "PASS" if result.passed else "FAIL"
     print(f"[{status}] criterion {result.ident}: {result.name} "
           f"({result.elapsed:.1f}s) {result.detail}")

@@ -24,6 +24,17 @@ def _run_json(capsys, argv):
     return code, json.loads(out)
 
 
+_ENTRY = "from tamewild.cli import main; main()"
+
+
+def _subprocess(code, argv):
+    """Run python -c code with argv in a fresh interpreter on this tamewild."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(tamewild.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-c", code, *argv],
+                          capture_output=True, text=True, timeout=60, env=env)
+
+
 def test_element_parser():
     ctx = qp_zeta(3, 16)
     assert element_from_string(ctx, "p") == ctx.from_int(3)
@@ -155,14 +166,43 @@ def test_residue_parses_quotients_of_products(capsys):
 
 
 def test_huge_power_exits_promptly():
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(tamewild.__file__).resolve().parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-c", "from tamewild.cli import main; main()",
-         "weil", "--q", "3", "--f", "t^100000000", "--g", "t"],
-        capture_output=True, text=True, timeout=60, env=env)
+    proc = _subprocess(_ENTRY, ["weil", "--q", "3", "--f", "t^100000000",
+                                "--g", "t"])
     assert proc.returncode == 2
     assert "cap" in proc.stderr
+
+
+def test_hard_semiprime_exits_at_the_factoring_cap():
+    # two 25-digit prime factors: rho would need about 10^12 iterations
+    proc = _subprocess(_ENTRY, [
+        "moore", "--a=300000000000000000000001060000000000000000000000871",
+        "--b", "3", "--json"])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "RHO_STEPS" in proc.stderr
+
+
+_NO_SYMPY = """import sys
+from tamewild.cli import dispatch
+code = dispatch(sys.argv[1:])
+sys.exit(3 if "sympy" in sys.modules else code)"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["tame", "--preset", "qp-5", "--x", "p", "--y", "2"],
+    ["hilbert2", "--place", "5", "--a", "5", "--b", "2"],
+    ["moore", "--a", "13", "--b", "17"],
+    ["weil", "--q", "9", "--f", "t", "--g", "t^2+1"],
+    ["ff-hilbert", "--q", "4", "--f", "t^2+t", "--g", "t+1"],
+    ["residue", "--q", "5", "--f", "1/(t^2-t)", "--g", "t"],
+    ["lattice", "--p", "7"],
+    ["m0", "--preset", "qp-zeta-3", "-N", "32"],
+    ["norm-oracle", "--preset", "qp-zeta-3", "--m", "p", "--x", "1+p",
+     "--y", "1+pi", "-N", "32"],
+], ids=lambda argv: argv[0])
+def test_commands_never_import_sympy(argv):
+    proc = _subprocess(_NO_SYMPY, argv + ["--json"])
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_selftest_rejects_unknown_criterion(capsys):
@@ -227,6 +267,20 @@ def test_selftest_byte_identical(capsys):
     _, out1 = _run(capsys, ["selftest", "--only", "11"])
     _, out2 = _run(capsys, ["selftest", "--only", "11"])
     assert out1 == out2
+
+
+def test_selftest_json(capsys):
+    argv = ["selftest", "--only", "11", "--json"]
+    code, out = _run(capsys, argv)
+    assert code == 0 and _run(capsys, argv)[1] == out
+    doc = json.loads(out)
+    assert (doc["schema"], doc["command"]) == ("v1", "selftest")
+    expected = {"number": 11, "name": "global lattice of Q(zeta_3)",
+                "passed": True, "detail": "HNF [[1, 0], [0, 3]], index 3"}
+    assert doc["result"] == {"criteria": [expected]}
+    code, doc = _run_json(capsys, ["selftest", "--only", "11", "--timings"])
+    entry, = doc["result"]["criteria"]
+    assert entry.pop("elapsed") >= 0 and entry == expected
 
 
 def test_runconfig_json():

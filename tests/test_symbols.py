@@ -39,7 +39,8 @@ def test_muelem_group_law():
     b = MuElem(2, 2, 4, 3)
     c = a + b
     assert (c.tame, c.wild) == (1, 0)
-    assert not a.is_trivial() and MuElem(0, 0, 4, 3).is_trivial()
+    assert a != MuElem(0, 0, 4, 3)
+    assert MuElem(4, 3, 4, 3) == MuElem(0, 0, 4, 3)
     assert MuElem(5, 7, 4, 1).wild == 0  # trivial wild group drops
 
 
