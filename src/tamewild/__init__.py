@@ -34,7 +34,6 @@ from .localfield import (
 )
 from .orders import OrderRm, OptimalOrderReport, m0_bound, estimate_m0
 from .symbols import (
-    MuElem,
     tame_symbol,
     hilbert_quadratic_q,
     hilbert_tame_part,
@@ -73,7 +72,7 @@ __all__ = [
     "pth_root_in_filtration", "compute_mu", "qp", "qp_zeta",
     "eisenstein_root", "preset",
     "OrderRm", "OptimalOrderReport", "m0_bound", "estimate_m0",
-    "MuElem", "tame_symbol", "hilbert_quadratic_q", "hilbert_tame_part",
+    "tame_symbol", "hilbert_quadratic_q", "hilbert_tame_part",
     "wild_symbol_zeta", "norm_to_base", "k1_decompose", "k2_transform",
     "steinberg_check", "triviality_oracle", "norm_residue_trivial",
     "Place", "GlobalOrderLattice", "mu_counts_q", "moore_product_q",

@@ -1,43 +1,59 @@
-"""Finite fields F_q, q = p^s, and dense polynomials over them.
+"""Finite fields F_q, q = p^s, their extensions, and dense polynomials.
 
 This is the one F_q of the package: the residue fields of the local side
-(PadicCtx.kappa) and the constant fields of F_q(t) (funcfield) are both
-FiniteField instances.  F_q is F_p[x]/(modulus) for a monic irreducible
-modulus, by default the first one in lexicographic coefficient order
-(default_modulus), so residue fields are reproducible across runs and shared
-between the two sides.  An element is an int in [0, q) whose base-p digit j
-is the coefficient of x^j.
+(PadicCtx.kappa), the constant fields of F_q(t) and the residue fields
+kappa(v) = F_q[t]/pi_v of its places (funcfield) are all FiniteField
+instances.  A FiniteField is base[x]/(modulus) for a monic irreducible
+modulus, and an element is an int in [0, q) whose base-Q digit j, Q the
+size of the base, is the coefficient of x^j; so the base is the identity on
+the ints below Q.
 
-For s = 1 the operations are plain integer arithmetic mod p.  For s > 1
-they go through tables of a fixed generator g, built on the first operation
-that needs them: exp (g^i), log and the Zech logarithm Z with
+Over the prime p (base the int p) the modulus is by default the first
+irreducible in lexicographic coefficient order (default_modulus), so
+residue fields are reproducible across runs and shared between the two
+sides.  For s = 1 the operations are plain integer arithmetic mod p.  For
+s > 1 they go through tables of a fixed generator g, built on the first
+operation that needs them: exp (g^i), log and the Zech logarithm Z with
 g^Z(n) = 1 + g^n, so that g^a + g^b = g^(a + Z(b - a)) (K. Huber, "Some
 comments on Zech's logarithms", IEEE Trans. Inf. Theory 36 (1990)).  The
-tables take O(q) memory and O(q s^2) time; a field above MAX_Q elements
-refuses to build them.  The discrete logarithm (dlog) uses the same tables
-for every s.
+tables take O(q) memory and O(q s^2) time.  An operation that needs them
+refuses a field above MAX_Q elements, and GF refuses to build an extension
+field above it.  The discrete logarithm (dlog) uses the same tables for
+every s.
+
+Over a FiniteField base (a tower) the field serves one computation, such
+as the symbols at one place, so it is not shared and builds no tables: it
+multiplies by the schoolbook product over the base's operations, inverts
+by the extended Euclidean algorithm, and takes its modulus as irreducible.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+import operator
+from functools import lru_cache, reduce
 from itertools import product
 
-from .errors import BadInput
+from .errors import BadInput, InvariantFailed
 from .ntheory import factorint
 
-#: Largest q whose exp/log/Zech tables are built; beyond it an operation that
-#: needs them raises BadInput.
+#: Largest q whose exp/log/Zech tables are built, and the largest extension
+#: field GF builds; an operation that needs tables above it raises BadInput.
 MAX_Q = 2 ** 16
 
 
 class FiniteField:
-    """F_p[x]/(modulus), one shared instance per (p, modulus); BadInput
-    unless the modulus is monic and irreducible over F_p."""
+    """base[x]/(modulus).  Over the prime p (base the int p) one shared
+    instance per (p, modulus), BadInput unless the modulus is monic and
+    irreducible over F_p; over a FiniteField base a new tower each time."""
 
     _instances = {}
 
-    def __new__(cls, p, modulus):
+    def __new__(cls, base, modulus):
+        if isinstance(base, FiniteField):
+            field = super().__new__(cls)
+            field._setup(base.p, base, tuple(modulus))
+            return field
+        p = base
         modulus = tuple(c % p for c in modulus)
         field = cls._instances.get((p, modulus))
         if field is None:
@@ -47,59 +63,71 @@ class FiniteField:
                 raise BadInput(f"{list(modulus)} is not a monic irreducible "
                                f"polynomial over F_{p}")
             field = super().__new__(cls)
-            field.p = p
-            field.modulus = modulus
-            field.s = len(modulus) - 1
-            field.q = p ** field.s
-            field.zero, field.one = 0, 1
-            field._gen = None
-            field._tables = None  # (exp, log, zech) once built
+            field._setup(p, None, modulus)
             cls._instances[p, modulus] = field
         return field
 
+    def _setup(self, p, base, modulus):
+        self.p, self.base, self.modulus = p, base, modulus
+        self.deg = len(modulus) - 1  # the degree over the base
+        self.radix = p if base is None else base.q  # the size of the base
+        self.q = self.radix ** self.deg
+        self.s = self.deg * (1 if base is None else base.s)
+        self.zero, self.one = 0, 1
+        self._gen = None
+        self._tables = None  # (exp, log, zech) once built
+
     def __repr__(self):
-        return f"GF({self.q})"
+        if self.base is None:
+            return f"GF({self.q})"
+        return f"{self.base!r}[x]/{list(self.modulus)}"
 
     # -- digits -----------------------------------------------------------
 
     def digits(self, a):
-        """The s base-p digits of a, constant coefficient first."""
+        """The deg base digits of a, constant coefficient first."""
         out = []
-        for _ in range(self.s):
-            a, r = divmod(a, self.p)
+        for _ in range(self.deg):
+            a, r = divmod(a, self.radix)
             out.append(r)
         return out
 
     def pack(self, digits):
-        """The element with the given coefficients (each read mod p)."""
+        """The element with the given coefficients (each read mod p when
+        the base is F_p)."""
         acc = 0
         for c in reversed(digits):
-            acc = acc * self.p + c % self.p
+            acc = acc * self.radix + c % self.radix
         return acc
 
     def elements(self):
         """Every element, in itertools.product order of the digit tuples
         (the constant coefficient varies slowest)."""
-        for digits in product(range(self.p), repeat=self.s):
+        for digits in product(range(self.radix), repeat=self.deg):
             yield self.pack(digits)
 
-    # -- the schoolbook product (generator search and table building) -----
+    # -- the schoolbook product -------------------------------------------
 
     def _times(self, a, b):
-        p, s, g = self.p, self.s, self.modulus
-        if s == 1:
-            return a * b % p
-        conv = [0] * (2 * s - 1)
+        """The digit convolution reduced by the modulus, over the base's
+        operations; F_p digits are plain ints, reduced once in pack."""
+        n, g = self.deg, self.modulus
+        if self.radix == self.p:
+            add, sub, mul = operator.add, operator.sub, operator.mul
+        else:
+            add, sub, mul = self.base.add, self.base.sub, self.base.mul
+        conv = [0] * (2 * n - 1)
+        db = self.digits(b)
         for i, x in enumerate(self.digits(a)):
             if x:
-                for j, y in enumerate(self.digits(b)):
-                    conv[i + j] += x * y
-        for i in range(2 * s - 2, s - 1, -1):
-            c = conv[i] % p
+                for j, y in enumerate(db):
+                    conv[i + j] = add(conv[i + j], mul(x, y))
+        for i in range(2 * n - 2, n - 1, -1):
+            c = conv[i] % self.radix
             if c:
-                for j in range(s):
-                    conv[i - s + j] -= c * g[j]
-        return self.pack(conv[:s])
+                for j in range(n):
+                    conv[i - n + j] = sub(conv[i - n + j], mul(c, g[j]))
+        return self.pack(conv[:n])
 
     def _power(self, a, n):
         r = 1
@@ -109,6 +137,21 @@ class FiniteField:
             a = self._times(a, a)
             n >>= 1
         return r
+
+    def _euclid_inv(self, a):
+        """1/a for a tower, by the extended Euclidean algorithm against the
+        modulus over the base."""
+        base = self.base
+        r0, r1 = FqPoly(base, self.modulus), FqPoly(base, self.digits(a))
+        s0, s1 = FqPoly(base, []), FqPoly(base, [1])
+        while not r1.is_zero():
+            quo, rem = r0.divmod(r1)
+            r0, r1, s0, s1 = r1, rem, s1, s0 - quo * s1
+        return self.pack((s0 * base.inv(r0.c[0])).c)
+
+    def _each(self, op, *elems):
+        """op of the base applied digit by digit."""
+        return self.pack(list(map(op, *map(self.digits, elems))))
 
     def generator(self):
         """The fixed generator of F_q^x: the first element of order q - 1 in
@@ -123,6 +166,9 @@ class FiniteField:
 
     def _build_tables(self):
         q, p = self.q, self.p
+        if self.base is not None:
+            raise BadInput(f"{self!r} is an extension of {self.base!r} and "
+                           f"builds no log tables")
         if q > MAX_Q:
             raise BadInput(f"F_{q} is too large for its log tables "
                            f"(q > MAX_Q = {MAX_Q})")
@@ -148,6 +194,8 @@ class FiniteField:
     def add(self, a, b):
         if self.s == 1:
             return (a + b) % self.p
+        if self.base is not None:
+            return self._each(self.base.add, a, b)
         if not a:
             return b
         if not b:
@@ -162,6 +210,8 @@ class FiniteField:
             return -a % self.p
         if not a or self.p == 2:
             return a
+        if self.base is not None:
+            return self._each(self.base.neg, a)
         exp, log, _ = self._tables or self._build_tables()
         return exp[log[a] + self.q // 2]  # -1 = g^((q-1)/2)
 
@@ -175,6 +225,8 @@ class FiniteField:
             return a * b % self.p
         if not a or not b:
             return 0
+        if self.base is not None:
+            return self._times(a, b)
         exp, log, _ = self._tables or self._build_tables()
         return exp[log[a] + log[b]]
 
@@ -187,6 +239,8 @@ class FiniteField:
             raise ZeroDivisionError("inverse of zero in F_q")
         if self.s == 1:
             return pow(a, -1, self.p)
+        if self.base is not None:
+            return self._euclid_inv(a)
         exp, log, _ = self._tables or self._build_tables()
         return exp[self.q - 1 - log[a]]
 
@@ -197,6 +251,8 @@ class FiniteField:
             return 0
         if self.s == 1:
             return pow(a, n % (self.p - 1), self.p)
+        if self.base is not None:
+            return self._power(self.inv(a) if n < 0 else a, abs(n))
         exp, log, _ = self._tables or self._build_tables()
         return exp[log[a] * n % (self.q - 1)]
 
@@ -206,14 +262,46 @@ class FiniteField:
             raise ZeroDivisionError("dlog of zero")
         return (self._tables or self._build_tables())[1][a]
 
+    # -- norm and trace to the base ---------------------------------------
+
+    def _conjugates(self, a):
+        """a and its deg - 1 further images under the Frobenius x -> x^Q of
+        the base of Q elements."""
+        out = [a]
+        for _ in range(self.deg - 1):
+            out.append(self.pow(out[-1], self.radix))
+        return out
+
+    def _in_base(self, a):
+        if a >= self.radix:
+            raise InvariantFailed(f"a norm or trace of {self!r} did not land "
+                                  f"in the base field")
+        return a
+
+    def norm(self, a):
+        """The norm to the base, as the product of the Frobenius conjugates."""
+        return self._in_base(reduce(self.mul, self._conjugates(a), 1))
+
+    def power_norm(self, a):
+        """The same norm as the (q - 1)/(Q - 1)-th power map."""
+        return self._in_base(self.pow(a, (self.q - 1) // (self.radix - 1)))
+
+    def trace(self, a):
+        """The trace to the base, as the sum of the Frobenius conjugates."""
+        return self._in_base(reduce(self.add, self._conjugates(a), 0))
+
 
 @lru_cache(maxsize=None)
 def GF(q):
-    """The field with q elements on its default modulus."""
+    """The field with q elements on its default modulus; BadInput for a
+    prime power above MAX_Q, whose operations would all need tables."""
     fac = factorint(q) if q > 1 else {}
     if len(fac) != 1:
         raise BadInput(f"q = {q} is not a prime power")
     (p, s), = fac.items()
+    if s > 1 and q > MAX_Q:
+        raise BadInput(f"F_{q} is too large for its log tables "
+                       f"(q > MAX_Q = {MAX_Q})")
     return FiniteField(p, default_modulus(p, s))
 
 

@@ -7,7 +7,10 @@ encoding base-p digit vectors, polynomials dense coefficient lists (low
 degree first).  This module adds factoring over F_q, and rational functions
 as reduced fractions with monic denominator.
 Places are monic irreducible polynomials plus the degree-one place at
-infinity; local expansions use truncated Laurent series, exact because
+infinity.  The residue field kappa(v) of a place is a FiniteField tower over
+F_q (F_q[t]/pi_v, or F_q[x]/(x) at infinity), so tame symbols and residues
+are ints of kappa(v) and F_q sits in it as the ints below q.  Local
+expansions use truncated Laurent series over kappa(v), exact because
 residues depend on finitely many terms.
 """
 
@@ -17,7 +20,12 @@ import random
 from dataclasses import dataclass
 
 from .errors import BadInput, InvariantFailed, ZeroInput
-from .finitefield import GF, FqPoly, is_irreducible  # noqa: F401 - re-exported
+from .finitefield import (  # noqa: F401 - GF and is_irreducible re-exported
+    GF,
+    FiniteField,
+    FqPoly,
+    is_irreducible,
+)
 # perfbench/tracing.py wraps the F_q methods through this name
 from .finitefield import FiniteField as _GFq  # noqa: F401
 
@@ -199,6 +207,11 @@ class FFPlace:
         return (0,) if self.poly is None else (1, self.degree(),
                                                tuple(self.poly.c))
 
+    def residue_field(self, gf):
+        """kappa(v) as a tower over gf: gf[t]/pi_v, or gf[x]/(x) at
+        infinity."""
+        return FiniteField(gf, (0, 1) if self.poly is None else self.poly.c)
+
 
 def _strip(poly, pi):
     """(k, poly / pi^k) for the multiplicity k of pi in the nonzero poly."""
@@ -211,13 +224,20 @@ def _strip(poly, pi):
         k += 1
 
 
-def order_at(f: FqRational, place: FFPlace) -> int:
-    """ord_v(f)."""
-    if f.is_zero():
-        raise ZeroInput("order of zero")
-    if place.is_infinite():
-        return f.den.degree() - f.num.degree()
-    return _strip(f.num, place.poly)[0] - _strip(f.den, place.poly)[0]
+def _reverse_poly(poly, deg):
+    c = poly.c + [0] * (deg + 1 - len(poly.c))
+    return FqPoly(poly.gf, list(reversed(c)))
+
+
+def _chart(f, place):
+    """(pi, num, den, k) with f = s^k num(s)/den(s) in the place's chart s,
+    in which the place is pi(s) = 0: s = t and pi = pi_v at a finite place,
+    s = 1/t and pi = s at infinity."""
+    if place.poly is not None:
+        return place.poly, f.num, f.den, 0
+    dn, dd = f.num.degree(), f.den.degree()
+    return (FqPoly.x(f.gf()), _reverse_poly(f.num, dn),
+            _reverse_poly(f.den, dd), dd - dn)
 
 
 def divisor(f: FqRational):
@@ -242,119 +262,26 @@ def divisor(f: FqRational):
 # residue fields kappa(v) and the tame symbol
 # ---------------------------------------------------------------------------
 
-class ResidueAt:
-    """kappa(v) = F_q[t]/pi_v (or F_q at infinity) with norm and trace."""
-
-    def __init__(self, gf, place):
-        self.gf = gf
-        self.place = place
-        self.deg = place.degree()
-
-    def reduce(self, poly):
-        if self.place.is_infinite():
-            raise BadInput("use infinity-specific evaluation")
-        return poly % self.place.poly
-
-    def mul(self, a, b):
-        return (a * b) % self.place.poly
-
-    def inv(self, a):
-        # extended gcd against pi_v
-        pi = self.place.poly
-        r0, s0 = pi, FqPoly(self.gf, [])
-        r1, s1 = a % pi, FqPoly(self.gf, [1])
-        while not r1.is_zero():
-            q, r = r0.divmod(r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, s0 - q * s1
-        if r0.degree() != 0:
-            raise ZeroDivisionError("non-unit in residue field")
-        return (s0 * self.gf.inv(r0.c[0])) % pi
-
-    def pow(self, a, n):
-        if n < 0:
-            return self.pow(self.inv(a), -n)
-        r = FqPoly(self.gf, [1])
-        b = a % self.place.poly
-        while n:
-            if n & 1:
-                r = self.mul(r, b)
-            b = self.mul(b, b)
-            n >>= 1
-        return r
-
-    def norm(self, a):
-        """N_{kappa(v)/F_q} as the Frobenius-orbit product; lands in F_q."""
-        acc = a % self.place.poly
-        conj = acc
-        for _ in range(self.deg - 1):
-            conj = self.pow(conj, self.gf.q)
-            acc = self.mul(acc, conj)
-        return self._in_base(acc)
-
-    def power_norm(self, a):
-        """The same norm as the (q^deg - 1)/(q - 1)-th power map."""
-        e = (self.gf.q ** self.deg - 1) // (self.gf.q - 1)
-        return self._in_base(self.pow(a, e))
-
-    @staticmethod
-    def _in_base(a):
-        if a.degree() > 0:
-            raise InvariantFailed("norm did not land in the base field")
-        return a.c[0] if a.c else 0
-
-    def trace(self, a):
-        """Tr_{kappa(v)/F_q} via the multiplication-matrix trace."""
-        pi = self.place.poly
-        gf = self.gf
-        tr = 0
-        col = a % pi
-        x = FqPoly(gf, [0, 1])
-        for j in range(self.deg):
-            cj = col.c[j] if j < len(col.c) else 0
-            tr = gf.add(tr, cj)
-            col = (col * x) % pi
-        return tr
-
-
-def _order_and_unit_at(f, place):
-    """(v, f * pi_v^{-v} evaluated in kappa(v)) with v = ord_v(f), at a
-    finite place."""
-    pi = place.poly
-    kn, num = _strip(f.num, pi)
-    kd, den = _strip(f.den, pi)
-    res = ResidueAt(f.gf(), place)
-    return kn - kd, res.mul(num % pi, res.inv(den % pi))
-
-
-def _unit_value_at_infinity(f):
-    """Leading-coefficient ratio: the value of f * t^{v_inf} at infinity."""
-    gf = f.gf()
-    return gf.mul(f.num.lead(), gf.inv(f.den.lead()))
+def _order_and_unit_at(f, place, kappa):
+    """(v, the value in kappa = kappa(v) of f / pi^v) for v = ord_v(f)."""
+    pi, num, den, k = _chart(f, place)
+    kn, num = _strip(num, pi)
+    kd, den = _strip(den, pi)
+    unit = kappa.mul(kappa.pack((num % pi).c),
+                     kappa.inv(kappa.pack((den % pi).c)))
+    return k + kn - kd, unit
 
 
 def ff_tame_symbol(f, g, place):
-    """(-1)^{v(f)v(g)} f^{v(g)} g^{-v(f)} reduced at the place; an element
-    of kappa(v)^x (an FqPoly mod pi_v; a scalar polynomial at infinity)."""
+    """(-1)^{v(f)v(g)} f^{v(g)} g^{-v(f)} reduced at the place: a nonzero
+    int of kappa(v) = place.residue_field(F_q)."""
     if f.is_zero() or g.is_zero():
         raise ZeroInput("tame symbol of zero")
-    gf = f.gf()
-    if place.is_infinite():
-        a, b = order_at(f, place), order_at(g, place)
-        uf = _unit_value_at_infinity(f)
-        ug = _unit_value_at_infinity(g)
-        val = gf.mul(gf.pow(uf, b) if b >= 0 else gf.inv(gf.pow(uf, -b)),
-                     gf.inv(gf.pow(ug, a)) if a >= 0 else gf.pow(ug, -a))
-        if (a * b) % 2:
-            val = gf.neg(val)
-        return FqPoly.const(gf, val)
-    a, uf = _order_and_unit_at(f, place)
-    b, ug = _order_and_unit_at(g, place)
-    res = ResidueAt(gf, place)
-    val = res.mul(res.pow(uf, b), res.pow(ug, -a))
-    if (a * b) % 2:
-        val = -val
-    return val % place.poly
+    kappa = place.residue_field(f.gf())
+    a, uf = _order_and_unit_at(f, place, kappa)
+    b, ug = _order_and_unit_at(g, place, kappa)
+    val = kappa.mul(kappa.pow(uf, b), kappa.pow(ug, -a))
+    return kappa.neg(val) if a * b % 2 else val
 
 
 def _support(f, g):
@@ -378,14 +305,11 @@ def _symbol_norms(f, g, power):
     table = []
     prod = gf.one
     for pl in _support(f, g):
+        kappa = pl.residue_field(gf)
         sym = ff_tame_symbol(f, g, pl)
-        if pl.is_infinite():
-            val = sym.c[0] if sym.c else 0
-        else:
-            res = ResidueAt(gf, pl)
-            val = res.norm(sym)
-            if power and res.power_norm(sym) != val:
-                raise InvariantFailed("power and Frobenius norms disagree")
+        val = kappa.norm(sym)
+        if power and kappa.power_norm(sym) != val:
+            raise InvariantFailed("power and Frobenius norms disagree")
         table.append((pl, val))
         prod = gf.mul(prod, val)
     return prod == gf.one, table
@@ -412,176 +336,127 @@ class _Laurent:
     """Truncated Laurent series sum_{i >= lead} c_i s^i over kappa(v),
     carried to absolute order `prec` (exclusive)."""
 
-    __slots__ = ("res", "lead", "c", "prec")
+    __slots__ = ("kappa", "lead", "c", "prec")
 
-    def __init__(self, res, lead, coeffs, prec):
-        while coeffs and coeffs[0].is_zero():
+    def __init__(self, kappa, lead, coeffs, prec):
+        while coeffs and not coeffs[0]:
             coeffs = coeffs[1:]
             lead += 1
-        self.res = res
+        self.kappa = kappa
         self.lead = lead
         self.c = coeffs
         self.prec = prec
 
     def coeff(self, i):
         j = i - self.lead
-        if 0 <= j < len(self.c):
-            return self.c[j]
-        return FqPoly(self.res.gf, [])
+        return self.c[j] if 0 <= j < len(self.c) else 0
 
     def __mul__(self, other):
-        res = self.res
+        kappa = self.kappa
         prec = min(self.prec, other.prec)
         lead = self.lead + other.lead
-        n = prec - lead
-        out = [FqPoly(res.gf, []) for _ in range(max(n, 0))]
-        for i, x in enumerate(self.c):
-            if x.is_zero():
-                continue
-            for j, y in enumerate(other.c):
-                k = i + j
-                if k < len(out):
-                    out[k] = out[k] + res.mul(x, y)
-        return _Laurent(res, lead, out, prec)
+        n = max(prec - lead, 0)
+        out = [0] * n
+        for i, x in enumerate(self.c[:n]):
+            if x:
+                for j, y in enumerate(other.c[:n - i]):
+                    out[i + j] = kappa.add(out[i + j], kappa.mul(x, y))
+        return _Laurent(kappa, lead, out, prec)
 
     def __add__(self, other):
-        res = self.res
+        kappa = self.kappa
         prec = min(self.prec, other.prec)
         lead = min(self.lead, other.lead)
-        n = prec - lead
-        out = [FqPoly(res.gf, []) for _ in range(max(n, 0))]
+        out = [0] * max(prec - lead, 0)
         for src in (self, other):
             for i, x in enumerate(src.c):
                 k = i + src.lead - lead
                 if 0 <= k < len(out):
-                    out[k] = out[k] + x
-        return _Laurent(res, lead, out, prec)
+                    out[k] = kappa.add(out[k], x)
+        return _Laurent(kappa, lead, out, prec)
 
     def __neg__(self):
-        return _Laurent(self.res, self.lead, [-x for x in self.c], self.prec)
+        return _Laurent(self.kappa, self.lead,
+                        [self.kappa.neg(x) for x in self.c], self.prec)
 
     def inverse(self):
         """Series inverse; the true leading coefficient must be nonzero."""
-        res = self.res
+        kappa = self.kappa
         c, lead = self.c, self.lead
         if not c:
             raise ZeroDivisionError("inverting the zero series")
-        n = self.prec - lead
-        inv0 = res.inv(c[0])
+        inv0 = kappa.inv(c[0])
         out = [inv0]
-        for k in range(1, max(n, 0)):
-            acc = FqPoly(res.gf, [])
+        for k in range(1, max(self.prec - lead, 0)):
+            acc = 0
             for i in range(1, min(k, len(c) - 1) + 1):
-                acc = acc + res.mul(c[i], out[k - i])
-            out.append(res.mul(inv0, -acc))
-        return _Laurent(res, -lead, out, self.prec - 2 * lead)
+                acc = kappa.add(acc, kappa.mul(c[i], out[k - i]))
+            out.append(kappa.mul(inv0, kappa.neg(acc)))
+        return _Laurent(kappa, -lead, out, self.prec - 2 * lead)
 
     def derivative(self):
-        res = self.res
-        gf = res.gf
-        out = []
-        for j, x in enumerate(self.c):
-            i = self.lead + j
-            out.append(x * (i % gf.p) if i % gf.p else FqPoly(gf, []))
+        kappa = self.kappa
+        out = [kappa.scale(x, self.lead + j) for j, x in enumerate(self.c)]
         # d/ds shifts exponents down by one
-        return _Laurent(res, self.lead - 1, out, self.prec - 1)
+        return _Laurent(kappa, self.lead - 1, out, self.prec - 1)
 
 
-def _uniformizer_expansion(res, prec):
+def _uniformizer_expansion(kappa, pi, prec):
     """T(s) in kappa(v)[[s]] with pi_v(T) = s, T(0) = the residue of t.
 
     Newton iteration against P(T) = pi_v(T) - s; pi_v is separable so the
     derivative is a unit at the start."""
-    gf = res.gf
-    pi = res.place.poly
-    x = FqPoly(gf, [0, 1])
-    t0 = x % pi  # the class of t
-    T = _Laurent(res, 0, [t0], prec)
-    s = _Laurent(res, 1, [FqPoly(gf, [1])], prec)
+    t0 = kappa.pack((FqPoly.x(pi.gf) % pi).c)  # the class of t
+    T = _Laurent(kappa, 0, [t0], prec)
+    s = _Laurent(kappa, 1, [1], prec)
     for _ in range(prec.bit_length() + 2):
-        PT = _eval_poly_series(res, pi, T) + (-s)
-        if all(c.is_zero() for c in PT.c):
+        PT = _eval_poly_series(kappa, pi, T) + (-s)
+        if not PT.c:
             break
-        dPT = _eval_poly_series(res, pi.derivative(), T)
+        dPT = _eval_poly_series(kappa, pi.derivative(), T)
         T = T + (-(PT * dPT.inverse()))
     return T
 
 
-def _eval_poly_series(res, poly, series):
-    acc = _Laurent(res, 0, [], series.prec)
+def _eval_poly_series(kappa, poly, series):
+    acc = _Laurent(kappa, 0, [], series.prec)
     for c in reversed(poly.c):
-        const = _Laurent(res, 0, [FqPoly.const(res.gf, c)], series.prec)
-        acc = acc * series + const
+        acc = acc * series + _Laurent(kappa, 0, [c], series.prec)
     return acc
 
 
-def _rational_series(res, f, series):
-    num = _eval_poly_series(res, f.num, series)
-    den = _eval_poly_series(res, f.den, series)
+def _rational_series(kappa, f, series):
+    num = _eval_poly_series(kappa, f.num, series)
+    den = _eval_poly_series(kappa, f.den, series)
     return num * den.inverse()
 
 
 def residue_at(f, g, place):
-    """res_v(f dg) as an element of kappa(v) (FqPoly mod pi_v)."""
-    gf = f.gf()
+    """res_v(f dg) as an int of kappa(v) = place.residue_field(F_q)."""
     dg = g.derivative()
     if dg.is_zero():
-        return FqPoly(gf, [])
+        return 0
+    kappa = place.residue_field(f.gf())
     if place.is_infinite():
-        return _residue_at_infinity(f, g)
-    res = ResidueAt(gf, place)
+        return _residue_at_infinity(f, g, kappa)
     h = f * dg  # h dt; res_v(h dt) = coeff_{-1} of h(T(s)) T'(s)
     # dividing by the denominator's zero of order k costs 2k precision
     k = _strip(h.den, place.poly)[0]
     prec = 2 * k + 2
-    T = _uniformizer_expansion(res, prec)
-    series = _rational_series(res, h, T) * T.derivative()
+    T = _uniformizer_expansion(kappa, place.poly, prec)
+    series = _rational_series(kappa, h, T) * T.derivative()
     return series.coeff(-1)
 
 
-class _InfResidue:
-    """kappa(infinity) = F_q wrapped with the ResidueAt interface."""
-
-    def __init__(self, gf):
-        self.gf = gf
-        self.place = FFPlace.infinity()
-
-    def mul(self, a, b):
-        return a * b
-
-    def inv(self, a):
-        if a.degree() > 0 or a.is_zero():
-            raise ZeroDivisionError("non-unit")
-        return FqPoly.const(self.gf, self.gf.inv(a.c[0]))
-
-
-def _reverse_poly(poly, deg):
-    c = poly.c + [0] * (deg + 1 - len(poly.c))
-    return FqPoly(poly.gf, list(reversed(c)))
-
-
-def _residue_at_infinity(f, g):
+def _residue_at_infinity(f, g, kappa):
     """Substitute t = 1/s: f dg = -f(1/s) g'(1/s) s^{-2} ds."""
-    gf = f.gf()
     h = f * g.derivative()
-    pole = max(0, h.num.degree() - h.den.degree()) + 2
-    prec = pole + 2
-    res = _InfResidue(gf)
-
-    def series_of(r):
-        dn, dd = r.num.degree(), r.den.degree()
-        num = _Laurent(res, -dn,
-                       [FqPoly.const(gf, c) for c in _reverse_poly(r.num, dn).c],
-                       prec)
-        den = _Laurent(res, -dd,
-                       [FqPoly.const(gf, c) for c in _reverse_poly(r.den, dd).c],
-                       prec)
-        return num * den.inverse()
-
-    total = series_of(h)
-    minus_s_m2 = _Laurent(res, -2, [FqPoly.const(gf, gf.neg(gf.one))], prec)
-    series = total * minus_s_m2
-    return series.coeff(-1)
+    dn, dd = h.num.degree(), h.den.degree()
+    prec = max(0, dn - dd) + 4
+    num = _Laurent(kappa, -dn, _reverse_poly(h.num, dn).c, prec)
+    den = _Laurent(kappa, -dd, _reverse_poly(h.den, dd).c, prec)
+    minus_s_m2 = _Laurent(kappa, -2, [kappa.neg(1)], prec)
+    return (num * den.inverse() * minus_s_m2).coeff(-1)
 
 
 def residue_theorem_check(f, g):
@@ -600,11 +475,7 @@ def residue_theorem_check(f, g):
     table = []
     total = 0
     for pl in sorted(places, key=lambda pl: pl.sort_key()):
-        r = residue_at(f, g, pl)
-        if pl.is_infinite():
-            tr = r.c[0] if r.c else 0
-        else:
-            tr = ResidueAt(gf, pl).trace(r)
+        tr = pl.residue_field(gf).trace(residue_at(f, g, pl))
         table.append((pl, tr))
         total = gf.add(total, tr)
     return total == 0, table, False

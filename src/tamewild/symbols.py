@@ -17,7 +17,6 @@ wild_symbol_zeta; the chosen one is pinned by the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -36,36 +35,6 @@ from .ntheory import isprime
 #: Module constant (see module docstring): units act on mu_{p^infty} by
 #: their inverse under the local reciprocity map.
 WILD_UNIT_ACTS_BY_INVERSE = True
-
-
-@dataclass(frozen=True)
-class MuElem:
-    """A root of unity of F as exponents: the tame part w.r.t. the fixed
-    Teichmuller generator (mod q-1) and the wild part (mod p^k; the wild
-    component is absent when k = 0)."""
-    tame: int
-    wild: int
-    tame_mod: int
-    wild_mod: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "tame", self.tame % self.tame_mod)
-        if self.wild_mod > 1:
-            object.__setattr__(self, "wild", self.wild % self.wild_mod)
-        else:
-            object.__setattr__(self, "wild", 0)
-
-    def __add__(self, other):
-        if (self.tame_mod, self.wild_mod) != (other.tame_mod, other.wild_mod):
-            raise ValueError("mixed root-of-unity groups")
-        return MuElem(self.tame + other.tame, self.wild + other.wild,
-                      self.tame_mod, self.wild_mod)
-
-    def to_json(self):
-        out = {"tame": self.tame, "tame_mod": self.tame_mod}
-        if self.wild_mod > 1:
-            out.update({"wild": self.wild, "wild_mod": self.wild_mod})
-        return out
 
 
 # ---------------------------------------------------------------------------

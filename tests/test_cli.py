@@ -27,12 +27,13 @@ def _run_json(capsys, argv):
 _ENTRY = "from tamewild.cli import main; main()"
 
 
-def _subprocess(code, argv):
+def _subprocess(code, argv, timeout=60):
     """Run python -c code with argv in a fresh interpreter on this tamewild."""
     env = dict(os.environ,
                PYTHONPATH=str(Path(tamewild.__file__).resolve().parents[1]))
     return subprocess.run([sys.executable, "-c", code, *argv],
-                          capture_output=True, text=True, timeout=60, env=env)
+                          capture_output=True, text=True, timeout=timeout,
+                          env=env)
 
 
 def test_element_parser():
@@ -224,6 +225,66 @@ def test_rootE_preset_needs_positive_e(capsys):
 def test_finite_field_above_the_table_cap_exits_2(capsys):
     assert dispatch(["weil", "--q", "177147", "--f", "t", "--g", "t+1"]) == 2
     assert "MAX_Q" in capsys.readouterr().err
+
+
+def test_huge_prime_power_exits_before_searching_a_modulus():
+    # GF(2^32) used to walk the 2^31 candidate moduli divisible by x first
+    proc = _subprocess(_ENTRY, ["weil", "--q", "4294967296", "--f", "t",
+                                "--g", "t+1", "--json"], timeout=30)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "MAX_Q" in proc.stderr
+
+
+_ENVELOPE = ('{"certified_precision": "exact", "command": "%s", "config": '
+             '{"budget": 500, "precision": 64, "seed": 0}, "result": %s, '
+             '"schema": "v1"}\n')
+
+# --json stdout of function-field commands, recorded before the residue
+# fields of places became FiniteField towers: q = 2, 3, 4, 7, 9, 81 and 243,
+# places of degree 4, 5 and 7, residues at a degree-3 place and at infinity
+_GOLDEN = [
+    (["weil", "--q", "2", "--f", "t^5+t^2+1", "--g", "(t^4+t+1)/(t^3+t+1)"],
+     '{"product_is_one": true, "table": {"[1, 0, 1, 0, 0, 1]": 1, '
+     '"[1, 1, 0, 0, 1]": 1, "[1, 1, 0, 1]": 1, "inf": 1}}'),
+    (["ff-hilbert", "--q", "3", "--f", "(t^4+t+2)/t", "--g", "t^5+2*t+1"],
+     '{"product_is_one": true, "table": {"[0, 1]": 1, '
+     '"[1, 2, 0, 0, 0, 1]": 1, "[2, 1, 0, 0, 1]": 2, "inf": 2}}'),
+    (["weil", "--q", "4", "--f", "(t^4+t+1)*(t^2+t+1)", "--g", "t^5+t^2+1"],
+     '{"product_is_one": true, "table": {"[1, 0, 1, 0, 0, 1]": 1, '
+     '"[2, 1, 1]": 3, "[2, 1]": 1, "[3, 1, 1]": 2, "[3, 1]": 1, "inf": 1}}'),
+    (["ff-hilbert", "--q", "7", "--f", "(t^4+3*t+5)/(t+1)", "--g",
+      "t^5+t+4"],
+     '{"product_is_one": true, "table": {"[1, 1]": 2, "[3, 1]": 4, '
+     '"[4, 1, 0, 0, 0, 1]": 6, "[6, 1, 1]": 1, "inf": 6}}'),
+    (["weil", "--q", "9", "--f", "t^4+t+2", "--g", "(t^5+2*t+1)/(t^2+1)"],
+     '{"product_is_one": true, "table": {"[1, 2, 0, 0, 0, 1]": 2, '
+     '"[3, 1]": 3, "[4, 6, 1]": 5, "[6, 1]": 6, "[7, 3, 1]": 8, "inf": 1}}'),
+    (["ff-hilbert", "--q", "81", "--f", "(t^5+2*t+1)/(t^2+1)", "--g",
+      "t^7+2*t^2+1"],
+     '{"product_is_one": true, "table": {"[1, 0, 2, 0, 0, 0, 0, 1]": 2, '
+     '"[1, 2, 0, 0, 0, 1]": 2, "[15, 1]": 17, "[21, 1]": 23, "inf": 2}}'),
+    (["weil", "--q", "243", "--f", "t^4+t+2", "--g",
+      "2*(t^5+2*t+1)/(t^3+2*t+1)"],
+     '{"product_is_one": true, "table": {"[1, 2, 0, 1]": 1, "[135, 1]": 195, '
+     '"[143, 1]": 233, "[15, 1]": 75, "[2, 1, 0, 0, 1]": 2, "[71, 1]": 123, '
+     '"[92, 1]": 105, "inf": 1}}'),
+    (["residue", "--q", "3", "--f", "t^2/(t^3+2*t+1)^2", "--g", "t^4+t"],
+     '{"constant_differential": false, "sum_is_zero": true, '
+     '"table": {"[1, 2, 0, 1]": 1, "inf": 2}}'),
+    (["residue", "--q", "243", "--f", "(t+1)/(t^3+2*t+1)", "--g", "t^4+t"],
+     '{"constant_differential": false, "sum_is_zero": true, '
+     '"table": {"[1, 2, 0, 1]": 1, "inf": 2}}'),
+]
+
+
+@pytest.mark.parametrize("argv,result", _GOLDEN,
+                         ids=lambda v: "-".join(v[:3]) if isinstance(v, list)
+                         else "")
+def test_function_field_golden_output(capsys, argv, result):
+    code, out = _run(capsys, argv + ["--json"])
+    assert code == 0
+    assert out == _ENVELOPE % (argv[0], result)
 
 
 def test_preset_errors_name_the_cause(capsys):

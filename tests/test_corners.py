@@ -8,7 +8,7 @@ from tamewild.cli import dispatch
 from tamewild.errors import BadInput, PrecisionExhausted
 from tamewild.localfield import LocalFieldCtx, qp, valuation
 from tamewild.padic import PadicCtx
-from tamewild.symbols import MuElem, tame_symbol
+from tamewild.symbols import tame_symbol
 
 
 def test_div_pi_unramified(q5):
@@ -40,14 +40,6 @@ def test_frobenius_elimination_branch():
     # level-3 units reduce through the branch and terminate either way
     for a in (1, 2):
         oracle.class_key(F.one + F.from_int(a) * F.pi ** 3)
-
-
-def test_muelem_errors_and_json():
-    with pytest.raises(ValueError):
-        MuElem(1, 0, 4, 3) + MuElem(1, 0, 8, 3)
-    assert MuElem(1, 2, 4, 3).to_json() == \
-        {"tame": 1, "tame_mod": 4, "wild": 2, "wild_mod": 3}
-    assert MuElem(1, 0, 4, 1).to_json() == {"tame": 1, "tame_mod": 4}
 
 
 def test_tame_of_uncertified_raises(q5):

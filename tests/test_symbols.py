@@ -11,7 +11,6 @@ from tamewild.errors import (
 from tamewild.localfield import valuation
 from tamewild.errors import PRECISION_EXHAUSTED
 from tamewild.symbols import (
-    MuElem,
     hilbert_quadratic_padic,
     hilbert_quadratic_q,
     hilbert_tame_part,
@@ -30,18 +29,6 @@ def _random_nonzero(ctx, rng, digits=6):
         x = ctx.elem([rng.randrange(ctx.p ** digits) for _ in range(ctx.e)])
         if not x.is_zero() and valuation(x) is not PRECISION_EXHAUSTED:
             return x
-
-
-# -- MuElem ----------------------------------------------------------------------
-
-def test_muelem_group_law():
-    a = MuElem(3, 1, 4, 3)
-    b = MuElem(2, 2, 4, 3)
-    c = a + b
-    assert (c.tame, c.wild) == (1, 0)
-    assert a != MuElem(0, 0, 4, 3)
-    assert MuElem(4, 3, 4, 3) == MuElem(0, 0, 4, 3)
-    assert MuElem(5, 7, 4, 1).wild == 0  # trivial wild group drops
 
 
 # -- tame symbol -----------------------------------------------------------------
