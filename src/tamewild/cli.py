@@ -2,8 +2,8 @@
 
 Every verification and computation is exposed as a subcommand with
 deterministic text and JSON output: identical (argv, seed, N) produce
-byte-identical output.  Exit codes: 0 success/verified, 1 reciprocity
-violation or invariant failure, 2 usage error.
+byte-identical output.  Exit codes: 0 success/verified, 1 a checked law
+fails, 2 usage error or typed error (an internal invariant included).
 """
 
 from __future__ import annotations
@@ -18,8 +18,9 @@ from . import localfield
 from .errors import (
     BadInput,
     BudgetExceeded,
+    InvariantFailed,
+    NormUnitNotPrincipal,
     OracleUnavailable,
-    UnsupportedField,
     UnsupportedSplitting,
 )
 from .finitefield import GF
@@ -390,9 +391,9 @@ def dispatch(argv) -> int:
                     seed=args.seed, json_mode=args.json_mode)
     try:
         return args.func(args, cfg)
-    except (BadInput, UnsupportedField, ValueError, ArithmeticError,
-            OracleUnavailable, BudgetExceeded, UnsupportedSplitting,
-            OSError) as exc:
+    except (ValueError, ArithmeticError, OSError, OracleUnavailable,
+            BudgetExceeded, UnsupportedSplitting, InvariantFailed,
+            NormUnitNotPrincipal) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

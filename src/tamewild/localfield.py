@@ -121,11 +121,15 @@ class LocalFieldCtx:
 
     @property
     def zero(self):
-        return self.from_int(0)
+        if "zero" not in self._cache:
+            self._cache["zero"] = self.from_int(0)
+        return self._cache["zero"]
 
     @property
     def one(self):
-        return self.from_int(1)
+        if "one" not in self._cache:
+            self._cache["one"] = self.from_int(1)
+        return self._cache["one"]
 
     @property
     def pi(self):

@@ -3,9 +3,10 @@
 Decides whether x is a norm from L = F(y^{1/m}) (m = 2 or m = p) by finite
 computation: L is realised explicitly (split by the shape of y into
 totally-ramified, ramified-by-unit and unramified cases), norms of a
-spanning set of L^x/(L^x)^m U_L^{high} are pushed down to F, and membership
-is solved by filtered Gaussian elimination in the elementary abelian
-quotient F^x/(F^x)^m U_F^H.
+spanning set of L^x/(L^x)^m U_L^{e(L/F)(H-1)+1} are pushed down to F, and
+membership is solved by filtered Gaussian elimination in the elementary
+abelian quotient F^x/(F^x)^m U_F^H.  Deeper units add nothing, since every
+conjugate of z has v_L(z): v_F(N(1+z) - 1) >= v_L(z)/e(L/F).
 
 The quotient is handled through a constructive normal form.  The p-power
 map sends the graded piece at level t to level p*t (Frobenius twist,
@@ -25,6 +26,7 @@ from fractions import Fraction
 from .errors import (
     PRECISION_EXHAUSTED,
     BadInput,
+    InvariantFailed,
     PrecisionExhausted,
     UnsupportedSplitting,
     ZeroInput,
@@ -109,8 +111,7 @@ class _Reducer:
             self.wild = True
             if p != 2 and ctx.k < 1:
                 raise BadInput("mu_p is not contained in F")
-            bound = p * ctx.e1 + (ctx.k - 1) * ctx.e
-            self.H = int(bound.numerator // bound.denominator) + 1
+            self.H = math.floor(p * ctx.e1 + (ctx.k - 1) * ctx.e) + 1
             self.critical = (int(p * ctx.e1)
                              if ctx.e1.denominator == 1 else None)
             self.rho = ctx.rho
@@ -166,9 +167,7 @@ class _Reducer:
         return u, c  # fundamental level: the digit survives
 
     def _position(self, s):
-        if self.critical is not None and s == self.critical:
-            return ("coker", s)
-        return ("level", s)
+        return ("coker" if s == self.critical else "level", s)
 
     # -- class states --------------------------------------------------------
 
@@ -234,7 +233,7 @@ class _Reducer:
         while True:
             guard += 1
             if guard > self.H + ctx.M:  # pragma: no cover
-                raise RuntimeError("unit reduction did not terminate")
+                raise InvariantFailed("unit reduction did not terminate")
             lv = valuation(st.u - ctx.one)
             if lv is PRECISION_EXHAUSTED or lv >= self.H:
                 return None
@@ -342,6 +341,7 @@ class _RamifiedKummer:
     def __init__(self, ctx, m, rhs, lam):
         self.ctx = ctx
         self.m = m
+        self.ram_index = m  # e(L/F)
         self.rhs = rhs  # list of m FElems: G^m = sum rhs[j] G^j
         self.lam = lam
 
@@ -404,6 +404,7 @@ class _UnramifiedKummer:
                 "fields only")
         self.ctx = ctx
         self.m = m
+        self.ram_index = 1  # e(L/F)
         big = PadicCtx(ctx.p, ctx.N, m)
         self.big_field = LocalFieldCtx(big, list(ctx.f))
         # Frobenius on the big unramified ring: theta -> the root of g
@@ -457,16 +458,12 @@ class NormResidueOracle:
     """Per-(F, m) oracle; pivots are cached by the canonical class of y
     (the extension depends on y only modulo m-th powers)."""
 
-    def __init__(self, ctx, m, high_cutoff=None):
+    def __init__(self, ctx, m):
         self.ctx = ctx
         self.m = int(m)
         if self.m not in (2, ctx.p):
             raise BadInput("m must be 2 or the residue characteristic")
         self.reducer = _Reducer(ctx, self.m)
-        if high_cutoff is None:
-            hc = 2 * (ctx.p * ctx.e1 + ctx.e) * self.m
-            high_cutoff = int(math.ceil(hc))
-        self.high_cutoff = high_cutoff
         self._pivot_cache = {}
 
     def class_key(self, y):
@@ -520,7 +517,9 @@ class NormResidueOracle:
         if key not in self._pivot_cache:
             ext = self._build_extension(list(key), y)
             pivots = _Pivots()
-            for elem, shift in ext.spanning_norms(self.high_cutoff):
+            # norms from U_L^high lie in U_F^H (module docstring)
+            high = ext.ram_index * (self.reducer.H - 1) + 1
+            for elem, shift in ext.spanning_norms(high):
                 self.reducer.insert_generator(pivots, elem, shift)
             self._pivot_cache[key] = pivots
         return self._pivot_cache[key]
@@ -534,14 +533,13 @@ class NormResidueOracle:
         return self.reducer.is_member(pivots, x)
 
 
-def norm_residue_trivial(x, y, m, high_cutoff=None):
+def norm_residue_trivial(x, y, m):
     """True iff x is a norm from F(y^{1/m}), equivalently the m-Hilbert
     symbol (x, y)_m is trivial.  An m-th-power y is detected first (the
     extension is trivial and the answer is True)."""
     ctx = x.ctx
-    key = ("norm_oracle", m, high_cutoff)
+    key = ("norm_oracle", m)
     oracle = ctx._cache.get(key)
     if oracle is None:
-        oracle = NormResidueOracle(ctx, m, high_cutoff)
-        ctx._cache[key] = oracle
+        oracle = ctx._cache[key] = NormResidueOracle(ctx, m)
     return oracle.trivial(x, y)

@@ -7,8 +7,9 @@ from pathlib import Path
 import pytest
 
 import tamewild
+from tamewild import cli
 from tamewild.cli import RunConfig, dispatch, element_from_string
-from tamewild.errors import BadInput
+from tamewild.errors import BadInput, InvariantFailed, NormUnitNotPrincipal
 from tamewild.localfield import qp_zeta
 from tamewild.symbols import hilbert_quadratic_q
 
@@ -154,6 +155,15 @@ def test_usage_errors(capsys):
     capsys.readouterr()
     assert dispatch(["lattice", "--p", "11"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("error", [InvariantFailed, NormUnitNotPrincipal])
+def test_internal_errors_exit_2(monkeypatch, capsys, error):
+    def fail(*args, **kwargs):
+        raise error("forced")
+    monkeypatch.setattr(cli, "estimate_m0", fail)
+    assert dispatch(["m0", "--preset", "qp-zeta-3", "-N", "16"]) == 2
+    assert capsys.readouterr().err == "error: forced\n"
 
 
 def test_residue_parses_quotients_of_products(capsys):

@@ -1,13 +1,20 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from tamewild.cli import element_from_string
 from tamewild.errors import BadInput, ZeroInput
-from tamewild.localfield import qp, spanning_units, valuation
+from tamewild.localfield import preset, qp, spanning_units, valuation
 from tamewild.errors import PRECISION_EXHAUSTED
-from tamewild.normoracle import NormResidueOracle, norm_residue_trivial
+from tamewild.normoracle import (
+    NormResidueOracle,
+    _Pivots,
+    _RamifiedKummer,
+    norm_residue_trivial,
+)
 from tamewild.orders import m0_bound
 from tamewild.symbols import (
     hilbert_quadratic_q,
@@ -275,3 +282,62 @@ def test_ramified_quadratic_over_bigger_field(cbrt3):
     # times principal units; omega is a nonsquare Teichmuller unit)
     assert not norm_residue_trivial(cbrt3.omega, cbrt3.pi, 2)
     assert norm_residue_trivial(cbrt3.omega ** 2, cbrt3.pi, 2)
+
+
+# -- the pivot-build level bound ------------------------------------------------
+
+def _old_high(ctx, m):
+    """The former guessed cutoff on U_L levels."""
+    return math.ceil(2 * (ctx.p * ctx.e1 + ctx.e) * m)
+
+
+# (preset, m, y strings): every splitting type each field reaches
+_BOUND_CASES = [
+    ("qp-zeta-3", 3, ["pi", "1+pi", "1+pi^3"]),
+    ("qp-zeta-5", 5, ["pi", "1+pi", "1+pi^5"]),
+    ("qp-zeta-3", 2, ["pi", "2"]),
+    ("qp-5", 2, ["p", "2"]),
+    ("cbrt-3", 2, ["pi", "2"]),
+    ("qp-2", 2, ["p", "3", "5"]),  # criterion 2's p = 2
+]
+
+
+@pytest.mark.parametrize("name,m,ys", _BOUND_CASES)
+def test_norms_above_the_level_bound_are_mth_powers(name, m, ys):
+    ctx = preset(name, 16)
+    rng = random.Random(f"bound-{name}-{m}")
+    xs = [_random_nonzero(ctx, rng) * ctx.pi ** rng.randrange(m)
+          for _ in range(25)]
+    kinds = set()
+    for y_text in ys:
+        y = element_from_string(ctx, y_text)
+        oracle = NormResidueOracle(ctx, m)
+        red = oracle.reducer
+        ext = oracle._build_extension(list(oracle.class_key(y)), y)
+        kinds.add(type(ext).__name__)
+        high = ext.ram_index * (red.H - 1) + 1
+        assert _old_high(ctx, m) > high
+        new = ext.spanning_norms(high)
+        old = ext.spanning_norms(_old_high(ctx, m))
+        assert old[:len(new)] == new
+        for elem, shift in old[len(new):]:
+            assert red.full_normal_form(elem, shift) == [], (y_text, shift)
+        old_pivots = _Pivots()
+        for elem, shift in old:
+            red.insert_generator(old_pivots, elem, shift)
+        for x in xs:
+            assert oracle.trivial(x, y) == red.is_member(old_pivots, x)
+    assert kinds == {"_RamifiedKummer", "_UnramifiedKummer"}
+
+
+@pytest.mark.parametrize("name,calls", [("qp-zeta-5", 26), ("qp-zeta-7", 50)])
+def test_ramified_class_norm_count(monkeypatch, name, calls):
+    # the pi_L generator plus p levels of U_L per level of U_F below H
+    ctx = preset(name, 16)
+    seen = []
+    norm = _RamifiedKummer.norm
+    monkeypatch.setattr(_RamifiedKummer, "norm",
+                        lambda self, *a: seen.append(a) or norm(self, *a))
+    NormResidueOracle(ctx, ctx.p).trivial(ctx.from_int(1 + ctx.p),
+                                          ctx.one + ctx.pi)
+    assert len(seen) == calls
