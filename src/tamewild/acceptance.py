@@ -223,7 +223,7 @@ def criterion_4(cfg):
             # residue surjectivity from the unramified part alone
             residues = set()
             for c in ctx.base.kappa.elements():
-                x = ctx.from_o0(ctx.base.lift_residue(c))
+                x = ctx.lift_residue(c)
                 if not order.contains(x):
                     failures.append(f"{ctx.name} m={m}: O0 not in R_m")
                     break
@@ -240,7 +240,7 @@ def criterion_4(cfg):
                 if x.is_zero():
                     continue
                 unit = order.is_unit(x)
-                maximal = order.in_maximal_ideal(x)
+                maximal = order.ideal_contains(x)
                 if unit == maximal:
                     failures.append(f"{ctx.name} m={m}: dichotomy")
                     break

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 
@@ -43,7 +42,7 @@ from .symbols import (
 )
 
 SCHEMA = "v1"
-DEFAULT_PRECISION = int(os.environ.get("TAMEWILD_PRECISION", "64"))
+DEFAULT_PRECISION = 64
 
 
 @dataclass
@@ -162,7 +161,7 @@ def _cmd_order(args, cfg):
         x = element_from_string(ctx, args.x)
         result.update({
             "contains": order.contains(x),
-            "in_maximal_ideal": order.in_maximal_ideal(x),
+            "in_maximal_ideal": order.ideal_contains(x),
             "is_unit": order.is_unit(x),
         })
     _emit(args, cfg, "order", result, certified=ctx.M)

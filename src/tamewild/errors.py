@@ -30,14 +30,6 @@ class PrecisionExhausted(ArithmeticError):
     """A computation could not be certified at the working precision."""
 
 
-class PrecisionLoss(ArithmeticError):
-    """The result would carry no certified digits at working precision."""
-
-
-class NotAUnit(ArithmeticError):
-    """Inversion was requested for a non-unit."""
-
-
 class ZeroInput(ValueError):
     """A nonzero argument was required."""
 

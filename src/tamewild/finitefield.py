@@ -1,12 +1,13 @@
 """Finite fields F_q, q = p^s, their extensions, and dense polynomials.
 
 This is the one F_q of the package: the residue fields of the local side
-(PadicCtx.kappa), the constant fields of F_q(t) and the residue fields
-kappa(v) = F_q[t]/pi_v of its places (funcfield) are all FiniteField
-instances.  A FiniteField is base[x]/(modulus) for a monic irreducible
-modulus, and an element is an int in [0, q) whose base-Q digit j, Q the
-size of the base, is the coefficient of x^j; so the base is the identity on
-the ints below Q.
+(localfield.PadicCtx.kappa, a tower over F_p for the norm oracle's
+unramified Kummer rings, whose q = p^p must build no tables), the constant
+fields of F_q(t) and the residue fields kappa(v) = F_q[t]/pi_v of its
+places (funcfield) are all FiniteField instances.  A FiniteField is
+base[x]/(modulus) for a monic irreducible modulus, and an element is an int
+in [0, q) whose base-Q digit j, Q the size of the base, is the coefficient
+of x^j; so the base is the identity on the ints below Q.
 
 Over the prime p (base the int p) the modulus is by default the first
 irreducible in lexicographic coefficient order (default_modulus), so

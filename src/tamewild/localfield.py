@@ -1,5 +1,11 @@
 """Arithmetic in F = F0(pi) for an Eisenstein polynomial f over O0.
 
+O0 is the unramified extension of Z_p of degree d (the Witt vectors of
+F_q), realised as Z[x]/(g, p^N) for a monic degree-d lift g of an
+irreducible gbar over F_p; PadicCtx holds its parameters.  The residue field
+kappa = F_p[x]/(gbar) is a finitefield.FiniteField, so residues are ints in
+[0, q) whose base-p digit j is the coefficient of x^j.
+
 An element is one flat tuple of e*d integers in [0, p^N): the coefficient
 of x^j pi^i sits at index i*d + j, where x is the root of the unramified
 modulus g (so block i, indices i*d .. i*d+d-1, is the O0-coefficient of
@@ -24,13 +30,73 @@ from .errors import (
     PRECISION_EXHAUSTED,
     BadInput,
     BelowThreshold,
+    HenselHypothesisFailed,
     InvariantFailed,
     NotInIdeal,
     NotPrincipalUnit,
     PrecisionExhausted,
     UnsupportedField,
+    ZeroInput,
 )
-from .padic import O0Elem, PadicCtx, val_p_coeffs
+from .finitefield import FiniteField, default_modulus
+from .ntheory import isprime
+
+
+class PadicCtx:
+    """The parameters of O0, the unramified extension of Z_p of degree d,
+    truncated mod p^N.  An element of O0 is an FElem whose blocks above
+    block 0 are zero.
+
+    p must be prime, N >= 8 is the number of carried p-digits, gbar the
+    residue modulus (the first irreducible in lexicographic coefficient
+    order by default, so residue fields are reproducible across runs and
+    shared with the function-field presets) and g its monic lift.
+    """
+
+    def __init__(self, p, N=64, d=1, gbar=None, g=None):
+        if not isprime(p):
+            raise ValueError(f"p = {p} is not prime")
+        if N < 8:
+            raise ValueError("precision N must be at least 8")
+        if d < 1:
+            raise ValueError("residue degree d must be >= 1")
+        self.p, self.N, self.d = p, N, d
+        self.mod = p ** N
+        if gbar is None:
+            gbar = default_modulus(p, d)
+        gbar = tuple(c % p for c in gbar)
+        if len(gbar) != d + 1:
+            raise ValueError("gbar must have degree d")
+        self.kappa = FiniteField(p, gbar)  # BadInput unless monic irreducible
+        self.q = p ** d
+        if g is None:
+            g = gbar
+        self.g = tuple(int(c) for c in g)
+        if len(self.g) != d + 1 or self.g[d] != 1:
+            raise ValueError("g must be a monic degree-d lift of gbar")
+        if any((gc - gb) % p for gc, gb in zip(self.g, gbar)):
+            raise ValueError("g does not reduce to gbar mod p")
+
+    def __repr__(self):
+        return f"PadicCtx(p={self.p}, N={self.N}, d={self.d})"
+
+
+def val_p_coeffs(coeffs, p):
+    """min over the ints coeffs of their p-adic valuations, or
+    PRECISION_EXHAUSTED when every one vanishes mod p^N."""
+    best = None
+    for c in coeffs:
+        if c == 0:
+            continue
+        v = 0
+        while c % p == 0:
+            c //= p
+            v += 1
+        if best is None or v < best:
+            best = v
+            if best == 0:
+                return 0
+    return PRECISION_EXHAUSTED if best is None else best
 
 
 class LocalFieldCtx:
@@ -72,10 +138,15 @@ class LocalFieldCtx:
         return f"LocalFieldCtx(p={self.p}, {tag}, N={self.N})"
 
     def _block(self, c):
-        """The d ints of an O0 coefficient given as an O0Elem or an int."""
-        if isinstance(c, O0Elem):
-            return c.coeffs
-        return (int(c) % self.mod,) + (0,) * (self.d - 1)
+        """The d ints of an O0 coefficient given as an int or a list of d
+        ints."""
+        if isinstance(c, int):
+            return (c % self.mod,) + (0,) * (self.d - 1)
+        if (not isinstance(c, (list, tuple)) or len(c) != self.d
+                or not all(isinstance(x, int) for x in c)):
+            raise BadInput(f"an O0 coefficient must be an int or a list of "
+                           f"{self.d} ints, not {c!r}")
+        return tuple(x % self.mod for x in c)
 
     def _build_fold(self):
         """Tables for FElem.__mul__: row k <= 2e-2 (width 2d-1) of the padded
@@ -107,8 +178,8 @@ class LocalFieldCtx:
     # -- constructors ---------------------------------------------------
 
     def elem(self, coeffs):
-        """The element sum_i coeffs[i] pi^i, each coefficient an int or an
-        O0Elem."""
+        """The element sum_i coeffs[i] pi^i, each coefficient an int or a
+        list of d ints."""
         if len(coeffs) != self.e:
             raise ValueError("coefficient vector has wrong length")
         return FElem(self, tuple(x for c in coeffs for x in self._block(c)))
@@ -116,8 +187,25 @@ class LocalFieldCtx:
     def from_int(self, n):
         return self.elem([n] + [0] * (self.e - 1))
 
-    def from_o0(self, c):
-        return self.elem([c] + [0] * (self.e - 1))
+    def lift_residue(self, c):
+        """The plain digit lift to O0 of a residue-field element."""
+        return self.monomial(0, self.base.kappa.digits(c))
+
+    def teichmuller(self, c):
+        """The unique (q-1)-st root of unity congruent to c mod p.
+
+        Computed by iterating x -> x^q to its fixed point; every step gains
+        at least one p-digit, so N steps certify the full precision.
+        """
+        if not c:
+            raise ZeroInput("Teichmuller lift of zero")
+        key = ("teichmuller", c)
+        if key not in self._cache:
+            x = self.lift_residue(c)
+            for _ in range(self.N):
+                x = x ** self.q
+            self._cache[key] = x
+        return self._cache[key]
 
     @property
     def zero(self):
@@ -183,8 +271,8 @@ class LocalFieldCtx:
     def omega(self):
         """Teichmuller lift of the fixed residue-field generator."""
         if "omega" not in self._cache:
-            gen = self.base.kappa.generator()
-            self._cache["omega"] = self.from_o0(self.base.teichmuller(gen))
+            self._cache["omega"] = self.teichmuller(
+                self.base.kappa.generator())
         return self._cache["omega"]
 
     @property
@@ -217,11 +305,24 @@ class LocalFieldCtx:
 
     @classmethod
     def from_descriptor(cls, desc):
-        base = PadicCtx(desc["p"], desc.get("N", 64), desc.get("d", 1),
-                        gbar=desc.get("gbar"))
-        f = [base.elem(c) if isinstance(c, list) else base.from_int(c)
-             for c in desc["f"]]
-        return cls(base, f, name=desc.get("name"))
+        """The field of a descriptor() document; BadInput unless it is an
+        object with the keys p and f, and p, N and d are ints."""
+        if not isinstance(desc, dict):
+            raise BadInput("a field descriptor must be a JSON object")
+        missing = [key for key in ("p", "f") if key not in desc]
+        if missing:
+            raise BadInput(f"the field descriptor has no {missing[0]!r}")
+        p, N, d = desc["p"], desc.get("N", 64), desc.get("d", 1)
+        if not all(type(v) is int for v in (p, N, d)):
+            raise BadInput("p, N and d of a field descriptor must be ints")
+        gbar, f = desc.get("gbar"), desc["f"]
+        if gbar is not None and not (isinstance(gbar, list) and all(
+                type(c) is int for c in gbar)):
+            raise BadInput("gbar of a field descriptor must be a list of "
+                           "ints")
+        if not isinstance(f, list):
+            raise BadInput("f of a field descriptor must be a list")
+        return cls(PadicCtx(p, N, d, gbar=gbar), f, name=desc.get("name"))
 
     @classmethod
     def from_json(cls, text):
@@ -319,8 +420,6 @@ class FElem:
             return other
         if isinstance(other, int):
             return self.ctx.from_int(other)
-        if isinstance(other, O0Elem):
-            return self.ctx.from_o0(other)
         return NotImplemented
 
     def __add__(self, other):
@@ -672,12 +771,57 @@ def pth_root_in_filtration(w, t):
             raise InvariantFailed(f"defect at level {dl} is below t + e")
         c = (defect - ctx.one).div_pi_pow(dl).residue()
         a = kappa.mul(c, rho_inv)
-        corr = ctx.one + ctx.base.lift_residue(a) * (ctx.pi ** s)
+        corr = ctx.one + ctx.lift_residue(a) * (ctx.pi ** s)
         u = u * corr
         defect = defect * (corr ** ctx.p).invert_unit()
     else:  # pragma: no cover
         raise PrecisionExhausted("digit solving did not terminate")
     return u
+
+
+# ---------------------------------------------------------------------------
+# Hensel refinement
+# ---------------------------------------------------------------------------
+
+def hensel_root(poly, approx):
+    """Newton refinement of an approximate root of poly (a list of FElems
+    or ints, low degree first).
+
+    Requires the classical certificate v(poly(a)) > 2*v(poly'(a)) at
+    working precision; raises HenselHypothesisFailed otherwise.  Each step
+    divides exactly by pi^v(poly'(a)), which costs that many certified
+    levels; the root is returned once poly(root) vanishes at the remaining
+    certified precision.
+    """
+    ctx = approx.ctx
+    dpoly = [c * i for i, c in enumerate(poly)][1:]
+
+    def ev(coeffs, x):
+        acc = ctx.zero
+        for c in reversed(coeffs):
+            acc = acc * x + c
+        return acc
+
+    fx = ev(poly, approx)
+    fpx = ev(dpoly, approx)
+    va = ctx.M if fx.is_zero() else valuation(fx)
+    vd = valuation(fpx)
+    if vd is PRECISION_EXHAUSTED or not va > 2 * vd:
+        raise HenselHypothesisFailed(
+            f"v(f(a)) = {va} does not exceed 2*v(f'(a)) = "
+            f"{2 * vd if vd is not PRECISION_EXHAUSTED else 'inf'}")
+    a = approx
+    decay = 0
+    for _ in range(ctx.M.bit_length() + 8):
+        if fx.is_zero():
+            return a
+        if vd and valuation(fx) >= ctx.M - decay:
+            return a  # vanishes at the certified precision
+        a = a - fx.div_pi_pow(vd) * fpx.div_pi_pow(vd).invert_unit()
+        decay += vd
+        fx = ev(poly, a)
+        fpx = ev(dpoly, a)
+    raise HenselHypothesisFailed("Newton iteration failed to converge")
 
 
 # ---------------------------------------------------------------------------
@@ -783,10 +927,10 @@ def _find_zeta(ctx, j, sstar, verify_count=False):
     found = []
     for lead in nonzero:
         for tail in _iproduct(digits, repeat=L - sstar):
-            x0 = ctx.one + ctx.base.lift_residue(lead) * pis[0]
+            x0 = ctx.one + ctx.lift_residue(lead) * pis[0]
             for idx, c in enumerate(tail):
                 if c:
-                    x0 = x0 + ctx.base.lift_residue(c) * pis[idx + 1]
+                    x0 = x0 + ctx.lift_residue(c) * pis[idx + 1]
             refined = _newton_in_f(ctx, j, x0)
             if refined is None:
                 continue

@@ -31,8 +31,8 @@ from .errors import (
     UnsupportedSplitting,
     ZeroInput,
 )
-from .localfield import FElem, LocalFieldCtx, valuation
-from .padic import PadicCtx, hensel_root
+from .finitefield import GF, FiniteField
+from .localfield import FElem, LocalFieldCtx, PadicCtx, hensel_root, valuation
 
 
 # ---------------------------------------------------------------------------
@@ -148,11 +148,11 @@ class _Reducer:
         p = ctx.p
         if s % p == 0 and s >= p and Fraction(s, p) < ctx.e1:
             a = k.pow(c, ctx.q // p)  # Frobenius inverse: a^p = c
-            corr = ctx.one + ctx.base.lift_residue(a) * ctx.pi ** (s // p)
+            corr = ctx.one + ctx.lift_residue(a) * ctx.pi ** (s // p)
             return u * (corr ** p).invert_unit(), None
         if Fraction(s) > ctx.e1 + ctx.e:
             a = k.mul(c, self.rho_inv)
-            corr = ctx.one + ctx.base.lift_residue(a) * ctx.pi ** (s - ctx.e)
+            corr = ctx.one + ctx.lift_residue(a) * ctx.pi ** (s - ctx.e)
             return u * (corr ** p).invert_unit(), None
         if self.critical is not None and s == self.critical:
             residual, combo = self._phi_span.reduce(c)
@@ -161,7 +161,7 @@ class _Reducer:
                 for wit, scale in combo:
                     a = k.add(a, k.scale(wit, scale))
                 t = int(ctx.e1)
-                corr = ctx.one + ctx.base.lift_residue(a) * ctx.pi ** t
+                corr = ctx.one + ctx.lift_residue(a) * ctx.pi ** t
                 u = u * (corr ** p).invert_unit()
             return u, (residual if residual != k.zero else None)
         return u, c  # fundamental level: the digit survives
@@ -250,7 +250,7 @@ class _Reducer:
             if collect is None:
                 return (pos, surviving, st)
             collect.append((pos, surviving))
-            corr = ctx.one + ctx.base.lift_residue(surviving) * ctx.pi ** lv
+            corr = ctx.one + ctx.lift_residue(surviving) * ctx.pi ** lv
             st.u = st.u * corr.invert_unit()
 
     def full_normal_form(self, x, shift=0):
@@ -406,14 +406,17 @@ class _UnramifiedKummer:
         self.m = m
         self.ram_index = 1  # e(L/F)
         big = PadicCtx(ctx.p, ctx.N, m)
-        self.big_field = LocalFieldCtx(big, list(ctx.f))
+        # the residue field as a tower over F_p: the same digits and
+        # generator, but Euclid inverses and no tables (q = p^p is 823543
+        # at p = 7, above MAX_Q, and already at p = 5 the tables would cost
+        # more than the whole extension)
+        big.kappa = FiniteField(GF(ctx.p), big.kappa.modulus)
+        L = self.big_field = LocalFieldCtx(big, list(ctx.f))
         # Frobenius on the big unramified ring: theta -> the root of g
-        # congruent to theta^p, extended to coefficient vectors (no residue
-        # field tables: q = p^p is 823543 at p = 7)
-        theta = big.elem([0, 1] + [0] * (m - 2))
-        gpoly = [big.from_int(c) for c in big.g]
-        root = hensel_root(gpoly, theta ** ctx.p)
-        self._root_rows = [(root ** j).coeffs for j in range(m)]
+        # congruent to theta^p, extended to coefficient vectors
+        theta = L.monomial(0, [0, 1] + [0] * (m - 2))
+        root = hensel_root(list(big.g), theta ** ctx.p)
+        self._root_rows = [(root ** j).flat[:m] for j in range(m)]
         self.big = big
 
     def _frob(self, z):
@@ -437,16 +440,13 @@ class _UnramifiedKummer:
         return FElem(self.ctx, acc.flat[::m]), 0
 
     def spanning_norms(self, high):
-        bf = self.big
         L = self.big_field
         out = [(self.ctx.pi ** self.m, 0)]  # pi stays prime; N(pi) = pi^m
-        omega_L = bf.teichmuller(bf.kappa.generator())
-        om_pows = [omega_L ** c for c in range(self.m)]
-        out.append(self.norm(L.from_o0(omega_L)))
+        out.append(self.norm(L.omega))
         for s in range(1, high):
             pis = L.pi ** s
             for c in range(self.m):
-                out.append(self.norm(L.one + om_pows[c] * pis))
+                out.append(self.norm(L.one + L.teichmuller_power(c) * pis))
         return out
 
 
@@ -499,7 +499,7 @@ class NormResidueOracle:
         y_red = ctx.one
         for (kind, s), dig in unit_coords:
             y_red = y_red * (ctx.one
-                             + ctx.base.lift_residue(dig) * ctx.pi ** s)
+                             + ctx.lift_residue(dig) * ctx.pi ** s)
         lam = lead_pos[1]
         if lam % ctx.p == 0:
             raise UnsupportedSplitting(f"fundamental level {lam} is "

@@ -17,8 +17,7 @@ from .errors import (
     PIsTwo,
     PrecisionExhausted,
 )
-from .localfield import spanning_units, valuation
-from .padic import val_p_coeffs
+from .localfield import spanning_units, val_p_coeffs, valuation
 
 
 class OrderRm:
@@ -63,9 +62,6 @@ class OrderRm:
             return v is PRECISION_EXHAUSTED or v >= 1
         # val_p(a_0) >= 1, and the R_m constraints on the higher blocks
         return self._coeff_ok(z, 0, self.ctx.e) and self.contains(z)
-
-    def in_maximal_ideal(self, x):
-        return self.ideal_contains(x)
 
     def is_unit(self, x):
         """x in R_m^x, equivalently x = omega^i * u with u in 1 + maximal

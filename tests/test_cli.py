@@ -317,6 +317,34 @@ def test_field_json_descriptor(tmp_path, capsys):
     assert doc["result"]["value"]["tame"] == (qp_zeta(3, 16).q - 1) // 2
 
 
+@pytest.mark.parametrize("text", [
+    '{"p": 3}',
+    '[1, 2]',
+    '{"p": 3, "f": [[3], [0], [1]], "d": "x"}',
+], ids=["missing-f", "not-an-object", "d-not-an-int"])
+def test_bad_field_descriptors_exit_2(tmp_path, text):
+    path = tmp_path / "field.json"
+    path.write_text(text)
+    proc = _subprocess(_ENTRY, ["tame", "--field-json", str(path),
+                                "--x", "pi", "--y", "pi"])
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
+def test_precision_ignores_the_environment():
+    argv = ["tame", "--preset", "qp-5", "--x", "p", "--y", "2", "--json"]
+    plain = _subprocess(_ENTRY, argv)
+    env = dict(os.environ, TAMEWILD_PRECISION="abc",
+               PYTHONPATH=str(Path(tamewild.__file__).resolve().parents[1]))
+    knob = subprocess.run([sys.executable, "-c", _ENTRY, *argv],
+                          capture_output=True, text=True, timeout=60,
+                          env=env)
+    assert plain.returncode == knob.returncode == 0, knob.stderr
+    assert knob.stdout == plain.stdout
+    assert '"precision": 64' in knob.stdout
+
+
 def test_byte_identical_output(capsys):
     argv = ["m0", "--preset", "qp-zeta-3", "--precision", "32", "--json"]
     _, out1 = _run(capsys, argv)

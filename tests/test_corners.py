@@ -6,8 +6,7 @@ import pytest
 
 from tamewild.cli import dispatch
 from tamewild.errors import BadInput, PrecisionExhausted
-from tamewild.localfield import LocalFieldCtx, qp, valuation
-from tamewild.padic import PadicCtx
+from tamewild.localfield import LocalFieldCtx, PadicCtx, qp, valuation
 from tamewild.symbols import tame_symbol
 
 
@@ -75,15 +74,15 @@ def test_plain_text_output(capsys):
 
 
 def test_padic_validation_corners():
-    base = PadicCtx(3, 16, 2)
+    ctx = LocalFieldCtx(PadicCtx(3, 16, 2), [3, 1])
     with pytest.raises(ValueError):
-        base.elem([1, 2, 3])  # wrong length
+        ctx.elem([[1, 2, 3]])  # wrong length
     with pytest.raises(ValueError):
         PadicCtx(3, 16, 2, g=(1, 0, 0, 1))  # degree mismatch with d
     with pytest.raises(ValueError):
         PadicCtx(3, 16, 2, g=(2, 1, 1))  # wrong reduction mod p
     with pytest.raises(ValueError):
-        base.from_int(1).div_exact_p(1)  # not divisible
+        ctx.from_int(1).div_p()  # not divisible
 
 
 def test_fq_rational_guards():

@@ -6,6 +6,7 @@ import pytest
 from tamewild.errors import BadInput, OracleUnavailable, PrecisionExhausted
 from tamewild.localfield import (
     LocalFieldCtx,
+    PadicCtx,
     compute_mu,
     hasse_forward,
     pth_root_in_filtration,
@@ -13,7 +14,6 @@ from tamewild.localfield import (
     valuation,
 )
 from tamewild.orders import OrderRm, m0_bound
-from tamewild.padic import PadicCtx
 from tamewild.symbols import tame_symbol, triviality_oracle, wild_symbol_zeta
 
 
@@ -66,8 +66,7 @@ def test_zeta9_order_membership(zeta9):
 
 def test_large_residue_field_smoke():
     # p = 13, d = 3: q = 2197; dlog tables and tame symbols stay exact
-    base = PadicCtx(13, 8, 3)
-    ctx = LocalFieldCtx(base, [base.from_int(-13), base.one], name="q13-3")
+    ctx = LocalFieldCtx(PadicCtx(13, 8, 3), [-13, 1], name="q13-3")
     omega = ctx.omega
     assert omega ** (ctx.q - 1) == ctx.one
     assert tame_symbol(ctx.pi, omega) == ctx.q - 2  # residue(omega)^{-1}

@@ -157,10 +157,21 @@ def test_tables_are_capped():
         prime.dlog(3)
 
 
-def test_big_unramified_ring_builds_no_tables():
-    # q = 7^7 = 823543 is above MAX_Q; the Frobenius and the spanning norms
-    # need only the generator and products in O0
-    kummer = _UnramifiedKummer(qp(7, 8), 7)
-    norms = kummer.spanning_norms(2)
-    assert len(norms) == 2 + 7
-    assert kummer.big.kappa._tables is None
+def test_big_unramified_ring_builds_no_tables(monkeypatch):
+    # q = 7^7 = 823543 is above MAX_Q, and the tables of q = 5^5 cost tens
+    # of milliseconds; the Frobenius, the Teichmuller lifts and the spanning
+    # norms need only the generator, products and Euclid inverses
+    built = []
+    original = FiniteField._build_tables
+
+    def spy(field):
+        built.append(field)
+        return original(field)
+
+    monkeypatch.setattr(FiniteField, "_build_tables", spy)
+    for p in (5, 7):
+        kummer = _UnramifiedKummer(qp(p, 8), p)
+        norms = kummer.spanning_norms(2)
+        assert len(norms) == 2 + p
+        assert kummer.big.kappa._tables is None
+    assert built == []

@@ -210,8 +210,7 @@ def test_unramified_splitting_needs_prime_residue_field():
 
 def test_wild_oracle_on_k2_field():
     # Q_3(zeta_9): k = 2 >= 1, so the m = 3 oracle applies
-    from tamewild.localfield import LocalFieldCtx
-    from tamewild.padic import PadicCtx
+    from tamewild.localfield import LocalFieldCtx, PadicCtx
     base = PadicCtx(3, 16, 1)
     F = LocalFieldCtx(base, [3, 9, 18, 21, 15, 6, 1], name="qp-zeta9-3")
     y = F.one + F.pi

@@ -50,10 +50,10 @@ def test_r0_is_valuation_ring(z3):
 def test_maximal_ideal_examples(sqrt3):
     p_elt = sqrt3.from_int(3)
     for m in range(1, 4):
-        assert OrderRm(sqrt3, m).in_maximal_ideal(p_elt)
-    assert not OrderRm(sqrt3, 1).in_maximal_ideal(sqrt3.omega)
+        assert OrderRm(sqrt3, m).ideal_contains(p_elt)
+    assert not OrderRm(sqrt3, 1).ideal_contains(sqrt3.omega)
     # m <= e: the maximal ideal is m^m O_F
-    assert OrderRm(sqrt3, 1).in_maximal_ideal(sqrt3.pi)
+    assert OrderRm(sqrt3, 1).ideal_contains(sqrt3.pi)
 
 
 def test_is_unit_examples(sqrt3):
@@ -72,7 +72,7 @@ def test_dichotomy_and_closure(z3, cbrt3):
                 x = _random_integral(ctx, rng)
                 if not order.contains(x):
                     continue
-                assert order.is_unit(x) != order.in_maximal_ideal(x)
+                assert order.is_unit(x) != order.ideal_contains(x)
                 y = _random_integral(ctx, rng)
                 if order.contains(y):
                     assert order.contains(x + y)

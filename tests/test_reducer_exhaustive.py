@@ -27,7 +27,7 @@ def _unit_class_digits(ctx, u, depth):
             return tuple(sorted(digits.items()))
         d = (u - ctx.one).div_pi_pow(lv).residue()
         digits[lv] = d
-        u = u * (ctx.one + ctx.base.lift_residue(d)
+        u = u * (ctx.one + ctx.lift_residue(d)
                  * ctx.pi ** lv).invert_unit()
 
 
@@ -40,7 +40,7 @@ def _unit_reps(ctx, depth):
         u = ctx.one
         for s, c in enumerate(combo, start=1):
             if c != kappa.zero:
-                u = u + ctx.base.lift_residue(c) * ctx.pi ** s
+                u = u + ctx.lift_residue(c) * ctx.pi ** s
         reps.append(u)
     return reps
 
