@@ -1,13 +1,12 @@
 """Finite fields F_q, q = p^s, their extensions, and dense polynomials.
 
 This is the one F_q of the package: the residue fields of the local side
-(localfield.PadicCtx.kappa, a tower over F_p for the norm oracle's
-unramified Kummer rings, whose q = p^p must build no tables), the constant
-fields of F_q(t) and the residue fields kappa(v) = F_q[t]/pi_v of its
-places (funcfield) are all FiniteField instances.  A FiniteField is
-base[x]/(modulus) for a monic irreducible modulus, and an element is an int
-in [0, q) whose base-Q digit j, Q the size of the base, is the coefficient
-of x^j; so the base is the identity on the ints below Q.
+(localfield.PadicCtx.kappa), the constant fields of F_q(t) and the residue
+fields kappa(v) = F_q[t]/pi_v of its places (funcfield) are all
+FiniteField instances.  A FiniteField is base[x]/(modulus) for a monic
+irreducible modulus, and an element is an int in [0, q) whose base-Q digit
+j, Q the size of the base, is the coefficient of x^j; so the base is the
+identity on the ints below Q.
 
 Over the prime p (base the int p) the modulus is by default the first
 irreducible in lexicographic coefficient order (default_modulus), so
@@ -22,10 +21,11 @@ refuses a field above MAX_Q elements, and GF refuses to build an extension
 field above it.  The discrete logarithm (dlog) uses the same tables for
 every s.
 
-Over a FiniteField base (a tower) the field serves one computation, such
-as the symbols at one place, so it is not shared and builds no tables: it
-multiplies by the schoolbook product over the base's operations, inverts
-by the extended Euclidean algorithm, and takes its modulus as irreducible.
+Over a FiniteField base (a tower) the field is the residue field kappa(v)
+of one place and serves the symbols at that place, so it is not shared and
+builds no tables: it multiplies by the schoolbook product over the base's
+operations, inverts by the extended Euclidean algorithm, and takes its
+modulus as irreducible.
 """
 
 from __future__ import annotations

@@ -1,12 +1,14 @@
 """Brute-force norm-residue triviality oracle.
 
 Decides whether x is a norm from L = F(y^{1/m}) (m = 2 or m = p) by finite
-computation: L is realised explicitly (split by the shape of y into
-totally-ramified, ramified-by-unit and unramified cases), norms of a
-spanning set of L^x/(L^x)^m U_L^{e(L/F)(H-1)+1} are pushed down to F, and
-membership is solved by filtered Gaussian elimination in the elementary
-abelian quotient F^x/(F^x)^m U_F^H.  Deeper units add nothing, since every
-conjugate of z has v_L(z): v_F(N(1+z) - 1) >= v_L(z)/e(L/F).
+computation: L is realised explicitly as F[G]/(G^m - R(G)), one monic
+relation chosen by the shape of y (totally ramified by a prime element,
+ramified by a unit, or unramified), norms of a spanning set of
+L^x/(L^x)^m U_L^{e(L/F)(H-1)+1} are pushed down to F as determinants of
+multiplication in the G-power basis, and membership is solved by filtered
+Gaussian elimination in the elementary abelian quotient F^x/(F^x)^m U_F^H.
+Deeper units add nothing, since every conjugate of z has v_L(z):
+v_F(N(1+z) - 1) >= v_L(z)/e(L/F).
 
 The quotient is handled through a constructive normal form.  The p-power
 map sends the graded piece at level t to level p*t (Frobenius twist,
@@ -31,8 +33,8 @@ from .errors import (
     UnsupportedSplitting,
     ZeroInput,
 )
-from .finitefield import GF, FiniteField
-from .localfield import FElem, LocalFieldCtx, PadicCtx, hensel_root, valuation
+from .finitefield import FiniteField, default_modulus
+from .localfield import LocalFieldCtx, unit_decompose, valuation
 
 
 # ---------------------------------------------------------------------------
@@ -183,10 +185,8 @@ class _Reducer:
             raise PrecisionExhausted(
                 f"valuation {v} leaves no certified digits below level "
                 f"{self.H}")
-        y = x.div_pi_pow(v) if v else x
-        i = self.kappa.dlog(y.residue())
-        u = y * self.ctx.teichmuller_power(-i)
-        return _ClassState(v - shift, i, u)
+        dec = unit_decompose(x)
+        return _ClassState(dec.n - shift, dec.i, dec.u)
 
     def _divide(self, st, piv, j):
         j %= self.m
@@ -331,17 +331,19 @@ def _felem_det(ctx, mat):
     return acc
 
 
-class _RamifiedKummer:
-    """L = F(G) with a monic degree-m relation G^m = R(G) over F and
-    v_L(G) = lam coprime to m (lam = 1 for a prime element, the unit level
-    for the relation (1+G)^p = y).  Elements are G-power coefficient vectors
-    with an optional pi^{-shift} scaling; in this basis
-    v_L(sum w_j G^j) = min_j (m v_F(w_j) + j lam)."""
+class _Kummer:
+    """L = F[G]/(G^m - R(G)) for a monic degree-m relation over F, with
+    v_L(G) = lam.  A lam coprime to m makes L totally ramified (lam = 1 for
+    a prime element, the unit level for the relation (1+G)^p = y); lam = 0
+    makes it unramified, the relation reducing to an irreducible polynomial
+    over kappa = F_p whose root G generates kappa_L.  Elements are G-power
+    coefficient vectors with an optional pi^{-shift} scaling; in this basis
+    v_L(sum w_j G^j) = min_j (e(L/F) v_F(w_j) + j lam)."""
 
     def __init__(self, ctx, m, rhs, lam):
         self.ctx = ctx
         self.m = m
-        self.ram_index = m  # e(L/F)
+        self.ram_index = m if lam else 1  # e(L/F)
         self.rhs = rhs  # list of m FElems: G^m = sum rhs[j] G^j
         self.lam = lam
 
@@ -360,94 +362,57 @@ class _RamifiedKummer:
         mat = [[cols[j][i] for j in range(self.m)] for i in range(self.m)]
         return _felem_det(self.ctx, mat), self.m * shift
 
-    def _level_element(self, s, scale=None):
-        """A monomial G^a pi^b (as (vec, shift)) of valuation s, optionally
-        scaled by a unit."""
+    def _level_element(self, s, c, scale):
+        """scale * G^c times the monomial G^a pi^b of valuation s, as
+        (vec, shift); c > 0 only when G is a unit."""
         ctx, m, lam = self.ctx, self.m, self.lam
-        a = s * pow(lam, -1, m) % m
-        b = (s - a * lam) // m
+        a = s * pow(lam, -1, m) % m if lam else 0
+        b = (s - a * lam) // self.ram_index
         vec = [ctx.zero] * m
-        base = ctx.one if scale is None else scale
         if b >= 0:
-            vec[a] = base * ctx.pi ** b
+            vec[a + c] = scale * ctx.pi ** b
             return vec, 0
-        vec[a] = base
+        vec[a + c] = scale
         return vec, -b
 
     def spanning_norms(self, high):
-        """Norms of a pi_L generator, omega, and units 1 + omega^c (level-s
-        monomial) covering U_L levels 1..high-1."""
-        ctx = self.ctx
-        out = []
-        vec, shift = self._level_element(1)
-        out.append(self.norm(vec, shift))
-        out.append((ctx.teichmuller_power(self.m), 0))  # N(omega) = omega^m
+        """Norms of a prime element of L, of a unit whose residue generates
+        kappa_L^x, and of the units 1 + b pi_L^s for b over an F_p-basis of
+        kappa_L, covering U_L levels 1..high-1."""
+        ctx, m = self.ctx, self.m
+        if self.lam:
+            # kappa_L = kappa: N(omega) = omega^m, basis omega^c
+            out = [self.norm(*self._level_element(1, 0, ctx.one)),
+                   (ctx.teichmuller_power(m), 0)]
+            basis = [(0, ctx.teichmuller_power(c)) for c in range(ctx.d)]
+        else:
+            # pi stays prime, and kappa_L = F_p[G]/(G^m - R(G)) has the basis
+            # 1, G, ..., G^(m-1); a digit lift of its generator differs from
+            # the Teichmuller lift by a principal unit, whose norm the level
+            # units already span
+            kappa = FiniteField(ctx.p, [-r.residue() for r in self.rhs] + [1])
+            gen = [ctx.from_int(c) for c in kappa.digits(kappa.generator())]
+            out = [(ctx.pi ** m, 0), self.norm(gen)]
+            basis = [(c, ctx.one) for c in range(m)]
         for s in range(1, high):
-            for c in range(ctx.d):
-                om = ctx.teichmuller_power(c)
-                vec, shift = self._level_element(s, scale=om)
+            for c, scale in basis:
+                vec, shift = self._level_element(s, c, scale)
                 vec[0] = vec[0] + (ctx.one if shift == 0
                                    else ctx.pi ** shift)
                 out.append(self.norm(vec, shift))
         return out
 
 
-class _UnramifiedKummer:
-    """L = F . F0' for the unramified degree-m extension F0' (base d = 1
-    only): the same Eisenstein polynomial over the larger unramified ring,
-    with norms computed as products of Frobenius conjugates."""
-
-    def __init__(self, ctx, m):
-        if ctx.d != 1:
-            raise UnsupportedSplitting(
-                "unramified splitting is implemented over prime residue "
-                "fields only")
-        self.ctx = ctx
-        self.m = m
-        self.ram_index = 1  # e(L/F)
-        big = PadicCtx(ctx.p, ctx.N, m)
-        # the residue field as a tower over F_p: the same digits and
-        # generator, but Euclid inverses and no tables (q = p^p is 823543
-        # at p = 7, above MAX_Q, and already at p = 5 the tables would cost
-        # more than the whole extension)
-        big.kappa = FiniteField(GF(ctx.p), big.kappa.modulus)
-        L = self.big_field = LocalFieldCtx(big, list(ctx.f))
-        # Frobenius on the big unramified ring: theta -> the root of g
-        # congruent to theta^p, extended to coefficient vectors
-        theta = L.monomial(0, [0, 1] + [0] * (m - 2))
-        root = hensel_root(list(big.g), theta ** ctx.p)
-        self._root_rows = [(root ** j).flat[:m] for j in range(m)]
-        self.big = big
-
-    def _frob(self, z):
-        """Frobenius on each block of z: sum c_j theta^j -> sum c_j root^j."""
-        m, mod, rows = self.m, self.big.mod, self._root_rows
-        out = []
-        for i in range(0, len(z.flat), m):
-            block = z.flat[i:i + m]
-            out.extend(sum(c * row[t] for c, row in zip(block, rows)) % mod
-                       for t in range(m))
-        return FElem(self.big_field, tuple(out))
-
-    def norm(self, z):
-        acc = w = z
-        for _ in range(self.m - 1):
-            w = self._frob(w)
-            acc = acc * w
-        m = self.m
-        if any(c for i, c in enumerate(acc.flat) if i % m):
-            raise UnsupportedSplitting("norm did not descend to F")
-        return FElem(self.ctx, acc.flat[::m]), 0
-
-    def spanning_norms(self, high):
-        L = self.big_field
-        out = [(self.ctx.pi ** self.m, 0)]  # pi stays prime; N(pi) = pi^m
-        out.append(self.norm(L.omega))
-        for s in range(1, high):
-            pis = L.pi ** s
-            for c in range(self.m):
-                out.append(self.norm(L.one + L.teichmuller_power(c) * pis))
-        return out
+def _unramified_kummer(ctx, m):
+    """The unramified degree-m extension of F (prime residue field only):
+    the relation is the default modulus of F_{p^m}, which stays irreducible
+    over kappa = F_p."""
+    if ctx.d != 1:
+        raise UnsupportedSplitting(
+            "unramified splitting is implemented over prime residue "
+            "fields only")
+    g = default_modulus(ctx.p, m)
+    return _Kummer(ctx, m, [ctx.from_int(-c) for c in g[:m]], lam=0)
 
 
 # ---------------------------------------------------------------------------
@@ -486,16 +451,16 @@ class NormResidueOracle:
                                            "element")
             rhs = [ctx.zero] * m
             rhs[0] = ydouble
-            return _RamifiedKummer(ctx, m, rhs, lam=1)
+            return _Kummer(ctx, m, rhs, lam=1)
         if not self.reducer.wild:
             # odd p, m = 2, unit class: only the omega coordinate survives,
             # so L is the unramified quadratic extension
-            return _UnramifiedKummer(ctx, 2)
+            return _unramified_kummer(ctx, 2)
         # wild unit class: rebuild the canonical unit representative
         unit_coords = [(pos, dig) for pos, dig in coords if pos != ("pi",)]
         lead_pos, _ = unit_coords[0]
         if lead_pos[0] == "coker":
-            return _UnramifiedKummer(ctx, m)
+            return _unramified_kummer(ctx, m)
         y_red = ctx.one
         for (kind, s), dig in unit_coords:
             y_red = y_red * (ctx.one
@@ -508,7 +473,7 @@ class NormResidueOracle:
         rhs[0] = y_red - ctx.one
         for j in range(1, m):
             rhs[j] = ctx.from_int(-math.comb(ctx.p, j))
-        return _RamifiedKummer(ctx, m, rhs, lam=lam)
+        return _Kummer(ctx, m, rhs, lam=lam)
 
     def _pivots_for(self, y):
         key = self.class_key(y)

@@ -332,6 +332,19 @@ def test_bad_field_descriptors_exit_2(tmp_path, text):
     assert "Traceback" not in proc.stderr
 
 
+def test_precision_above_the_cap_exits_2(tmp_path, capsys):
+    # uncapped, this query runs for more than 20 s
+    assert dispatch(["norm-oracle", "--preset", "qp-zeta-3", "--m", "p",
+                     "--x", "1+p", "--y", "1+pi", "-N", "20000"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    desc = dict(qp_zeta(3, 16).descriptor(), N=5000)
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps(desc))
+    assert dispatch(["tame", "--field-json", str(path),
+                     "--x", "pi", "--y", "pi"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_precision_ignores_the_environment():
     argv = ["tame", "--preset", "qp-5", "--x", "p", "--y", "2", "--json"]
     plain = _subprocess(_ENTRY, argv)

@@ -6,7 +6,7 @@ import pytest
 
 from tamewild.cli import dispatch
 from tamewild.errors import BadInput, PrecisionExhausted
-from tamewild.localfield import LocalFieldCtx, PadicCtx, qp, valuation
+from tamewild.localfield import MAX_N, LocalFieldCtx, PadicCtx, qp, valuation
 from tamewild.symbols import tame_symbol
 
 
@@ -83,6 +83,12 @@ def test_padic_validation_corners():
         PadicCtx(3, 16, 2, g=(2, 1, 1))  # wrong reduction mod p
     with pytest.raises(ValueError):
         ctx.from_int(1).div_p()  # not divisible
+
+
+def test_precision_cap():
+    assert PadicCtx(3, MAX_N).N == MAX_N == 1024
+    with pytest.raises(ValueError, match="MAX_N"):
+        PadicCtx(3, MAX_N + 1)
 
 
 def test_fq_rational_guards():

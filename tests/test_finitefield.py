@@ -7,8 +7,6 @@ import pytest
 
 from tamewild.errors import BadInput
 from tamewild.finitefield import MAX_Q, GF, FiniteField, FqPoly, is_irreducible
-from tamewild.localfield import qp
-from tamewild.normoracle import _UnramifiedKummer
 
 
 class _Ref:
@@ -155,23 +153,3 @@ def test_tables_are_capped():
     assert prime.pow(3, 65536) == 1
     with pytest.raises(BadInput):  # a discrete logarithm needs the tables
         prime.dlog(3)
-
-
-def test_big_unramified_ring_builds_no_tables(monkeypatch):
-    # q = 7^7 = 823543 is above MAX_Q, and the tables of q = 5^5 cost tens
-    # of milliseconds; the Frobenius, the Teichmuller lifts and the spanning
-    # norms need only the generator, products and Euclid inverses
-    built = []
-    original = FiniteField._build_tables
-
-    def spy(field):
-        built.append(field)
-        return original(field)
-
-    monkeypatch.setattr(FiniteField, "_build_tables", spy)
-    for p in (5, 7):
-        kummer = _UnramifiedKummer(qp(p, 8), p)
-        norms = kummer.spanning_norms(2)
-        assert len(norms) == 2 + p
-        assert kummer.big.kappa._tables is None
-    assert built == []

@@ -7,12 +7,14 @@ import pytest
 
 from tamewild.cli import element_from_string
 from tamewild.errors import BadInput, ZeroInput
+from tamewild.finitefield import FiniteField
 from tamewild.localfield import preset, qp, spanning_units, valuation
 from tamewild.errors import PRECISION_EXHAUSTED
 from tamewild.normoracle import (
     NormResidueOracle,
+    _Kummer,
     _Pivots,
-    _RamifiedKummer,
+    _unramified_kummer,
     norm_residue_trivial,
 )
 from tamewild.orders import m0_bound
@@ -307,13 +309,13 @@ def test_norms_above_the_level_bound_are_mth_powers(name, m, ys):
     rng = random.Random(f"bound-{name}-{m}")
     xs = [_random_nonzero(ctx, rng) * ctx.pi ** rng.randrange(m)
           for _ in range(25)]
-    kinds = set()
+    unramified = set()
     for y_text in ys:
         y = element_from_string(ctx, y_text)
         oracle = NormResidueOracle(ctx, m)
         red = oracle.reducer
         ext = oracle._build_extension(list(oracle.class_key(y)), y)
-        kinds.add(type(ext).__name__)
+        unramified.add(ext.ram_index == 1)
         high = ext.ram_index * (red.H - 1) + 1
         assert _old_high(ctx, m) > high
         new = ext.spanning_norms(high)
@@ -326,7 +328,7 @@ def test_norms_above_the_level_bound_are_mth_powers(name, m, ys):
             red.insert_generator(old_pivots, elem, shift)
         for x in xs:
             assert oracle.trivial(x, y) == red.is_member(old_pivots, x)
-    assert kinds == {"_RamifiedKummer", "_UnramifiedKummer"}
+    assert unramified == {False, True}
 
 
 @pytest.mark.parametrize("name,calls", [("qp-zeta-5", 26), ("qp-zeta-7", 50)])
@@ -334,9 +336,74 @@ def test_ramified_class_norm_count(monkeypatch, name, calls):
     # the pi_L generator plus p levels of U_L per level of U_F below H
     ctx = preset(name, 16)
     seen = []
-    norm = _RamifiedKummer.norm
-    monkeypatch.setattr(_RamifiedKummer, "norm",
+    norm = _Kummer.norm
+    monkeypatch.setattr(_Kummer, "norm",
                         lambda self, *a: seen.append(a) or norm(self, *a))
     NormResidueOracle(ctx, ctx.p).trivial(ctx.from_int(1 + ctx.p),
                                           ctx.one + ctx.pi)
     assert len(seen) == calls
+
+
+def test_big_unramified_ring_builds_no_tables(monkeypatch):
+    # kappa_L has q = 7^7 = 823543 at p = 7, above MAX_Q, and already at
+    # p = 5 its tables would cost tens of milliseconds; the generator and
+    # the determinant norms need none
+    built = []
+    original = FiniteField._build_tables
+
+    def spy(field):
+        built.append(field)
+        return original(field)
+
+    monkeypatch.setattr(FiniteField, "_build_tables", spy)
+    for p in (5, 7):
+        norms = _unramified_kummer(qp(p, 8), p).spanning_norms(2)
+        assert len(norms) == 2 + p
+    assert built == []
+
+
+# (preset, N, m, y): classes whose extension is unramified, leading at the
+# cokernel of the critical level (m = p) or at omega (m = 2, odd p)
+_UNRAMIFIED_CASES = [
+    ("qp-zeta-3", 32, 3, "1+pi^3"),
+    ("qp-zeta-5", 32, 5, "1+pi^5"),
+    ("qp-zeta-7", 16, 7, "1+pi^7"),
+    ("qp-5", 32, 2, "2"),
+    ("qp-7", 32, 2, "3"),
+    ("cbrt-3", 32, 2, "2"),
+    ("sqrt-5", 32, 2, "2"),
+    ("qp-zeta-3", 32, 2, "2"),
+]
+
+
+def _leads_unramified(oracle, y):
+    key = oracle.class_key(y)
+    return (bool(key) and ("pi",) not in dict(key)
+            and key[0][0][0] in ("omega", "coker"))
+
+
+@pytest.mark.parametrize("name,N,m,y_text", _UNRAMIFIED_CASES)
+def test_unramified_norms_are_the_elements_of_valuation_divisible_by_m(
+        name, N, m, y_text):
+    # local class field theory: the norm group of the unramified degree-m
+    # extension is {x : m | v(x)} (Serre, Local Fields, Ch. V, section 2)
+    ctx = preset(name, N)
+    oracle = NormResidueOracle(ctx, m)
+    y = element_from_string(ctx, y_text)
+    assert _leads_unramified(oracle, y)
+    rng = random.Random(f"unramified-{name}-{m}")
+    answers = set()
+    for _ in range(20):
+        x = _random_nonzero(ctx, rng) * ctx.pi ** rng.randrange(2 * m)
+        expected = valuation(x) % m == 0
+        assert norm_residue_trivial(x, y, m) == expected
+        answers.add(expected)
+    assert answers == {False, True}
+
+
+def test_a_unit_leading_at_a_fundamental_level_is_not_unramified():
+    ctx = preset("qp-zeta-3", 32)
+    oracle = NormResidueOracle(ctx, 3)
+    y = element_from_string(ctx, "2*(1+2*pi^3)")
+    assert oracle.class_key(y)[0][0] == ("level", 2)
+    assert not _leads_unramified(oracle, y)
