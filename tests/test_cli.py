@@ -285,6 +285,15 @@ _GOLDEN = [
     (["residue", "--q", "243", "--f", "(t+1)/(t^3+2*t+1)", "--g", "t^4+t"],
      '{"constant_differential": false, "sum_is_zero": true, '
      '"table": {"[1, 2, 0, 1]": 1, "inf": 2}}'),
+    # recorded before residues became one Taylor-shift routine: a pole of
+    # order 6 at infinity, and a triple pole at a degree-3 place over F_9
+    (["residue", "--q", "3", "--f", "(t^5+2*t+1)/(t^2+1)", "--g", "t^2+t"],
+     '{"constant_differential": false, "sum_is_zero": true, '
+     '"table": {"[1, 0, 1]": 2, "inf": 1}}'),
+    (["residue", "--q", "9", "--f", "(t^8+t)/((t^3+2*t+1)^3*(t^2+1))",
+      "--g", "t^2+t"],
+     '{"constant_differential": false, "sum_is_zero": true, '
+     '"table": {"[1, 2, 0, 1]": 2, "[3, 1]": 8, "[6, 1]": 5, "inf": 0}}'),
 ]
 
 
