@@ -9,9 +9,9 @@ as reduced fractions with monic denominator.
 Places are monic irreducible polynomials plus the degree-one place at
 infinity.  The residue field kappa(v) of a place is a FiniteField tower over
 F_q (F_q[t]/pi_v, or F_q[x]/(x) at infinity), so tame symbols and residues
-are ints of kappa(v) and F_q sits in it as the ints below q.  Local
-expansions use truncated Laurent series over kappa(v), exact because
-residues depend on finitely many terms.
+are ints of kappa(v) and F_q sits in it as the ints below q.  Residues
+are read after a Taylor shift to the class theta of t in kappa(v) (of 1/t
+at infinity), truncated at the one coefficient that the residue needs.
 """
 
 from __future__ import annotations
@@ -284,15 +284,12 @@ def ff_tame_symbol(f, g, place):
     return kappa.neg(val) if a * b % 2 else val
 
 
-def _support(f, g):
-    places = set()
-    for h in (f, g):
-        for poly, _ in factor(h.num):
-            places.add(FFPlace.finite(poly))
-        for poly, _ in factor(h.den):
-            places.add(FFPlace.finite(poly))
+def _places(*polys):
+    """The places dividing some of the polynomials, and infinity, in
+    sort_key order."""
+    places = {FFPlace.finite(pi) for h in polys for pi, _ in factor(h)}
     places.add(FFPlace.infinity())
-    return sorted(places, key=lambda pl: pl.sort_key())
+    return sorted(places, key=FFPlace.sort_key)
 
 
 def _symbol_norms(f, g, power):
@@ -304,7 +301,7 @@ def _symbol_norms(f, g, power):
     gf = f.gf()
     table = []
     prod = gf.one
-    for pl in _support(f, g):
+    for pl in _places(f.num, f.den, g.num, g.den):
         kappa = pl.residue_field(gf)
         sym = ff_tame_symbol(f, g, pl)
         val = kappa.norm(sym)
@@ -332,131 +329,53 @@ def ff_hilbert_check(f, g):
 # residues of rational 1-forms
 # ---------------------------------------------------------------------------
 
-class _Laurent:
-    """Truncated Laurent series sum_{i >= lead} c_i s^i over kappa(v),
-    carried to absolute order `prec` (exclusive)."""
-
-    __slots__ = ("kappa", "lead", "c", "prec")
-
-    def __init__(self, kappa, lead, coeffs, prec):
-        while coeffs and not coeffs[0]:
-            coeffs = coeffs[1:]
-            lead += 1
-        self.kappa = kappa
-        self.lead = lead
-        self.c = coeffs
-        self.prec = prec
-
-    def coeff(self, i):
-        j = i - self.lead
-        return self.c[j] if 0 <= j < len(self.c) else 0
-
-    def __mul__(self, other):
-        kappa = self.kappa
-        prec = min(self.prec, other.prec)
-        lead = self.lead + other.lead
-        n = max(prec - lead, 0)
-        out = [0] * n
-        for i, x in enumerate(self.c[:n]):
-            if x:
-                for j, y in enumerate(other.c[:n - i]):
-                    out[i + j] = kappa.add(out[i + j], kappa.mul(x, y))
-        return _Laurent(kappa, lead, out, prec)
-
-    def __add__(self, other):
-        kappa = self.kappa
-        prec = min(self.prec, other.prec)
-        lead = min(self.lead, other.lead)
-        out = [0] * max(prec - lead, 0)
-        for src in (self, other):
-            for i, x in enumerate(src.c):
-                k = i + src.lead - lead
-                if 0 <= k < len(out):
-                    out[k] = kappa.add(out[k], x)
-        return _Laurent(kappa, lead, out, prec)
-
-    def __neg__(self):
-        return _Laurent(self.kappa, self.lead,
-                        [self.kappa.neg(x) for x in self.c], self.prec)
-
-    def inverse(self):
-        """Series inverse; the true leading coefficient must be nonzero."""
-        kappa = self.kappa
-        c, lead = self.c, self.lead
-        if not c:
-            raise ZeroDivisionError("inverting the zero series")
-        inv0 = kappa.inv(c[0])
-        out = [inv0]
-        for k in range(1, max(self.prec - lead, 0)):
-            acc = 0
-            for i in range(1, min(k, len(c) - 1) + 1):
-                acc = kappa.add(acc, kappa.mul(c[i], out[k - i]))
-            out.append(kappa.mul(inv0, kappa.neg(acc)))
-        return _Laurent(kappa, -lead, out, self.prec - 2 * lead)
-
-    def derivative(self):
-        kappa = self.kappa
-        out = [kappa.scale(x, self.lead + j) for j, x in enumerate(self.c)]
-        # d/ds shifts exponents down by one
-        return _Laurent(kappa, self.lead - 1, out, self.prec - 1)
-
-
-def _uniformizer_expansion(kappa, pi, prec):
-    """T(s) in kappa(v)[[s]] with pi_v(T) = s, T(0) = the residue of t.
-
-    Newton iteration against P(T) = pi_v(T) - s; pi_v is separable so the
-    derivative is a unit at the start."""
-    t0 = kappa.pack((FqPoly.x(pi.gf) % pi).c)  # the class of t
-    T = _Laurent(kappa, 0, [t0], prec)
-    s = _Laurent(kappa, 1, [1], prec)
-    for _ in range(prec.bit_length() + 2):
-        PT = _eval_poly_series(kappa, pi, T) + (-s)
-        if not PT.c:
-            break
-        dPT = _eval_poly_series(kappa, pi.derivative(), T)
-        T = T + (-(PT * dPT.inverse()))
-    return T
-
-
-def _eval_poly_series(kappa, poly, series):
-    acc = _Laurent(kappa, 0, [], series.prec)
+def _taylor_shift(kappa, poly, theta, n):
+    """The first n coefficients of poly(theta + u) in u over kappa, by
+    Horner's rule truncated at u^n."""
+    add, mul = kappa.add, kappa.mul
+    acc = []
     for c in reversed(poly.c):
-        acc = acc * series + _Laurent(kappa, 0, [c], series.prec)
-    return acc
-
-
-def _rational_series(kappa, f, series):
-    num = _eval_poly_series(kappa, f.num, series)
-    den = _eval_poly_series(kappa, f.den, series)
-    return num * den.inverse()
+        nxt = [c] + acc[:n - 1]  # u acc + c, then theta acc below
+        for i, a in enumerate(acc[:n]):
+            if a:
+                nxt[i] = add(nxt[i], mul(theta, a))
+        acc = nxt
+    return acc + [0] * (n - len(acc))
 
 
 def residue_at(f, g, place):
-    """res_v(f dg) as an int of kappa(v) = place.residue_field(F_q)."""
+    """res_v(f dg) as an int of kappa(v) = place.residue_field(F_q).
+
+    The residue of a differential does not depend on the uniformizer used
+    to expand it (Serre, Algebraic Groups and Class Fields, Ch. II;
+    Stichtenoth, Algebraic Function Fields and Codes, Sec. 4.2), so every
+    place takes u = s - theta in the chart s of _chart, with theta the
+    class of s in kappa(v) (0 at infinity).  With f dg = s^k num/den ds,
+    negated at infinity, and den(theta + u) = u^kd D(u), the residue is
+    the coefficient of u^(kd - k - 1) in num(theta + u) / D(u)."""
     dg = g.derivative()
-    if dg.is_zero():
+    if f.is_zero() or dg.is_zero():
         return 0
     kappa = place.residue_field(f.gf())
+    pi, num, den, k = _chart(f * dg, place)
     if place.is_infinite():
-        return _residue_at_infinity(f, g, kappa)
-    h = f * dg  # h dt; res_v(h dt) = coeff_{-1} of h(T(s)) T'(s)
-    # dividing by the denominator's zero of order k costs 2k precision
-    k = _strip(h.den, place.poly)[0]
-    prec = 2 * k + 2
-    T = _uniformizer_expansion(kappa, place.poly, prec)
-    series = _rational_series(kappa, h, T) * T.derivative()
-    return series.coeff(-1)
-
-
-def _residue_at_infinity(f, g, kappa):
-    """Substitute t = 1/s: f dg = -f(1/s) g'(1/s) s^{-2} ds."""
-    h = f * g.derivative()
-    dn, dd = h.num.degree(), h.den.degree()
-    prec = max(0, dn - dd) + 4
-    num = _Laurent(kappa, -dn, _reverse_poly(h.num, dn).c, prec)
-    den = _Laurent(kappa, -dd, _reverse_poly(h.den, dd).c, prec)
-    minus_s_m2 = _Laurent(kappa, -2, [kappa.neg(1)], prec)
-    return (num * den.inverse() * minus_s_m2).coeff(-1)
+        k -= 2  # dt = -s^-2 ds
+    kd = _strip(den, pi)[0]
+    n = kd - k - 1
+    if n < 0:
+        return 0
+    theta = kappa.pack((FqPoly.x(pi.gf) % pi).c)
+    top = _taylor_shift(kappa, num, theta, n + 1)
+    low = _taylor_shift(kappa, den, theta, kd + n + 1)[kd:]
+    inv0 = kappa.inv(low[0])
+    quo = []  # the power series top / low up to u^n
+    for j in range(n + 1):
+        acc = top[j]
+        for i in range(1, j + 1):
+            if low[i] and quo[j - i]:
+                acc = kappa.sub(acc, kappa.mul(low[i], quo[j - i]))
+        quo.append(kappa.mul(acc, inv0))
+    return kappa.neg(quo[n]) if place.is_infinite() else quo[n]
 
 
 def residue_theorem_check(f, g):
@@ -467,14 +386,9 @@ def residue_theorem_check(f, g):
     gf = f.gf()
     if g.derivative().is_zero():
         return True, [], True
-    places = set()
-    h = f * g.derivative()
-    for poly, _ in factor(h.den):
-        places.add(FFPlace.finite(poly))
-    places.add(FFPlace.infinity())
     table = []
     total = 0
-    for pl in sorted(places, key=lambda pl: pl.sort_key()):
+    for pl in _places((f * g.derivative()).den):
         tr = pl.residue_field(gf).trace(residue_at(f, g, pl))
         table.append((pl, tr))
         total = gf.add(total, tr)

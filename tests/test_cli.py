@@ -287,9 +287,9 @@ _GOLDEN = [
      '"table": {"[1, 2, 0, 1]": 1, "inf": 2}}'),
     # recorded before residues became one Taylor-shift routine: a pole of
     # order 6 at infinity, and a triple pole at a degree-3 place over F_9
-    (["residue", "--q", "3", "--f", "(t^5+2*t+1)/(t^2+1)", "--g", "t^2+t"],
+    (["residue", "--q", "5", "--f", "(t^5+2*t+1)/(t^2+2)", "--g", "t^2+t"],
      '{"constant_differential": false, "sum_is_zero": true, '
-     '"table": {"[1, 0, 1]": 2, "inf": 1}}'),
+     '"table": {"[2, 0, 1]": 3, "inf": 2}}'),
     (["residue", "--q", "9", "--f", "(t^8+t)/((t^3+2*t+1)^3*(t^2+1))",
       "--g", "t^2+t"],
      '{"constant_differential": false, "sum_is_zero": true, '
