@@ -23,9 +23,16 @@ every s.
 
 Over a FiniteField base (a tower) the field is the residue field kappa(v)
 of one place and serves the symbols at that place, so it is not shared and
-builds no tables: it multiplies by the schoolbook product over the base's
-operations, inverts by the extended Euclidean algorithm, and takes its
-modulus as irreducible.
+builds no tables: it multiplies digit polynomials by the FqPoly kernels
+over the base, inverts by the extended Euclidean algorithm, and takes its
+modulus as irreducible.  A tower of degree 1 runs on its base's operations.
+The norm to the base is the resultant Res(modulus, a), the trace is
+sum_j a_j p_j with p_j the power sums of Newton's identities (H. Cohen, A
+Course in Computational Algebraic Number Theory, Sec. 3.3 and Ch. 4).
+
+The FqPoly kernels _mul and _divmod work on plain ints mod p when s = 1,
+on the logarithms of a table field, and by the field's operations over a
+tower.
 """
 
 from __future__ import annotations
@@ -77,6 +84,10 @@ class FiniteField:
         self.zero, self.one = 0, 1
         self._gen = None
         self._tables = None  # (exp, log, zech) once built
+        if base is not None and self.deg == 1:  # the base on the same ints
+            self.add, self.neg, self.sub = base.add, base.neg, base.sub
+            self.mul, self.inv, self.pow = base.mul, base.inv, base.pow
+            self.norm = self.trace = operator.pos  # the identity on ints
 
     def __repr__(self):
         if self.base is None:
@@ -107,28 +118,14 @@ class FiniteField:
         for digits in product(range(self.radix), repeat=self.deg):
             yield self.pack(digits)
 
-    # -- the schoolbook product -------------------------------------------
+    # -- tower arithmetic over the base ------------------------------------
 
     def _times(self, a, b):
-        """The digit convolution reduced by the modulus, over the base's
-        operations; F_p digits are plain ints, reduced once in pack."""
-        n, g = self.deg, self.modulus
-        if self.radix == self.p:
-            add, sub, mul = operator.add, operator.sub, operator.mul
-        else:
-            add, sub, mul = self.base.add, self.base.sub, self.base.mul
-        conv = [0] * (2 * n - 1)
-        db = self.digits(b)
-        for i, x in enumerate(self.digits(a)):
-            if x:
-                for j, y in enumerate(db):
-                    conv[i + j] = add(conv[i + j], mul(x, y))
-        for i in range(2 * n - 2, n - 1, -1):
-            c = conv[i] % self.radix
-            if c:
-                for j in range(n):
-                    conv[i - n + j] = sub(conv[i - n + j], mul(c, g[j]))
-        return self.pack(conv[:n])
+        """The product of the digit polynomials mod the modulus, by the
+        FqPoly kernels over the base."""
+        base = self.base or GF(self.p)
+        prod = _mul(base, self.digits(a), self.digits(b))
+        return self.pack(_divmod(base, prod, self.modulus)[1])
 
     def _power(self, a, n):
         r = 1
@@ -265,31 +262,42 @@ class FiniteField:
 
     # -- norm and trace to the base ---------------------------------------
 
-    def _conjugates(self, a):
-        """a and its deg - 1 further images under the Frobenius x -> x^Q of
-        the base of Q elements."""
-        out = [a]
-        for _ in range(self.deg - 1):
-            out.append(self.pow(out[-1], self.radix))
-        return out
-
-    def _in_base(self, a):
-        if a >= self.radix:
-            raise InvariantFailed(f"a norm or trace of {self!r} did not land "
-                                  f"in the base field")
-        return a
-
     def norm(self, a):
-        """The norm to the base, as the product of the Frobenius conjugates."""
-        return self._in_base(reduce(self.mul, self._conjugates(a), 1))
+        """The norm to the base, prod_f g over the roots of the modulus f of
+        a's digit polynomial g, by the resultant recurrence prod_f g =
+        lead(g)^deg f (-1)^(deg f deg g) prod_g' (f mod g'), g' = g/lead(g)."""
+        base = self.base or GF(self.p)
+        f, g = FqPoly(base, self.modulus), FqPoly(base, self.digits(a))
+        acc = 1
+        while True:
+            acc = base.mul(acc, base.pow(g.lead(), f.degree()))
+            if g.degree() < 1:
+                return acc
+            if f.degree() * g.degree() % 2:
+                acc = base.neg(acc)
+            f, g = g.monic(), f % g
 
     def power_norm(self, a):
         """The same norm as the (q - 1)/(Q - 1)-th power map."""
-        return self._in_base(self.pow(a, (self.q - 1) // (self.radix - 1)))
+        a = self.pow(a, (self.q - 1) // (self.radix - 1))
+        if a >= self.radix:
+            raise InvariantFailed(f"a norm of {self!r} did not land in the "
+                                  f"base field")
+        return a
 
     def trace(self, a):
-        """The trace to the base, as the sum of the Frobenius conjugates."""
-        return self._in_base(reduce(self.add, self._conjugates(a), 0))
+        """The trace to the base, sum_j a_j p_j over a's digits a_j, with p_j
+        the power sums of the roots of the modulus x^n + ... + c_0: by
+        Newton, p_k = -(k c_(n-k) + sum_(0<i<k) c_(n-i) p_(k-i))."""
+        base = self.base or GF(self.p)
+        n, c = self.deg, self.modulus
+        sums = [n % self.p]
+        for k in range(1, n):
+            acc = base.scale(c[n - k], k)
+            for i in range(1, k):
+                acc = base.add(acc, base.mul(c[n - i], sums[k - i]))
+            sums.append(base.neg(acc))
+        return reduce(base.add, map(base.mul, self.digits(a), sums), 0)
 
 
 @lru_cache(maxsize=None)
@@ -381,14 +389,7 @@ class FqPoly:
         gf = self.gf
         if isinstance(other, int):
             return FqPoly(gf, [gf.mul(x, other) for x in self.c])
-        if self.is_zero() or other.is_zero():
-            return FqPoly(gf, [])
-        out = [0] * (len(self.c) + len(other.c) - 1)
-        for i, x in enumerate(self.c):
-            if x:
-                for j, y in enumerate(other.c):
-                    out[i + j] = gf.add(out[i + j], gf.mul(x, y))
-        return FqPoly(gf, out)
+        return FqPoly(gf, _mul(gf, self.c, other.c))
 
     __rmul__ = __mul__
 
@@ -400,19 +401,8 @@ class FqPoly:
     def divmod(self, other):
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        gf = self.gf
-        a = list(self.c)
-        b = other.c
-        inv_lead = gf.inv(b[-1])
-        q = [0] * max(0, len(a) - len(b) + 1)
-        while len(a) >= len(b):
-            f = gf.mul(a[-1], inv_lead)
-            shift = len(a) - len(b)
-            q[shift] = f
-            for i, bc in enumerate(b):
-                a[shift + i] = gf.sub(a[shift + i], gf.mul(f, bc))
-            a = _trim(a)
-        return FqPoly(gf, q), FqPoly(gf, a)
+        q, r = _divmod(self.gf, list(self.c), other.c)
+        return FqPoly(self.gf, q), FqPoly(self.gf, r)
 
     def __mod__(self, other):
         return self.divmod(other)[1]
@@ -450,6 +440,80 @@ class FqPoly:
         for i in range(0, len(self.c), gf.p):
             out.append(gf.pow(self.c[i], gf.q // gf.p))
         return FqPoly(gf, out)
+
+
+def _mul(gf, a, b):
+    """The product of the coefficient lists a and b over gf."""
+    out = [0] * (len(a) + len(b) - 1)
+    if gf.s == 1:  # plain ints, reduced once
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        out = [v % gf.p for v in out]
+    elif gf.base is None:  # on the logarithms of the table field
+        exp, log, zech = gf._tables or gf._build_tables()
+        m = gf.q - 1
+        lb = [(j, log[y]) for j, y in enumerate(b) if y]
+        for i, x in enumerate(a):
+            if x:
+                lx = log[x]
+                for j, ly in lb:  # out[i + j] += g^(lx + ly)
+                    o = out[i + j]
+                    if o:
+                        lo = log[o]
+                        z = zech[(lx + ly - lo) % m]
+                        out[i + j] = exp[lo + z] if z >= 0 else 0
+                    else:
+                        out[i + j] = exp[lx + ly]
+    else:
+        add, mul = gf.add, gf.mul
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] = add(out[j], mul(x, y))
+    return out
+
+
+def _divmod(gf, a, b):
+    """(quotient, remainder) of the lists a (overwritten) and b over gf."""
+    n = len(b) - 1  # the degree of b
+    q = [0] * max(0, len(a) - n)
+    tops = range(len(q) - 1, -1, -1)  # a's degree minus n, down to 0
+    if gf.s == 1:  # plain ints, reduced once
+        p, inv_lead = gf.p, pow(b[-1], -1, gf.p)
+        for k in tops:
+            f = q[k] = a[k + n] * inv_lead % p
+            if f:
+                for i, y in enumerate(b, k):
+                    a[i] -= f * y
+        a = [x % p for x in a[:n]]
+    elif gf.base is None:  # on the logarithms of the table field
+        exp, log, zech = gf._tables or gf._build_tables()
+        m = gf.q - 1
+        minus = 0 if gf.p == 2 else m // 2  # -1 = g^minus
+        inv_lead = m - log[b[-1]]
+        neg_b = [(i, log[y] + minus) for i, y in enumerate(b[:n]) if y]
+        for k in tops:
+            if a[k + n]:
+                f = (log[a[k + n]] + inv_lead) % m
+                q[k] = exp[f]
+                for i, lb in neg_b:  # a[k + i] += g^f g^lb, g^lb = -b_i
+                    x = a[k + i]
+                    if x:
+                        lx = log[x]
+                        z = zech[(f + lb - lx) % m]
+                        a[k + i] = exp[lx + z] if z >= 0 else 0
+                    else:
+                        a[k + i] = exp[(f + lb) % m]
+    else:
+        inv_lead, sub, mul = gf.inv(b[-1]), gf.sub, gf.mul
+        for k in tops:
+            f = q[k] = mul(a[k + n], inv_lead)
+            if f:
+                for i in range(n):
+                    a[k + i] = sub(a[k + i], mul(f, b[i]))
+    return q, a[:n]
 
 
 def is_irreducible(f):

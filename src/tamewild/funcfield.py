@@ -214,12 +214,12 @@ class FFPlace:
 
 
 def _strip(poly, pi):
-    """(k, poly / pi^k) for the multiplicity k of pi in the nonzero poly."""
+    """(k, poly / pi^k mod pi), k the multiplicity of pi in poly != 0."""
     k = 0
     while True:
         q, r = poly.divmod(pi)
         if not r.is_zero():
-            return k, poly
+            return k, r
         poly = q
         k += 1
 
@@ -265,10 +265,9 @@ def divisor(f: FqRational):
 def _order_and_unit_at(f, place, kappa):
     """(v, the value in kappa = kappa(v) of f / pi^v) for v = ord_v(f)."""
     pi, num, den, k = _chart(f, place)
-    kn, num = _strip(num, pi)
-    kd, den = _strip(den, pi)
-    unit = kappa.mul(kappa.pack((num % pi).c),
-                     kappa.inv(kappa.pack((den % pi).c)))
+    kn, un = _strip(num, pi)
+    kd, ud = _strip(den, pi)
+    unit = kappa.mul(kappa.pack(un.c), kappa.inv(kappa.pack(ud.c)))
     return k + kn - kd, unit
 
 
@@ -344,20 +343,25 @@ def _taylor_shift(kappa, poly, theta, n):
 
 
 def residue_at(f, g, place):
-    """res_v(f dg) as an int of kappa(v) = place.residue_field(F_q).
+    """res_v(f dg) as an int of kappa(v) = place.residue_field(F_q)."""
+    dg = g.derivative()
+    if f.is_zero() or dg.is_zero():
+        return 0
+    return _residue(f * dg, place)
+
+
+def _residue(form, place):
+    """res_v(form dt) for the nonzero rational function form.
 
     The residue of a differential does not depend on the uniformizer used
     to expand it (Serre, Algebraic Groups and Class Fields, Ch. II;
     Stichtenoth, Algebraic Function Fields and Codes, Sec. 4.2), so every
     place takes u = s - theta in the chart s of _chart, with theta the
-    class of s in kappa(v) (0 at infinity).  With f dg = s^k num/den ds,
+    class of s in kappa(v) (0 at infinity).  With form dt = s^k num/den ds,
     negated at infinity, and den(theta + u) = u^kd D(u), the residue is
     the coefficient of u^(kd - k - 1) in num(theta + u) / D(u)."""
-    dg = g.derivative()
-    if f.is_zero() or dg.is_zero():
-        return 0
-    kappa = place.residue_field(f.gf())
-    pi, num, den, k = _chart(f * dg, place)
+    kappa = place.residue_field(form.gf())
+    pi, num, den, k = _chart(form, place)
     if place.is_infinite():
         k -= 2  # dt = -s^-2 ds
     kd = _strip(den, pi)[0]
@@ -384,12 +388,14 @@ def residue_theorem_check(f, g):
     if f.is_zero() or g.is_zero():
         raise ZeroInput("residue check of zero")
     gf = f.gf()
-    if g.derivative().is_zero():
+    dg = g.derivative()
+    if dg.is_zero():
         return True, [], True
+    form = f * dg
     table = []
     total = 0
-    for pl in _places((f * g.derivative()).den):
-        tr = pl.residue_field(gf).trace(residue_at(f, g, pl))
+    for pl in _places(form.den):
+        tr = pl.residue_field(gf).trace(_residue(form, pl))
         table.append((pl, tr))
         total = gf.add(total, tr)
     return total == 0, table, False

@@ -294,6 +294,18 @@ _GOLDEN = [
       "--g", "t^2+t"],
      '{"constant_differential": false, "sum_is_zero": true, '
      '"table": {"[1, 2, 0, 1]": 2, "[3, 1]": 8, "[6, 1]": 5, "inf": 0}}'),
+    # recorded before norms became resultants and degree-1 towers took the
+    # base's operations: a degree-6 place over F_243, and degree-1 places
+    # over F_25
+    (["ff-hilbert", "--q", "243", "--f", "(t^5+2*t+1)/(t^2+1)", "--g",
+      "t^6+t+2"],
+     '{"product_is_one": true, "table": {"[1, 0, 1]": 2, "[135, 1]": 150, '
+     '"[143, 1]": 121, "[15, 1]": 149, "[2, 1, 0, 0, 0, 0, 1]": 2, '
+     '"[71, 1]": 160, "[92, 1]": 227, "inf": 1}}'),
+    (["weil", "--q", "25", "--f", "(t^2+3*t+1)*(t+2)/(t^3+t+1)", "--g",
+      "t^4+2*t+3"],
+     '{"product_is_one": true, "table": {"[1, 1, 0, 1]": 4, "[14, 1]": 5, '
+     '"[17, 1]": 24, "[2, 1]": 4, "[4, 1]": 1, "inf": 1}}'),
 ]
 
 

@@ -153,3 +153,112 @@ def test_tables_are_capped():
     assert prime.pow(3, 65536) == 1
     with pytest.raises(BadInput):  # a discrete logarithm needs the tables
         prime.dlog(3)
+
+
+# -- the FqPoly kernels ------------------------------------------------------
+
+def _trimmed(c):
+    c = list(c)
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def _poly_mul(ref, a, b):
+    """The schoolbook product of digit-list polynomials over ref's field."""
+    out = [0] * max(0, len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = ref.add(out[i + j], ref.mul(x, y))
+    return _trimmed(out)
+
+
+def _poly_divmod(ref, a, b):
+    """Long division of digit-list polynomials over ref's field, one
+    leading term at a time."""
+    a, quo = _trimmed(a), [0] * max(0, len(a) - len(b) + 1)
+    inv_lead = ref.pow(b[-1], ref.p ** ref.s - 2)
+    while len(a) >= len(b):
+        f = ref.mul(a[-1], inv_lead)
+        k = len(a) - len(b)
+        quo[k] = f
+        for i, y in enumerate(b):
+            a[k + i] = ref.add(a[k + i], ref.neg(ref.mul(f, y)))
+        a = _trimmed(a)
+    return _trimmed(quo), a
+
+
+def _divisors(q, rng):
+    """Non-monic divisors of degree 0 to 6, with and without zero middle
+    coefficients."""
+    out = [[rng.randrange(1, q)]]
+    for d in range(1, 7):
+        lead = rng.randrange(1, q)
+        out.append([rng.randrange(q)] + [0] * (d - 1) + [lead])
+        out.append([rng.randrange(1, q)] + [rng.choice([0, rng.randrange(q)])
+                                            for _ in range(d - 1)] + [lead])
+    return out
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 243])
+def test_poly_product_and_division_against_digit_lists(q):
+    gf, rng = GF(q), random.Random(q)
+    ref = _Ref(gf)
+    for b in _divisors(q, rng):
+        for length in (0, 1, len(b) - 1, len(b), len(b) + 1, 12):
+            a = [rng.randrange(q) for _ in range(length)]
+            if a:
+                a[-1] = rng.randrange(1, q)
+            fa, fb = FqPoly(gf, a), FqPoly(gf, b)
+            assert (fa * fb).c == _poly_mul(ref, a, b)
+            quo, rem = fa.divmod(fb)
+            assert (quo.c, rem.c) == _poly_divmod(ref, a, b)
+            assert rem.degree() < fb.degree() or rem.is_zero()
+            back = _poly_mul(ref, quo.c, b) + [0] * len(a)
+            assert _trimmed([ref.add(x, y) for x, y in
+                             zip(back, rem.c + [0] * len(back))]) == fa.c
+
+
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_poly_product_and_division_against_sympy(p):
+    import sympy
+    x = sympy.symbols("x")
+    gf, rng = GF(p), random.Random(p)
+
+    def sym(c):
+        return sympy.Poly(list(reversed(c)) or [0], x, modulus=p)
+
+    def coeffs(poly):
+        return _trimmed(c % p for c in reversed(poly.all_coeffs()))
+
+    for b in _divisors(p, rng):
+        for length in (0, 1, len(b), 9, 15):
+            a = [rng.randrange(p) for _ in range(length)]
+            fa, fb = FqPoly(gf, a), FqPoly(gf, b)
+            assert (fa * fb).c == coeffs(sym(a) * sym(b))
+            quo, rem = fa.divmod(fb)
+            want_quo, want_rem = sym(a).div(sym(b))
+            assert (quo.c, rem.c) == (coeffs(want_quo), coeffs(want_rem))
+
+
+@pytest.mark.parametrize("q", [4, 9])
+def test_degree_one_towers_are_their_base(q):
+    gf = GF(q)
+    for c in range(q):
+        tower = FiniteField(gf, (c, 1))
+        for a in range(q):
+            assert tower.norm(a) == tower.trace(a) == a
+            # the general algorithms agree with the identity at degree 1
+            assert FiniteField.norm(tower, a) == a
+            assert FiniteField.trace(tower, a) == a
+            assert tower.neg(a) == gf.neg(a)
+            for b in range(q):
+                assert tower.add(a, b) == gf.add(a, b)
+                assert tower.sub(a, b) == gf.sub(a, b)
+                assert tower.mul(a, b) == gf.mul(a, b) == tower._times(a, b)
+            if a:
+                assert tower.inv(a) == gf.inv(a) == tower._euclid_inv(a)
+                assert tower.power_norm(a) == a
+                for n in (-3, -1, 0, 1, 2, q + 1):
+                    assert tower.pow(a, n) == gf.pow(a, n)
+        assert tower._tables is None
