@@ -55,6 +55,14 @@ class CriterionResult:
     elapsed: float | None = None  # seconds, set by run_all
 
 
+def _result(ident, name, failures, detail, ok=True):
+    """The criterion's result: passed when ok and nothing failed, the first
+    failure appended to the detail."""
+    if failures:
+        detail += f"; FIRST FAILURE: {failures[0]}"
+    return CriterionResult(ident, name, ok and not failures, detail)
+
+
 def _rng(cfg, tag):
     return random.Random(f"{cfg.seed}:{tag}")
 
@@ -112,10 +120,8 @@ def criterion_1(cfg):
             failures.append(f"QR identity mismatch at ({p},{q})")
     detail = (f"{count} prime pairs < 200, 500 random pairs, "
               f"{qr_pairs} QR identities")
-    if failures:
-        detail += f"; FIRST FAILURE: {failures[0]}"
-    return CriterionResult(1, "Moore product / quadratic reciprocity",
-                           not failures, detail)
+    return _result(1, "Moore product / quadratic reciprocity",
+                   failures, detail)
 
 
 def criterion_2(cfg):
@@ -144,10 +150,8 @@ def criterion_2(cfg):
                 failures.append(f"p={p} ({a},{b}): closed {closed}, "
                                 f"oracle {oracle}")
     detail = f"{pairs_tested} pairs at p in (2,3,5,7), N={N}"
-    if failures:
-        detail += f"; FIRST FAILURE: {failures[0]}"
-    return CriterionResult(2, "closed form vs norm-residue oracle",
-                           not failures and pairs_tested >= 200, detail)
+    return _result(2, "closed form vs norm-residue oracle", failures, detail,
+                   ok=pairs_tested >= 200)
 
 
 def _rational_in(ctx, r):
@@ -197,18 +201,14 @@ def criterion_3(cfg):
                 failures.append(f"{ctx.name}: Steinberg")
                 break
     detail = f"{total} sampled triples over 4 presets at N={cfg.precision}"
-    if failures:
-        detail += f"; FIRST FAILURE: {failures[0]}"
-    return CriterionResult(3, "tame symbol laws", not failures, detail)
+    return _result(3, "tame symbol laws", failures, detail)
 
 
 def _sample_in_order(ctx, order, rng):
     """A random element of R_m built from the membership constraints."""
-    e, m = ctx.e, order.m
     coeffs = [rng.randrange(ctx.p ** 6)]
-    for i in range(1, e):
-        depth = max(0, -((i - m) // e))
-        coeffs.append(ctx.p ** depth * rng.randrange(ctx.p ** 5))
+    for i in range(1, ctx.e):
+        coeffs.append(ctx.p ** order.depth(i) * rng.randrange(ctx.p ** 5))
     return ctx.elem(coeffs)
 
 
@@ -267,10 +267,7 @@ def criterion_4(cfg):
                         break
     detail = (f"{checks} sampled memberships over 4 presets, m <= 2e, "
               f"N={cfg.precision}")
-    if failures:
-        detail += f"; FIRST FAILURE: {failures[0]}"
-    return CriterionResult(4, "singular order local-ring suite",
-                           not failures, detail)
+    return _result(4, "singular order local-ring suite", failures, detail)
 
 
 def brute_force_index(ctx, m):
@@ -303,10 +300,7 @@ def criterion_5(cfg):
                     failures.append(
                         f"p={p} e={e} m={m}: closed {closed} != {brute}")
     detail = f"{cases} (p,e,m) cases at N={N}"
-    if failures:
-        detail += f"; FIRST FAILURE: {failures[0]}"
-    return CriterionResult(5, "index formula vs coset enumeration",
-                           not failures, detail)
+    return _result(5, "index formula vs coset enumeration", failures, detail)
 
 
 def criterion_6(cfg):
@@ -323,8 +317,7 @@ def criterion_6(cfg):
                                 f"{rep.min_landing} < {rep.required}")
         k = ctx.k
         if k >= 1:
-            bound = ctx.p * ctx.e1 + (k - 1) * ctx.e
-            i = int(bound.numerator // bound.denominator) + 1
+            i = ctx.wild_level
             for u in spanning_units(ctx, i, i + 2):
                 root = u
                 for step in range(k):
@@ -338,10 +331,7 @@ def criterion_6(cfg):
                     break
     detail = ("forward bounds + root chains on qp-zeta-3, qp-zeta-5, "
               f"cbrt-3 at N={cfg.precision}")
-    if failures:
-        detail += f"; FIRST FAILURE: {failures[0]}"
-    return CriterionResult(6, "p-power filtration compatibility",
-                           not failures, detail)
+    return _result(6, "p-power filtration compatibility", failures, detail)
 
 
 def criterion_7(cfg):
@@ -365,10 +355,7 @@ def criterion_7(cfg):
                 failures.append(f"p={p}: oracle disagrees above bound")
                 break
     detail = "qp-zeta-3 and qp-zeta-5 at N=32, spanning depth 2"
-    if failures:
-        detail += f"; FIRST FAILURE: {failures[0]}"
-    return CriterionResult(7, "wild symbol vanishing bound", not failures,
-                           detail)
+    return _result(7, "wild symbol vanishing bound", failures, detail)
 
 
 def criterion_8(cfg):
@@ -407,10 +394,7 @@ def criterion_8(cfg):
             if failures:
                 break
     detail = f"{total} seeded inputs over 4 presets at N={cfg.precision}"
-    if failures:
-        detail += f"; FIRST FAILURE: {failures[0]}"
-    return CriterionResult(8, "symbol reduction identities", not failures,
-                           detail)
+    return _result(8, "symbol reduction identities", failures, detail)
 
 
 def criterion_9(cfg):
@@ -444,10 +428,7 @@ def criterion_9(cfg):
                        if m < rep.estimated_m0) and rep.estimated_m0 > 0:
                 failures.append(f"qp-zeta-{p}: no recorded witness below")
     detail = "; ".join(details)
-    if failures:
-        detail += f"; FIRST FAILURE: {failures[0]}"
-    return CriterionResult(9, "stabilisation index experiments",
-                           not failures, detail)
+    return _result(9, "stabilisation index experiments", failures, detail)
 
 
 def _random_rational(gf, rng, max_deg=4):
@@ -488,10 +469,7 @@ def criterion_10(cfg):
                 break
     detail = ("500 pairs per q in (2,3,4,5) + 500 forms per q in (2,3,5); "
               "exact finite-field arithmetic")
-    if failures:
-        detail += f"; FIRST FAILURE: {failures[0]}"
-    return CriterionResult(10, "function-field reciprocity suite",
-                           not failures, detail)
+    return _result(10, "function-field reciprocity suite", failures, detail)
 
 
 def criterion_11(cfg):
@@ -510,10 +488,7 @@ def criterion_11(cfg):
             f"index mismatch: lattice {lat.index}, closed {closed}, "
             f"brute {brute}")
     detail = f"HNF {list(map(list, lat.basis))}, index {lat.index}"
-    if failures:
-        detail += f"; FIRST FAILURE: {failures[0]}"
-    return CriterionResult(11, "global lattice of Q(zeta_3)", not failures,
-                           detail)
+    return _result(11, "global lattice of Q(zeta_3)", failures, detail)
 
 
 CRITERIA = [criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,

@@ -223,16 +223,16 @@ def global_optimal_lattice(p, m=None, N=32):
     if m is None:
         m = m0_bound(ctx)
     n = p - 1
+    order = OrderRm(ctx, m)
     # local membership constrains the pi-power coordinate i >= 1 to lie in
-    # p^{ceil((m-i)/e)} Z; e = p-1
+    # p^depth(i) Z
     cols = _pi_power_basis(p)
     scaled = []
     for i, col in enumerate(cols):
-        depth = max(0, -((i - m) // n)) if i >= 1 else 0
+        depth = order.depth(i) if i >= 1 else 0
         scaled.append([c * p ** depth for c in col])
     H = hnf([[scaled[j][i] for j in range(n)] for i in range(n)])
     index = math.prod(H[i][i] for i in range(n))  # H is upper triangular
-    order = OrderRm(ctx, m)
     if index != order.index_in_of():
         raise InvariantFailed("lattice index != local closed form")
     basis = tuple(tuple(r) for r in H)

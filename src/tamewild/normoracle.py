@@ -22,7 +22,6 @@ p-power landing bounds, so an empty normal form certifies an m-th power.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .errors import (
@@ -34,7 +33,13 @@ from .errors import (
     ZeroInput,
 )
 from .finitefield import FiniteField, default_modulus
-from .localfield import LocalFieldCtx, unit_decompose, valuation
+from .localfield import (
+    LocalFieldCtx,
+    cyclotomic_eisenstein,
+    split_unit,
+    unit_decompose,
+    valuation,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +118,7 @@ class _Reducer:
             self.wild = True
             if p != 2 and ctx.k < 1:
                 raise BadInput("mu_p is not contained in F")
-            self.H = math.floor(p * ctx.e1 + (ctx.k - 1) * ctx.e) + 1
+            self.H = ctx.wild_level
             self.critical = (int(p * ctx.e1)
                              if ctx.e1.denominator == 1 else None)
             self.rho = ctx.rho
@@ -439,13 +444,12 @@ class NormResidueOracle:
         npart = dict(coords).get(("pi",), 0)
         if npart % m:
             # totally ramified: normalise to a prime element y'' ~ y^c
-            v = valuation(y)
-            u_y = y.div_pi_pow(v) if v else y
+            v, u_y = split_unit(y)
             nprime = v % m
             yprime = u_y * ctx.pi ** nprime
             c = pow(nprime, -1, m)
             t = (nprime * c - 1) // m
-            ydouble = (yprime ** c).div_pi_pow(m * t) if t else yprime ** c
+            ydouble = (yprime ** c).div_pi_pow(m * t)
             if valuation(ydouble) != 1:
                 raise UnsupportedSplitting("y normalised to a non-prime "
                                            "element")
@@ -469,10 +473,10 @@ class NormResidueOracle:
         if lam % ctx.p == 0:
             raise UnsupportedSplitting(f"fundamental level {lam} is "
                                        f"divisible by p")
-        rhs = [ctx.zero] * m  # relation (1+G)^p = y_red
-        rhs[0] = y_red - ctx.one
-        for j in range(1, m):
-            rhs[j] = ctx.from_int(-math.comb(ctx.p, j))
+        # relation (1+G)^p = y_red: (1+G)^p - 1 is G times the Eisenstein
+        # polynomial of Q_p(zeta_p), whose lead is 1
+        rhs = [y_red - ctx.one] + [ctx.from_int(-c) for c in
+                                   cyclotomic_eisenstein(ctx.p)[:-1]]
         return _Kummer(ctx, m, rhs, lam=lam)
 
     def _pivots_for(self, y):

@@ -35,23 +35,28 @@ class OrderRm:
     def __repr__(self):
         return f"OrderRm(m={self.m}, ctx={self.ctx!r})"
 
-    def _coeff_ok(self, x, i, bound):
-        """Certify e*val_p(a_i) >= bound at precision, a_i the O0-coefficient
+    def depth(self, i):
+        """ceil((m-i)/e) clamped at 0: the least val_p of the O0-coefficient
+        of pi^i (1 <= i < e) in an element of R_m."""
+        return max(0, -((i - self.m) // self.ctx.e))
+
+    def _coeff_ok(self, x, i, depth):
+        """Certify val_p(a_i) >= depth at precision, a_i the O0-coefficient
         of pi^i in x."""
-        if bound <= 0:
+        if depth <= 0:
             return True
         d = self.ctx.d
         v = val_p_coeffs(x.flat[i * d:(i + 1) * d], self.ctx.p)
         if v is PRECISION_EXHAUSTED:
-            if self.ctx.e * self.ctx.N >= bound:
+            if self.ctx.N >= depth:
                 return True
             raise PrecisionExhausted(
                 "coefficient valuation cannot be certified against m")
-        return self.ctx.e * v >= bound
+        return v >= depth
 
     def contains(self, x):
         """x in O0 + pi^m O_F (integrality of a_0 is built into FElem)."""
-        return all(self._coeff_ok(x, i, self.m - i)
+        return all(self._coeff_ok(x, i, self.depth(i))
                    for i in range(1, self.ctx.e))
 
     def ideal_contains(self, z):
@@ -61,7 +66,7 @@ class OrderRm:
             v = valuation(z)
             return v is PRECISION_EXHAUSTED or v >= 1
         # val_p(a_0) >= 1, and the R_m constraints on the higher blocks
-        return self._coeff_ok(z, 0, self.ctx.e) and self.contains(z)
+        return self._coeff_ok(z, 0, 1) and self.contains(z)
 
     def is_unit(self, x):
         """x in R_m^x, equivalently x = omega^i * u with u in 1 + maximal
@@ -72,12 +77,8 @@ class OrderRm:
 
     def index_exponent(self):
         """s with [O_F : R_m] = q^s: one O0-digit constraint per basis index
-        i >= 1 and depth ceil((m-i)/e) when positive."""
-        e = self.ctx.e
-        s = 0
-        for i in range(1, e):
-            s += max(0, -((i - self.m) // e))  # ceil((m-i)/e), clamped
-        return s
+        i >= 1, of the depth given by depth(i)."""
+        return sum(self.depth(i) for i in range(1, self.ctx.e))
 
     def index_in_of(self):
         return self.ctx.q ** self.index_exponent()
@@ -114,11 +115,9 @@ def m0_bound(ctx):
         raise PIsTwo("the optimal order at p = 2 is the full valuation ring")
     if ctx.e == 1:
         return 0
-    k = ctx.k
-    if k == 0:
+    if ctx.k == 0:
         return 1
-    bound = ctx.p * ctx.e1 + (k - 1) * ctx.e
-    return int(bound.numerator // bound.denominator) + 1  # floor + 1
+    return ctx.wild_level
 
 
 @dataclass

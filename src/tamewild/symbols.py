@@ -29,7 +29,7 @@ from .errors import (
     PrecisionExhausted,
     ZeroInput,
 )
-from .localfield import FElem, unit_level, valuation
+from .localfield import FElem, cyclotomic_eisenstein, split_unit, unit_level
 from .ntheory import isprime
 
 #: Module constant (see module docstring): units act on mu_{p^infty} by
@@ -44,12 +44,8 @@ WILD_UNIT_ACTS_BY_INVERSE = True
 def tame_symbol_residue(x, y):
     """Residue of (-1)^{v(x)v(y)} x^{v(y)} y^{-v(x)}, a residue-field unit."""
     ctx = x.ctx
-    a = valuation(x)
-    b = valuation(y)
-    if a is PRECISION_EXHAUSTED or b is PRECISION_EXHAUSTED:
-        raise PrecisionExhausted("tame symbol of an uncertified element")
-    ux = x.div_pi_pow(a) if a else x
-    uy = y.div_pi_pow(b) if b else y
+    a, ux = split_unit(x)
+    b, uy = split_unit(y)
     kappa = ctx.base.kappa
     rx, ry = ux.residue(), uy.residue()
     val = kappa.mul(kappa.pow(rx, b), kappa.pow(kappa.inv(ry), a))
@@ -146,13 +142,9 @@ def hilbert_quadratic_padic(x, y, ctx):
     the same closed form applied to (valuation, unit residue)."""
     if ctx.e != 1 or ctx.d != 1:
         raise BadInput("p-adic quadratic reading needs a Q_p context")
-    a = valuation(x)
-    b = valuation(y)
-    if a is PRECISION_EXHAUSTED or b is PRECISION_EXHAUSTED:
-        raise PrecisionExhausted("uncertified valuation")
-    u = (x.div_pi_pow(a) if a else x).flat[0]
-    v = (y.div_pi_pow(b) if b else y).flat[0]
-    return _hilbert_closed_form(ctx.p, a, u, b, v)
+    a, u = split_unit(x)
+    b, v = split_unit(y)
+    return _hilbert_closed_form(ctx.p, a, u.flat[0], b, v.flat[0])
 
 
 # ---------------------------------------------------------------------------
@@ -196,9 +188,8 @@ def norm_to_base(x):
 
 def is_cyclotomic_ctx(ctx):
     """True for the shipped Q_p(zeta_p) shape: f = ((T+1)^p - 1)/T over Z_p."""
-    import math
     return ctx.d == 1 and list(ctx.f) == [
-        math.comb(ctx.p, j + 1) % ctx.mod for j in range(ctx.p)]
+        c % ctx.mod for c in cyclotomic_eisenstein(ctx.p)]
 
 
 def wild_symbol_zeta(x, ctx):
@@ -218,17 +209,13 @@ def wild_symbol_zeta(x, ctx):
     if x.is_zero():
         raise ZeroInput("wild symbol of zero")
     p = ctx.p
-    v = valuation(x)
-    if v is PRECISION_EXHAUSTED:
-        raise PrecisionExhausted("wild symbol of an uncertified element")
-    if v:
-        # N(pi) = p pairs trivially with zeta_p, so only the unit part of x
-        # contributes; stripping pi first keeps the norm a unit and its
-        # mod-p^2 digits certified
-        if ctx.M - v < 3 * ctx.e:
-            raise PrecisionExhausted(
-                "norm unit part is uncertified mod p^2 at this precision")
-        x = x.div_pi_pow(v)
+    # N(pi) = p pairs trivially with zeta_p, so only the unit part of x
+    # contributes; stripping pi first keeps the norm a unit and its mod-p^2
+    # digits certified
+    v, x = split_unit(x)
+    if ctx.M - v < 3 * ctx.e:
+        raise PrecisionExhausted(
+            "norm unit part is uncertified mod p^2 at this precision")
     # the norm of a unit is a unit, and here even 1 mod p
     u = norm_to_base(x)
     if u % p != 1:
@@ -247,12 +234,8 @@ def k1_decompose(x, y):
     """Write {x, y} = {pi, (-1)^{ab} v^a u^{-b}} + {u, v} for x = pi^a u,
     y = pi^b v; returns the two symbol pairs."""
     ctx = x.ctx
-    a = valuation(x)
-    b = valuation(y)
-    if a is PRECISION_EXHAUSTED or b is PRECISION_EXHAUSTED:
-        raise PrecisionExhausted("cannot decompose uncertified elements")
-    u = x.div_pi_pow(a) if a else x
-    v = y.div_pi_pow(b) if b else y
+    a, u = split_unit(x)
+    b, v = split_unit(y)
     w = (v ** a) * (u.invert_unit() ** b)
     if (a * b) % 2:
         w = -w

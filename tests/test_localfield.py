@@ -214,9 +214,11 @@ def test_compute_mu(maker, expected_k):
     assert ctx.k == expected_k
 
 
-def test_compute_mu_root_count(z3):
-    # cross-check by exhaustive enumeration: exactly phi(3) primitive roots
-    assert compute_mu(z3, verify_count=True) == (2, 3)
+@pytest.mark.parametrize("p,N", [(3, 16), (5, 8)])
+def test_compute_mu_root_count(p, N):
+    # cross-check by exhaustive enumeration: exactly phi(p) primitive roots,
+    # also at N = 8, where Newton refinement has the least precision to spend
+    assert compute_mu(qp_zeta(p, N), verify_count=True) == (p - 1, p)
 
 
 def test_unramified_base_field():
