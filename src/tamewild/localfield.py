@@ -48,6 +48,23 @@ from .ntheory import isprime
 #: 2 s (CPython 3.11, Intel Xeon).
 MAX_N = 1024
 
+#: Largest e*d of a LocalFieldCtx.  The set-up of a field's kernels
+#: (LocalFieldCtx._build_kernels) is cubic in e*d: at e*d = 64 and a dense
+#: Eisenstein polynomial it takes about 0.1 s of CPU at N = 64 and 0.7-1.1 s
+#: at N = MAX_N (CPython 3.11, Intel Xeon), and the product's source stays
+#: far below the expression length that CPython's compiler can take.
+MAX_ED = 64
+
+
+def _check_ed(e, d):
+    """UnsupportedField unless 1 <= e and e*d <= MAX_ED, checked before any
+    polynomial or table of the field is built."""
+    if e < 1:
+        raise UnsupportedField(f"ramification index e = {e} must be at "
+                               f"least 1")
+    if e * d > MAX_ED:
+        raise UnsupportedField(f"e*d = {e * d} exceeds MAX_ED = {MAX_ED}")
+
 
 class PadicCtx:
     """The parameters of O0, the unramified extension of Z_p of degree d,
@@ -112,8 +129,11 @@ class _lazy:
     """A property computed on first access and then kept as a plain
     attribute.  functools.cached_property stores through the instance's
     __dict__, and on CPython 3.11 reading __dict__ turns the context's
-    inline attribute values into a dict: the ctx reads of FElem.__mul__
-    then cost 5-7% of a product on Q_5 and Q_3(zeta_3) (CPython 3.11.7,
+    inline attribute values into a dict, which slows every attribute read
+    of the context.  Every FElem operation reads its kernel (ctx._mul,
+    ctx._add, ...) from the context; a product that read six context
+    attributes lost 5-7% on Q_5 and Q_3(zeta_3) that way, and a kernel
+    product is within timing noise of it (-5% to +6%; CPython 3.11.7,
     Intel Xeon, min of 60 timings)."""
 
     def __init__(self, fn):
@@ -143,8 +163,7 @@ class LocalFieldCtx:
         self.p, self.N, self.d, self.q = base.p, base.N, base.d, base.q
         self.mod = base.mod
         e = len(f) - 1
-        if e < 1:
-            raise ValueError("f must have degree >= 1")
+        _check_ed(e, self.d)
         f = tuple(x for c in f for x in self._block(c))
         d = self.d
         if f[e * d:] != self._block(1):
@@ -161,7 +180,7 @@ class LocalFieldCtx:
         self.M = e * self.N
         self.name = name
         self._cache = {}
-        self._build_fold()
+        self._build_kernels()
 
     def __repr__(self):
         tag = self.name or f"e={self.e},d={self.d}"
@@ -178,18 +197,26 @@ class LocalFieldCtx:
                            f"{self.d} ints, not {c!r}")
         return tuple(x % self.mod for x in c)
 
-    def _build_fold(self):
-        """Tables for FElem.__mul__: row k <= 2e-2 (width 2d-1) of the padded
-        product holds the x-polynomial coefficient of pi^k, slot s of an
-        element sits at _pad[s], and _fold pairs each position outside the
-        basis with the normal form of its monomial mod (g, f, p^N)."""
+    def _build_kernels(self):
+        """Compile this field's arithmetic on flat tuples: _mul, _add, _sub
+        and _scale (a tuple times an int), each one straight-line function
+        with every index and constant unrolled.
+
+        In the product, row k <= 2e-2 (width 2d-1) of the padded
+        convolution holds the x-polynomial coefficient of pi^k.  Each
+        position outside the basis is named once and folded into the slots
+        by the normal form of its monomial mod (g, f, p^N), written with
+        coefficients in (-p^N/2, p^N/2] so that the small ones of f and g
+        stay small ints; every output slot is reduced mod p^N once.  Only
+        ints of this context go into the source, and MAX_ED bounds its
+        length."""
         e, d, m, g, f = self.e, self.d, self.mod, self.base.g, self.f
-        w = 2 * d - 1
+        n, w = e * d, 2 * d - 1
         forms = {}
         for k in range(2 * e - 1):
             for j in range(w):
                 if k < e and j < d:
-                    forms[k, j] = [int(s == k * d + j) for s in range(e * d)]
+                    forms[k, j] = [int(s == k * d + j) for s in range(n)]
                     continue
                 if j >= d:
                     terms = [(g[t], (k, j - d + t)) for t in range(d)]
@@ -197,13 +224,40 @@ class LocalFieldCtx:
                     terms = [(f[i * d + t], (k - e + i, j + t))
                              for i in range(e) for t in range(d)]
                 forms[k, j] = [-sum(c * forms[key][s] for c, key in terms) % m
-                               for s in range(e * d)]
-        self._pad = tuple(i * w + j for i in range(e) for j in range(d))
-        self._conv_len = (2 * e - 1) * w
-        self._fold = tuple(
-            (k * w + j, tuple((self._pad[s], c)
-                              for s, c in enumerate(forms[k, j]) if c))
-            for (k, j) in forms if k >= e or j >= d)
+                               for s in range(n)]
+        pad = [i * w + j for i in range(e) for j in range(d)]
+        conv = {}
+        for s, ps in enumerate(pad):
+            for t, pt in enumerate(pad):
+                conv.setdefault(ps + pt, []).append(f"a{s}*b{t}")
+        slots = [conv[ps] for ps in pad]
+        fold = []
+        for (k, j), form in forms.items():
+            if k < e and j < d:
+                continue
+            h = k * w + j
+            fold.append(f"h{h} = {' + '.join(conv[h])}")
+            for s, c in enumerate(form):
+                c = c - m if 2 * c > m else c
+                if c:
+                    slots[s].append(f"h{h}" if c == 1 else f"{c}*h{h}")
+
+        def kernel(head, body, outs):
+            reduced = "".join(f"({x}) % {m}, " for x in outs)
+            lines = [f"def {head}:"] + [f" {line}" for line in body]
+            return "\n".join(lines + [f" return ({reduced})", ""])
+
+        unpack = [", ".join(f"{v}{s}" for s in range(n)) + f", = {v}"
+                  for v in "ab"]
+        namespace = {}
+        exec(kernel("mul(a, b)", unpack + fold, map(" + ".join, slots))
+             + kernel("add(a, b)", unpack, (f"a{s} + b{s}" for s in range(n)))
+             + kernel("sub(a, b)", unpack, (f"a{s} - b{s}" for s in range(n)))
+             + kernel("scale(a, c)", unpack[:1],
+                      (f"a{s}*c" for s in range(n))),
+             namespace)
+        self._mul, self._add = namespace["mul"], namespace["add"]
+        self._sub, self._scale = namespace["sub"], namespace["scale"]
 
     # -- constructors ---------------------------------------------------
 
@@ -366,15 +420,14 @@ def cyclotomic_eisenstein(p):
 def qp_zeta(p, N=64):
     """Q_p(zeta_p) with f = ((T+1)^p - 1)/T; pi = zeta_p - 1."""
     base = PadicCtx(p, N, 1)
+    _check_ed(p - 1, 1)
     return LocalFieldCtx(base, cyclotomic_eisenstein(p), name=f"qp-zeta-{p}")
 
 
 def eisenstein_root(p, e, N=64, d=1):
     """Q_p-extension with f = T^e - p (the e-th root of p), optionally over
     an unramified base of degree d."""
-    if e < 1:
-        raise UnsupportedField(f"ramification index e = {e} must be at "
-                               f"least 1")
+    _check_ed(e, d)
     base = PadicCtx(p, N, d)
     f = [-p] + [0] * (e - 1) + [1]
     name = {2: f"sqrt-{p}", 3: f"cbrt-{p}"}.get(e, f"root{e}-{p}")
@@ -448,9 +501,7 @@ class FElem:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        m = self.ctx.mod
-        return FElem(self.ctx, tuple((a + b) % m for a, b in
-                                     zip(self.flat, other.flat)))
+        return FElem(self.ctx, self.ctx._add(self.flat, other.flat))
 
     __radd__ = __add__
 
@@ -458,9 +509,7 @@ class FElem:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        m = self.ctx.mod
-        return FElem(self.ctx, tuple((a - b) % m for a, b in
-                                     zip(self.flat, other.flat)))
+        return FElem(self.ctx, self.ctx._sub(self.flat, other.flat))
 
     def __rsub__(self, other):
         coerced = self._coerce(other)
@@ -469,34 +518,18 @@ class FElem:
         return coerced - self
 
     def __neg__(self):
-        m = self.ctx.mod
-        return FElem(self.ctx, tuple(-a % m for a in self.flat))
+        return FElem(self.ctx, self.ctx._scale(self.flat, -1))
 
     def __mul__(self, other):
-        """The product mod (g, f, p^N): an integer convolution, the
-        out-of-basis monomials folded back by their normal forms
-        (LocalFieldCtx._build_fold), one reduction mod p^N per slot."""
+        """The product mod (g, f, p^N), or an int multiple, by the field's
+        compiled kernels (LocalFieldCtx._build_kernels)."""
         ctx = self.ctx
         if isinstance(other, int):
-            m = ctx.mod
-            return FElem(ctx, tuple(a * other % m for a in self.flat))
+            return FElem(ctx, ctx._scale(self.flat, other))
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        pad = ctx._pad
-        right = [(pt, b) for pt, b in zip(pad, other.flat) if b]
-        conv = [0] * ctx._conv_len
-        for ps, a in zip(pad, self.flat):
-            if a:
-                for pt, b in right:
-                    conv[ps + pt] += a * b
-        for h, form in ctx._fold:
-            c = conv[h]
-            if c:
-                for pos, r in form:
-                    conv[pos] += c * r
-        m = ctx.mod
-        return FElem(ctx, tuple(conv[ps] % m for ps in pad))
+        return FElem(ctx, ctx._mul(self.flat, other.flat))
 
     __rmul__ = __mul__
 

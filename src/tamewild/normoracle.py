@@ -90,15 +90,23 @@ class _Pivots:
 class _ClassState:
     """A running class representative pi^n omega^i u, u a principal unit."""
 
-    __slots__ = ("n", "i", "u")
+    __slots__ = ("n", "i", "u", "_inverse")
 
     def __init__(self, n, i, u):
         self.n = n
         self.i = i
         self.u = u
+        self._inverse = None  # (u, u^-1) once u_inverse() has run
 
     def copy(self):
         return _ClassState(self.n, self.i, self.u)
+
+    def u_inverse(self):
+        """u^-1, inverted once per u: a stored pivot is divided off on
+        every query that meets it."""
+        if self._inverse is None or self._inverse[0] is not self.u:
+            self._inverse = (self.u, self.u.invert_unit())
+        return self._inverse[1]
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +207,7 @@ class _Reducer:
             return
         st.n -= j * piv.n
         st.i -= j * piv.i
-        st.u = st.u * piv.u ** (-j)
+        st.u = st.u * piv.u_inverse() ** j
 
     # -- the normal form -----------------------------------------------------
 

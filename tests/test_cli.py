@@ -232,6 +232,15 @@ def test_rootE_preset_needs_positive_e(capsys):
     assert "at least 1" in captured.err
 
 
+def test_ramification_above_the_kernel_cap_exits_2_promptly():
+    # e*d = 1000 used to spend over 20 s of CPU building the product tables
+    proc = _subprocess(_ENTRY, ["tame", "--preset", "root1000-3", "--x", "p",
+                                "--y", "2", "--json"], timeout=30)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "MAX_ED" in proc.stderr
+
+
 def test_finite_field_above_the_table_cap_exits_2(capsys):
     assert dispatch(["weil", "--q", "177147", "--f", "t", "--g", "t+1"]) == 2
     assert "MAX_Q" in capsys.readouterr().err
@@ -309,6 +318,67 @@ _GOLDEN = [
 ]
 
 
+# --json stdout of local-field commands, recorded before field arithmetic
+# became compiled kernels; the m0 runs serialise their witness elements
+_LOCAL_GOLDEN = [
+    (["norm-oracle", "--preset", "qp-zeta-5", "--m", "p", "--x", "2", "--y",
+      "1+pi", "-N", "32"],
+     '{"certified_precision": 128, "command": "norm-oracle", "config": '
+     '{"budget": 500, "precision": 32, "seed": 0}, "result": {"m": 5, '
+     '"trivial": false}, "schema": "v1"}'),
+    (["norm-oracle", "--preset", "qp-zeta-5", "--m", "p", "--x", "7", "--y",
+      "1+pi", "-N", "32"],
+     '{"certified_precision": 128, "command": "norm-oracle", "config": '
+     '{"budget": 500, "precision": 32, "seed": 0}, "result": {"m": 5, '
+     '"trivial": true}, "schema": "v1"}'),
+    (["m0", "--preset", "qp-zeta-3", "-N", "32"],
+     '{"certified_precision": 64, "command": "m0", "config": {"budget": 500, '
+     '"precision": 32, "seed": 0}, "result": {"bound": 4, "certificates": '
+     '[{"data": {"x": [["1"], ["1"]], "y": [["1853020188851839"], '
+     '["1853020188851838"]]}, "kind": "witness", "m": 0}, {"data": {"x": '
+     '[["4"], ["0"]], "y": [["1"], ["1"]]}, "kind": "witness", "m": 1}, '
+     '{"data": {"pairs": 13}, "kind": "vanishing-sweep", "m": 2}, {"data": '
+     '{"pairs": 13}, "kind": "vanishing-sweep", "m": 3}, {"data": {"pairs": '
+     '13}, "kind": "vanishing-sweep", "m": 4}], "certified_precision": 64, '
+     '"depth": 2, "estimated_m0": 2}, "schema": "v1"}'),
+    (["m0", "--preset", "qp-zeta-5", "-N", "32"],
+     '{"certified_precision": 128, "command": "m0", "config": {"budget": '
+     '500, "precision": 32, "seed": 0}, "result": {"bound": 6, '
+     '"certificates": [{"data": {"x": [["1"], ["1"], ["0"], ["0"]], "y": '
+     '[["1"], ["0"], ["1"], ["0"]]}, "kind": "witness", "m": 0}, {"data": '
+     '{"x": [["6"], ["0"], ["0"], ["0"]], "y": [["1"], ["1"], ["0"], '
+     '["0"]]}, "kind": "witness", "m": 1}, {"data": {"x": [["1"], ["0"], '
+     '["1"], ["0"]], "y": [["1"], ["0"], ["0"], ["1"]]}, "kind": "witness", '
+     '"m": 2}, {"data": {"pairs": 13}, "kind": "vanishing-sweep", "m": 3}, '
+     '{"data": {"pairs": 13}, "kind": "vanishing-sweep", "m": 4}, {"data": '
+     '{"pairs": 13}, "kind": "vanishing-sweep", "m": 5}, {"data": {"pairs": '
+     '13}, "kind": "vanishing-sweep", "m": 6}], "certified_precision": 128, '
+     '"depth": 2, "estimated_m0": 3}, "schema": "v1"}'),
+    (["tame", "--preset", "qp-zeta-7", "--x", "3*pi^2", "--y", "7*pi+5"],
+     '{"certified_precision": 384, "command": "tame", "config": {"budget": '
+     '500, "precision": 64, "seed": 0}, "result": {"trivial": false, '
+     '"value": {"tame": 2, "tame_mod": 6}}, "schema": "v1"}'),
+    (["tame", "--preset", "qp-zeta-7", "--x", "98", "--y", "3"],
+     '{"certified_precision": 384, "command": "tame", "config": {"budget": '
+     '500, "precision": 64, "seed": 0}, "result": {"trivial": true, '
+     '"value": {"tame": 0, "tame_mod": 6}}, "schema": "v1"}'),
+    (["wild-zeta", "--p", "5", "--x", "2"],
+     '{"certified_precision": 256, "command": "wild-zeta", "config": '
+     '{"budget": 500, "precision": 64, "seed": 0}, "result": {"trivial": '
+     'false, "value": {"wild": 2, "wild_mod": 5}}, "schema": "v1"}'),
+    (["wild-zeta", "--p", "5", "--x", "13"],
+     '{"certified_precision": 256, "command": "wild-zeta", "config": '
+     '{"budget": 500, "precision": 64, "seed": 0}, "result": {"trivial": '
+     'false, "value": {"wild": 3, "wild_mod": 5}}, "schema": "v1"}'),
+    (["hasse-verify", "--preset", "qp-zeta-5", "--t", "3"],
+     '{"certified_precision": 256, "command": "hasse-verify", "config": '
+     '{"budget": 500, "precision": 64, "seed": 0}, "result": '
+     '{"certified_precision": 256, "entries": [[3, 0, 7], [4, 0, 8], '
+     '[5, 0, 9], [6, 0, 10]], "min_landing": 7, "ok": true, "regime": '
+     '"above", "required": 7, "t": 3}, "schema": "v1"}'),
+]
+
+
 @pytest.mark.parametrize("argv,result", _GOLDEN,
                          ids=lambda v: "-".join(v[:3]) if isinstance(v, list)
                          else "")
@@ -316,6 +386,15 @@ def test_function_field_golden_output(capsys, argv, result):
     code, out = _run(capsys, argv + ["--json"])
     assert code == 0
     assert out == _ENVELOPE % (argv[0], result)
+
+
+@pytest.mark.parametrize("argv,stdout", _LOCAL_GOLDEN,
+                         ids=lambda v: "-".join(v[:3]) if isinstance(v, list)
+                         else "")
+def test_local_field_golden_output(capsys, argv, stdout):
+    code, out = _run(capsys, argv + ["--json"])
+    assert code == 0
+    assert out == stdout + "\n"
 
 
 def test_preset_errors_name_the_cause(capsys):

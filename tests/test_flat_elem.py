@@ -4,7 +4,9 @@ import random
 
 import pytest
 
+from tamewild.errors import UnsupportedField
 from tamewild.localfield import (
+    MAX_ED,
     FElem,
     LocalFieldCtx,
     PadicCtx,
@@ -23,6 +25,24 @@ def _fields(N):
     # the shape of the norm oracle's unramified extensions
     out.append(LocalFieldCtx(PadicCtx(3, N, 3), [3, 3, 1], name="z3-unram3"))
     return out
+
+
+def _dense_eisenstein(p, e, d, N, rng):
+    """A field whose Eisenstein polynomial has random full-precision
+    coefficients, so that every normal form the product folds by is dense."""
+    base = PadicCtx(p, N, d)
+    mod = base.mod
+    f = [[p * rng.randrange(mod) % mod for _ in range(d)] for _ in range(e)]
+    f[0][0] = p * (1 + p * rng.randrange(mod)) % mod
+    return LocalFieldCtx(base, f + [1], name=f"dense-{e}-{d}")
+
+
+def _large_fields(N):
+    """A d > 1 field with e*d = 16, and fields at the cap MAX_ED = e*d."""
+    rng = random.Random(N)
+    return [_dense_eisenstein(3, 4, 4, N, rng),
+            _dense_eisenstein(3, MAX_ED // 4, 4, N, rng),
+            eisenstein_root(2, MAX_ED // 2, N, d=2)]
 
 
 def _poly_mul(a, b):
@@ -121,3 +141,75 @@ def test_o0_scalars_match_embedding():
         assert (x * 7).flat == tuple(v * 7 % ctx.base.mod for v in x.flat)
         r = rng.randrange(ctx.q)
         assert ctx.lift_residue(r).residue() == r
+
+
+def _sparse_elems(ctx, rng):
+    """0, 1, int scalars, powers of pi and Teichmuller lifts."""
+    out = [ctx.zero, ctx.one, ctx.from_int(-1), ctx.from_int(ctx.p),
+           ctx.from_int(rng.randrange(ctx.base.mod))]
+    out += [ctx.pi ** k for k in (1, ctx.e - 1, ctx.e, 2 * ctx.e + 1)]
+    out += [ctx.teichmuller(c) for c in (1, rng.randrange(1, ctx.q))]
+    out.append(ctx.one + ctx.pi)
+    return out
+
+
+@pytest.mark.parametrize("N", [8, 64])
+def test_sparse_operands_match_reference(N):
+    rng = random.Random(N + 1)
+    for ctx in _fields(N):
+        sparse = _sparse_elems(ctx, rng)
+        for a in sparse:
+            for b in sparse + [_random_elem(ctx, rng)]:
+                assert (a * b).flat == _reference_product(ctx, a, b), ctx.name
+        x = _random_elem(ctx, rng)
+        for c in (0, 1, -1, ctx.p, rng.randrange(-ctx.base.mod, ctx.base.mod)):
+            want = ctx.from_int(c)
+            assert x * c == c * x == x * want
+            assert (x + c).flat == (x + want).flat
+            assert (c - x).flat == (want - x).flat
+
+
+def test_large_fields_match_reference():
+    rng = random.Random(16)
+    for N in (8, 32):
+        for ctx in _large_fields(N):
+            elems = [_random_elem(ctx, rng) for _ in range(4)]
+            elems += [ctx.one + ctx.pi, ctx.pi ** (ctx.e - 1), ctx.from_int(5)]
+            for a, b in zip(elems, elems[1:] + elems[:1]):
+                assert (a * b).flat == _reference_product(ctx, a, b), ctx.name
+            assert ctx.pi ** ctx.e == ctx.from_int(ctx.p) * ctx.w_unit
+            u = ctx.one + ctx.pi
+            assert u * u.invert_unit() == ctx.one
+
+
+def test_fields_above_the_cap_are_refused():
+    with pytest.raises(UnsupportedField, match="MAX_ED"):
+        eisenstein_root(2, MAX_ED + 1, 8)
+    with pytest.raises(UnsupportedField, match="MAX_ED"):
+        eisenstein_root(3, MAX_ED // 2 + 1, 8, d=2)
+    with pytest.raises(UnsupportedField, match="MAX_ED"):
+        LocalFieldCtx(PadicCtx(3, 8, 4), [3] + [0] * (MAX_ED // 4) + [1])
+    with pytest.raises(UnsupportedField, match="MAX_ED"):
+        preset("qp-zeta-67")
+
+
+@pytest.mark.parametrize("N", [8, 64])
+def test_add_and_sub_match_reference(N):
+    rng = random.Random(N + 2)
+    for ctx in _fields(N) + _large_fields(8)[:1]:
+        mod = ctx.base.mod
+        for _ in range(10):
+            a, b = _random_elem(ctx, rng), _random_elem(ctx, rng)
+            assert (a + b).flat == tuple((x + y) % mod
+                                         for x, y in zip(a.flat, b.flat))
+            assert (a - b).flat == tuple((x - y) % mod
+                                         for x, y in zip(a.flat, b.flat))
+            assert (-a).flat == tuple(-x % mod for x in a.flat)
+            assert a - b + b == a and (a - a).is_zero()
+
+
+def test_mixed_contexts_are_refused():
+    a, b = preset("qp-5", 16).one, preset("qp-5", 16).one
+    for op in (lambda: a * b, lambda: a + b, lambda: a - b, lambda: b - a):
+        with pytest.raises(ValueError, match="mixed contexts"):
+            op()
