@@ -202,37 +202,20 @@ def _cmd_lattice(args, cfg):
     return 0 if ok else 1
 
 
-def _ff_args(args):
+def _cmd_funcfield(args, cfg):
     gf = GF(args.q)
     f = rational_from_string(gf, args.f)
     g = rational_from_string(gf, args.g)
-    return gf, f, g
-
-
-def _cmd_weil(args, cfg):
-    gf, f, g = _ff_args(args)
-    ok, table = weil_reciprocity_check(f, g)
-    result = {"product_is_one": ok,
-              "table": {pl.label(): v for pl, v in table}}
-    _emit(args, cfg, "weil", result, certified="exact")
-    return 0 if ok else 1
-
-
-def _cmd_ff_hilbert(args, cfg):
-    gf, f, g = _ff_args(args)
-    ok, table = ff_hilbert_check(f, g)
-    result = {"product_is_one": ok,
-              "table": {pl.label(): v for pl, v in table}}
-    _emit(args, cfg, "ff-hilbert", result, certified="exact")
-    return 0 if ok else 1
-
-
-def _cmd_residue(args, cfg):
-    gf, f, g = _ff_args(args)
-    ok, table, flagged = residue_theorem_check(f, g)
-    result = {"sum_is_zero": ok, "constant_differential": flagged,
-              "table": {pl.label(): v for pl, v in table}}
-    _emit(args, cfg, "residue", result, certified="exact")
+    if args.command == "residue":
+        ok, table, flagged = residue_theorem_check(f, g)
+        result = {"sum_is_zero": ok, "constant_differential": flagged}
+    else:
+        check = (weil_reciprocity_check if args.command == "weil"
+                 else ff_hilbert_check)
+        ok, table = check(f, g)
+        result = {"product_is_one": ok}
+    result["table"] = {pl.label(): v for pl, v in table}
+    _emit(args, cfg, args.command, result, certified="exact")
     return 0 if ok else 1
 
 
@@ -346,27 +329,15 @@ def _build_parser():
     p.add_argument("--m", type=int, default=None)
     p.set_defaults(func=_cmd_lattice)
 
-    p = sub.add_parser("weil", help="Weil reciprocity over F_q(t)")
-    common(p)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--f", required=True)
-    p.add_argument("--g", required=True)
-    p.set_defaults(func=_cmd_weil)
-
-    p = sub.add_parser("ff-hilbert",
-                       help="function-field Hilbert reciprocity")
-    common(p)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--f", required=True)
-    p.add_argument("--g", required=True)
-    p.set_defaults(func=_cmd_ff_hilbert)
-
-    p = sub.add_parser("residue", help="residue theorem for f dg")
-    common(p)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--f", required=True)
-    p.add_argument("--g", required=True)
-    p.set_defaults(func=_cmd_residue)
+    for name, text in (("weil", "Weil reciprocity over F_q(t)"),
+                       ("ff-hilbert", "function-field Hilbert reciprocity"),
+                       ("residue", "residue theorem for f dg")):
+        p = sub.add_parser(name, help=text)
+        common(p)
+        p.add_argument("--q", type=int, required=True)
+        p.add_argument("--f", required=True)
+        p.add_argument("--g", required=True)
+        p.set_defaults(func=_cmd_funcfield)
 
     p = sub.add_parser("selftest", help="run the acceptance suite")
     common(p)

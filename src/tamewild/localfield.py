@@ -39,7 +39,7 @@ from .errors import (
     UnsupportedField,
     ZeroInput,
 )
-from .finitefield import FiniteField, default_modulus
+from .finitefield import MAX_Q, FiniteField, default_modulus
 from .ntheory import isprime
 
 #: Largest precision N a PadicCtx carries, so that no -N, preset or field
@@ -75,6 +75,9 @@ class PadicCtx:
     gbar the residue modulus (the first irreducible in lexicographic
     coefficient order by default, so residue fields are reproducible across
     runs and shared with the function-field presets) and g its monic lift.
+    The default is searched for only up to p^d = MAX_Q: a larger residue
+    field could not build the tables its products need, and the search
+    alone can run for minutes.
     """
 
     def __init__(self, p, N=64, d=1, gbar=None, g=None):
@@ -89,6 +92,9 @@ class PadicCtx:
         self.p, self.N, self.d = p, N, d
         self.mod = p ** N
         if gbar is None:
+            if p ** d > MAX_Q:
+                raise BadInput(f"no default residue modulus for q = {p}^{d} "
+                               f"> MAX_Q = {MAX_Q}; give gbar")
             gbar = default_modulus(p, d)
         gbar = tuple(c % p for c in gbar)
         if len(gbar) != d + 1:
@@ -274,6 +280,24 @@ class LocalFieldCtx:
     def lift_residue(self, c):
         """The plain digit lift to O0 of a residue-field element."""
         return self.monomial(0, self.base.kappa.digits(c))
+
+    def level_unit(self, c, s):
+        """The unit 1 + [c] pi^s, [c] the digit lift of the residue c."""
+        return self.one + self.lift_residue(c) * self.pi ** s
+
+    def graded_pth_root(self, s, c):
+        """(a, t) with (1 + [a] pi^t)^p = 1 + [c] pi^s mod U^{s+1}, for c a
+        nonzero residue: the graded p-power map sends level t < e1 to p*t
+        by the Frobenius (a = c^(1/p)) and level t > e1 to t + e by
+        multiplication by rho (a = c/rho).  None at the levels s < p*e1
+        prime to p, which no p-th power reaches, and at the critical level
+        s = p*e1, where a -> a^p + rho*a need not be onto."""
+        kappa = self.base.kappa
+        if s % self.p == 0 and Fraction(s, self.p) < self.e1:
+            return kappa.pow(c, self.q // self.p), s // self.p
+        if s > self.p * self.e1:
+            return kappa.mul(c, kappa.inv(self.rho)), s - self.e
+        return None
 
     def teichmuller(self, c):
         """The unique (q-1)-st root of unity congruent to c mod p.
@@ -534,14 +558,13 @@ class FElem:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        if n < 0:
-            return self.invert_unit() ** (-n)
-        r, b = self.ctx.one, self
-        while n:
-            if n & 1:
-                r = r * b
-            b = b * b
-            n >>= 1
+        if n <= 0:
+            return self.invert_unit() ** (-n) if n else self.ctx.one
+        r = self
+        for bit in bin(n)[3:]:  # the bits below the leading one
+            r = r * r
+            if bit == "1":
+                r = r * self
         return r
 
     # -- valuation-aware helpers ------------------------------------------
@@ -819,20 +842,16 @@ def pth_root_in_filtration(w, t):
         return ctx.one
     if lv < t + ctx.e:
         raise NotInIdeal(f"w has level {lv} < t + e = {t + ctx.e}")
-    kappa = ctx.base.kappa
-    rho_inv = kappa.inv(ctx.rho)
     u = ctx.one
     defect = w
     for _ in range(ctx.M + 1):
         dl = valuation(defect - ctx.one)
         if dl is PRECISION_EXHAUSTED:
             break
-        s = dl - ctx.e
-        if s < t:
+        if dl < t + ctx.e:
             raise InvariantFailed(f"defect at level {dl} is below t + e")
         c = (defect - ctx.one).div_pi_pow(dl).residue()
-        a = kappa.mul(c, rho_inv)
-        corr = ctx.one + ctx.lift_residue(a) * (ctx.pi ** s)
+        corr = ctx.level_unit(*ctx.graded_pth_root(dl, c))
         u = u * corr
         defect = defect * (corr ** ctx.p).invert_unit()
     else:  # pragma: no cover

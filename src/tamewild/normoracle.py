@@ -10,19 +10,21 @@ Gaussian elimination in the elementary abelian quotient F^x/(F^x)^m U_F^H.
 Deeper units add nothing, since every conjugate of z has v_L(z):
 v_F(N(1+z) - 1) >= v_L(z)/e(L/F).
 
-The quotient is handled through a constructive normal form.  The p-power
-map sends the graded piece at level t to level p*t (Frobenius twist,
-t < e1), to level t+e (multiplication by the residue of p*pi^{-e}, t > e1),
-and at the critical level t = e1 acts by the F_p-linear map
-a -> a^p + rho*a, whose image is divided off and whose cokernel is one
-extra coordinate.  Digits surviving elimination (fundamental levels and the
-cokernel) are canonical coordinates; U_F^H consists of m-th powers by the
-p-power landing bounds, so an empty normal form certifies an m-th power.
+The quotient is an F_m-space whose coordinates sit at positions, in the
+order they are read off a class pi^n omega^i u: ("pi",) and ("omega",)
+carry an exponent mod m, a digit of F_m; ("level", s) and ("coker", s)
+carry a digit of the residue field kappa, an F_p-vector (m = p there).
+Reading them divides m-th powers off: the graded p-th root
+(LocalFieldCtx.graded_pth_root) clears every level that p-th powers
+reach, and at the critical level s = p*e1 the image of a -> a^p + rho*a
+is divided off and the cokernel is the coordinate.  What survives is
+canonical; U_F^H consists of m-th powers by the p-power landing bounds, so
+a class without coordinates is an m-th power.  A subgroup is held as one
+_DigitSpan per position, and reduction modulo it is one echelon solve per
+position.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .errors import (
     PRECISION_EXHAUSTED,
@@ -32,7 +34,7 @@ from .errors import (
     UnsupportedSplitting,
     ZeroInput,
 )
-from .finitefield import FiniteField, default_modulus
+from .finitefield import GF, FiniteField, default_modulus
 from .localfield import (
     LocalFieldCtx,
     cyclotomic_eisenstein,
@@ -43,22 +45,25 @@ from .localfield import (
 
 
 # ---------------------------------------------------------------------------
-# F_p-echelon of residue-field digits, with witness combinations
+# F_l-echelon of the digits at one position, with witness combinations
 # ---------------------------------------------------------------------------
 
 class _DigitSpan:
-    """Echelonized F_p-span of kappa-elements (as F_p^d digit vectors); rows
-    carry witness data, reductions report the combination used."""
+    """Echelonized F_l-span of the digits at one position of the class
+    quotient, l the characteristic of `field`: each digit is an element of
+    `field` read as its F_l^d digit vector (F_m at pi and omega, where a
+    digit is its own vector; kappa at a level or the cokernel).  Rows carry
+    witness data, and reductions report the combination used."""
 
-    def __init__(self, kappa):
-        self.kappa = kappa
-        self.p = kappa.p
+    def __init__(self, field):
+        self.field = field
+        self.p = field.p
         self.rows = []  # (vec, pivot digit index, its inverse, witness)
 
     def reduce(self, vec):
         """(residual, combo) with combo = [(witness, scale), ...] such that
         vec = residual + sum scale * row_vec."""
-        k = self.kappa
+        k = self.field
         combo = []
         for row_vec, piv, inv, wit in self.rows:
             c = k.digits(vec)[piv]
@@ -72,19 +77,9 @@ class _DigitSpan:
         """Insert a row whose vector is already reduced against this span."""
         if not vec:
             raise ValueError("cannot insert a zero row")
-        piv, lead = next((i, c) for i, c in enumerate(self.kappa.digits(vec))
+        piv, lead = next((i, c) for i, c in enumerate(self.field.digits(vec))
                          if c)
         self.rows.append((vec, piv, pow(lead, -1, self.p), witness))
-
-
-class _Pivots:
-    """Echelon data for a generated subgroup of the class quotient."""
-
-    __slots__ = ("special", "spans")
-
-    def __init__(self):
-        self.special = {}  # ("pi",) -> (lead, state); ("omega",) likewise
-        self.spans = {}    # ("level"|"coker", s) -> _DigitSpan of states
 
 
 class _ClassState:
@@ -92,11 +87,12 @@ class _ClassState:
 
     __slots__ = ("n", "i", "u", "_inverse")
 
-    def __init__(self, n, i, u):
+    def __init__(self, n, i, u, u_inv=None):
         self.n = n
         self.i = i
         self.u = u
-        self._inverse = None  # (u, u^-1) once u_inverse() has run
+        # (u, u^-1) once known
+        self._inverse = None if u_inv is None else (u, u_inv)
 
     def copy(self):
         return _ClassState(self.n, self.i, self.u)
@@ -118,6 +114,7 @@ class _Reducer:
         self.ctx = ctx
         self.m = m
         self.kappa = ctx.base.kappa
+        self.exponents = GF(m)  # the digits at ("pi",) and ("omega",)
         p = ctx.p
         if m == 2 and p != 2:
             self.wild = False
@@ -130,7 +127,6 @@ class _Reducer:
             self.critical = (int(p * ctx.e1)
                              if ctx.e1.denominator == 1 else None)
             self.rho = ctx.rho
-            self.rho_inv = self.kappa.inv(self.rho)
             self._phi_span = self._build_phi_span()
         else:
             raise BadInput(f"m must be 2 or p = {p}")
@@ -160,29 +156,44 @@ class _Reducer:
         """Divide an m-th power off u to kill (part of) the digit c at level
         s; returns (new u, surviving digit or None)."""
         ctx, k = self.ctx, self.kappa
-        p = ctx.p
-        if s % p == 0 and s >= p and Fraction(s, p) < ctx.e1:
-            a = k.pow(c, ctx.q // p)  # Frobenius inverse: a^p = c
-            corr = ctx.one + ctx.lift_residue(a) * ctx.pi ** (s // p)
-            return u * (corr ** p).invert_unit(), None
-        if Fraction(s) > ctx.e1 + ctx.e:
-            a = k.mul(c, self.rho_inv)
-            corr = ctx.one + ctx.lift_residue(a) * ctx.pi ** (s - ctx.e)
-            return u * (corr ** p).invert_unit(), None
-        if self.critical is not None and s == self.critical:
-            residual, combo = self._phi_span.reduce(c)
-            if combo:
-                a = k.zero
-                for wit, scale in combo:
-                    a = k.add(a, k.scale(wit, scale))
-                t = int(ctx.e1)
-                corr = ctx.one + ctx.lift_residue(a) * ctx.pi ** t
-                u = u * (corr ** p).invert_unit()
-            return u, (residual if residual != k.zero else None)
-        return u, c  # fundamental level: the digit survives
+        root = ctx.graded_pth_root(s, c)
+        if root is not None:
+            return u * (ctx.level_unit(*root) ** ctx.p).invert_unit(), None
+        if s != self.critical:
+            return u, c  # fundamental level: the digit survives
+        residual, combo = self._phi_span.reduce(c)
+        if combo:
+            a = k.zero
+            for wit, scale in combo:
+                a = k.add(a, k.scale(wit, scale))
+            corr = ctx.level_unit(a, s // ctx.p)
+            u = u * (corr ** ctx.p).invert_unit()
+        return u, (residual if residual != k.zero else None)
 
-    def _position(self, s):
-        return ("coker" if s == self.critical else "level", s)
+    def _lead(self, st):
+        """Divide m-th powers off st up to its first coordinate, returned
+        as (position, digit); None once st lies in (F^x)^m U^H."""
+        ctx = self.ctx
+        st.n %= self.m
+        if st.n:
+            return ("pi",), st.n
+        # wild: gcd(p, q-1) = 1, so omega powers are p-th powers; tame:
+        # q-1 is even for odd p
+        st.i = 0 if self.wild else st.i % 2
+        if st.i:
+            return ("omega",), st.i
+        if not self.wild:
+            return None  # principal units are all squares here
+        for _ in range(self.H + ctx.M):
+            lv = valuation(st.u - ctx.one)
+            if lv is PRECISION_EXHAUSTED or lv >= self.H:
+                return None
+            c = (st.u - ctx.one).div_pi_pow(lv).residue()
+            st.u, surviving = self._eliminate_step(st.u, lv, c)
+            if surviving is not None:
+                return ("coker" if lv == self.critical else "level",
+                        lv), surviving
+        raise InvariantFailed("unit reduction did not terminate")
 
     # -- class states --------------------------------------------------------
 
@@ -209,120 +220,68 @@ class _Reducer:
         st.i -= j * piv.i
         st.u = st.u * piv.u_inverse() ** j
 
+    def _coordinate(self, pos, digit):
+        """The class whose only coordinate is digit at pos: pi^digit,
+        omega^digit or 1 + [digit] pi^s."""
+        one = self.ctx.one
+        if pos == ("pi",):
+            return _ClassState(digit, 0, one, one)
+        if pos == ("omega",):
+            return _ClassState(0, digit, one, one)
+        return _ClassState(0, 0, self.ctx.level_unit(digit, pos[1]))
+
     # -- the normal form -----------------------------------------------------
 
-    def normal_form(self, st, pivots=None, collect=None):
-        """Reduce a class state modulo (F^x)^m U^H and the pivot subgroup.
+    def normal_form(self, st, pivots, collect=None):
+        """Reduce a class state modulo (F^x)^m U^H and the subgroup spanned
+        by `pivots` (position -> _DigitSpan of class states).
 
         Returns None when the state reduces to triviality; otherwise the
         leading irreducible (position, digit, state).  With a `collect`
         list, surviving digits are recorded and divided off literally,
-        producing the full canonical coordinate list (pivots=None then
+        producing the full canonical coordinate list (pivots={} then
         yields class-intrinsic coordinates).
         """
-        ctx, m = self.ctx, self.m
-        st.n %= m
-        if st.n:
-            handled = pivots is not None and self._solve_pi(st, pivots)
-            if not handled:
-                if collect is None:
-                    return (("pi",), st.n, st)
-                collect.append((("pi",), st.n))
-                st.n = 0
-        if self.wild:
-            st.i = 0  # gcd(p, q-1) = 1: omega powers are p-th powers
-        else:
-            st.i %= 2  # q-1 is even for odd p
-        if st.i:
-            handled = pivots is not None and self._solve_omega(st, pivots)
-            if not handled:
-                if collect is None:
-                    return (("omega",), st.i, st)
-                collect.append((("omega",), st.i))
-                st.i = 0
-        if not self.wild:
-            return None  # principal units are all squares here
-        guard = 0
         while True:
-            guard += 1
-            if guard > self.H + ctx.M:  # pragma: no cover
-                raise InvariantFailed("unit reduction did not terminate")
-            lv = valuation(st.u - ctx.one)
-            if lv is PRECISION_EXHAUSTED or lv >= self.H:
+            lead = self._lead(st)
+            if lead is None:
                 return None
-            c = (st.u - ctx.one).div_pi_pow(lv).residue()
-            st.u, surviving = self._eliminate_step(st.u, lv, c)
-            if surviving is None:
-                continue
-            pos = self._position(lv)
-            if pivots is not None:
-                cleared, surviving = self._solve_digit(st, pos, surviving,
-                                                       pivots)
-                if cleared:
+            pos, digit = lead
+            if pos in pivots:
+                digit = self._solve_digit(st, digit, pivots[pos])
+                if not digit:
                     continue
             if collect is None:
-                return (pos, surviving, st)
-            collect.append((pos, surviving))
-            corr = ctx.one + ctx.lift_residue(surviving) * ctx.pi ** lv
-            st.u = st.u * corr.invert_unit()
+                return pos, digit, st
+            collect.append((pos, digit))
+            self._divide(st, self._coordinate(pos, digit), 1)
 
     def full_normal_form(self, x, shift=0):
         """Canonical coordinates of the class of x; empty iff x is an m-th
         power (modulo U^H, hence on the nose)."""
         coords = []
-        self.normal_form(self.decompose(x, shift), pivots=None,
-                         collect=coords)
+        self.normal_form(self.decompose(x, shift), {}, collect=coords)
         return coords
 
     # -- pivot solving and insertion ------------------------------------------
 
-    def _solve_pi(self, st, pivots):
-        entry = pivots.special.get(("pi",))
-        if entry is None:
-            return False
-        n0, piv = entry
-        j = st.n * pow(n0, -1, self.m) % self.m
-        self._divide(st, piv, j)
-        st.n %= self.m
-        return True
-
-    def _solve_omega(self, st, pivots):
-        entry = pivots.special.get(("omega",))
-        if entry is None:
-            return False
-        _, piv = entry
-        self._divide(st, piv, st.i % 2)
-        st.i %= 2
-        return True
-
-    def _solve_digit(self, st, pos, digit, pivots):
-        span = pivots.spans.get(pos)
-        if span is None:
-            return False, digit
+    def _solve_digit(self, st, digit, span):
+        """Divide off the pivots that clear what they can of digit; returns
+        the residual digit."""
         residual, combo = span.reduce(digit)
         for piv, scale in combo:
             self._divide(st, piv, scale)
-        if not residual:
-            return True, None
-        return False, residual
+        return residual
 
     def insert_generator(self, pivots, x, shift=0):
-        st = self.decompose(x, shift)
-        lead = self.normal_form(st, pivots=pivots)
-        if lead is None:
-            return
-        pos, digit, st = lead
-        if pos == ("pi",):
-            pivots.special[pos] = (st.n, st.copy())
-        elif pos == ("omega",):
-            pivots.special[pos] = (st.i, st.copy())
-        else:
-            span = pivots.spans.setdefault(pos, _DigitSpan(self.kappa))
-            span.insert(digit, st.copy())
+        lead = self.normal_form(self.decompose(x, shift), pivots)
+        if lead is not None:
+            pos, digit, st = lead
+            field = self.exponents if len(pos) == 1 else self.kappa
+            pivots.setdefault(pos, _DigitSpan(field)).insert(digit, st.copy())
 
     def is_member(self, pivots, x, shift=0):
-        st = self.decompose(x, shift)
-        return self.normal_form(st, pivots=pivots) is None
+        return self.normal_form(self.decompose(x, shift), pivots) is None
 
 
 # ---------------------------------------------------------------------------
@@ -474,9 +433,8 @@ class NormResidueOracle:
         if lead_pos[0] == "coker":
             return _unramified_kummer(ctx, m)
         y_red = ctx.one
-        for (kind, s), dig in unit_coords:
-            y_red = y_red * (ctx.one
-                             + ctx.lift_residue(dig) * ctx.pi ** s)
+        for (_, s), dig in unit_coords:
+            y_red = y_red * ctx.level_unit(dig, s)
         lam = lead_pos[1]
         if lam % ctx.p == 0:
             raise UnsupportedSplitting(f"fundamental level {lam} is "
@@ -493,7 +451,7 @@ class NormResidueOracle:
             return None  # y is an m-th power: L = F, everything is a norm
         if key not in self._pivot_cache:
             ext = self._build_extension(list(key), y)
-            pivots = _Pivots()
+            pivots = {}
             # norms from U_L^high lie in U_F^H (module docstring)
             high = ext.ram_index * (self.reducer.H - 1) + 1
             for elem, shift in ext.spanning_norms(high):

@@ -18,6 +18,7 @@ from .errors import (
     PrecisionExhausted,
 )
 from .localfield import spanning_units, val_p_coeffs, valuation
+from .symbols import triviality_oracle
 
 
 class OrderRm:
@@ -148,11 +149,6 @@ class OptimalOrderReport:
         }
 
 
-def _tame_only_oracle(ctx):
-    from .symbols import tame_symbol
-    return lambda x, y: tame_symbol(x, y) == 0
-
-
 def estimate_m0(ctx, symbol_oracle=None, sample_budget=500, depth=2):
     """Least m <= B whose spanning generator pairs of R_m^x all have trivial
     symbol, with a recorded non-vanishing witness for each smaller m.
@@ -160,8 +156,8 @@ def estimate_m0(ctx, symbol_oracle=None, sample_budget=500, depth=2):
     The oracle is a callable (x, y) -> bool deciding triviality of the full
     symbol; bimultiplicativity makes spanning-pair vanishing certify the
     subgroup generated at the tested depth.  For fields without p-power
-    roots of unity the tame symbol is the full symbol and is used when no
-    oracle is supplied.
+    roots of unity the tame symbol is the full symbol, and
+    triviality_oracle(ctx) decides it when no oracle is supplied.
     """
     if ctx.p == 2:
         raise PIsTwo("no bound computation at p = 2")
@@ -178,7 +174,7 @@ def estimate_m0(ctx, symbol_oracle=None, sample_budget=500, depth=2):
             raise OracleUnavailable(
                 "field has p-power roots of unity but no wild symbol "
                 "evaluator was supplied")
-        symbol_oracle = _tame_only_oracle(ctx)
+        symbol_oracle = triviality_oracle(ctx)
     budget = sample_budget
     certificates = []
     estimated = None

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import tamewild
-from tamewild import cli
+from tamewild import cli, localfield
 from tamewild.cli import RunConfig, dispatch, element_from_string
 from tamewild.errors import BadInput, InvariantFailed, NormUnitNotPrincipal
 from tamewild.localfield import qp_zeta
@@ -253,6 +253,27 @@ def test_huge_prime_power_exits_before_searching_a_modulus():
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "MAX_Q" in proc.stderr
+
+
+@pytest.mark.parametrize("d", [24, 40])
+def test_residue_degree_above_the_cap_exits_before_searching(tmp_path, d):
+    # d = 24 once spent 12 s looking for a default modulus; d = 40 did not
+    # finish in 5 minutes
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps({"p": 2, "d": d, "N": 8, "f": [2, 1]}))
+    proc = _subprocess(_ENTRY, ["tame", "--field-json", str(path),
+                                "--x", "pi", "--y", "pi"], timeout=10)
+    assert proc.returncode == 2
+    assert "MAX_Q" in proc.stderr and "gbar" in proc.stderr
+
+
+def test_residue_degree_above_the_cap_builds_with_gbar():
+    gbar = [1, 0, 0, 1] + [0] * 13 + [1]  # x^17 + x^3 + 1 over F_2
+    ctx = localfield.LocalFieldCtx.from_descriptor(
+        {"p": 2, "d": 17, "N": 8, "f": [2, 1], "gbar": gbar})
+    assert ctx.q == 2 ** 17
+    assert ctx.base.kappa.modulus == tuple(gbar)
+    assert (ctx.pi * ctx.pi).valuation() == 2
 
 
 _ENVELOPE = ('{"certified_precision": "exact", "command": "%s", "config": '

@@ -181,6 +181,32 @@ def test_pth_root_trivial_and_roundtrip(z3, z5):
             assert lv is PRECISION_EXHAUSTED or rate ** ctx.p == ctx.one
 
 
+@pytest.mark.parametrize("name", ["qp-zeta-3", "qp-zeta-5", "cbrt-3",
+                                  "root4-3"])
+def test_graded_pth_root(name):
+    ctx = preset(name, 16)
+    p, top = ctx.p, 3 * ctx.e + 4
+    # the levels that p-th powers land on, read off (1 + pi^t)^p; t = e1
+    # lands on the critical level only when a -> a^p + rho*a is onto
+    reached = {unit_level(ctx.level_unit(1, t) ** p)
+               for t in range(1, top) if t != ctx.e1}
+    regimes = set()
+    for s in range(1, top):
+        for c in ctx.base.kappa.elements():
+            if not c:
+                continue
+            root = ctx.graded_pth_root(s, c)
+            assert (root is None) == (s not in reached), (s, c)
+            if root is None:
+                continue
+            a, t = root
+            regimes.add(s == p * t)
+            v = valuation(ctx.level_unit(a, t) ** p - ctx.level_unit(c, s))
+            assert v is PRECISION_EXHAUSTED or v > s, (s, c)
+    # below e1 (Frobenius, s = p*t) only when some t >= 1 lies below e1
+    assert regimes == ({True, False} if ctx.e1 > 1 else {False})
+
+
 def test_pth_root_threshold(z3):
     with pytest.raises(BelowThreshold):
         pth_root_in_filtration(z3.one + z3.pi ** 4, 1)  # t = 1 = e1

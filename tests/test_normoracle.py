@@ -13,7 +13,6 @@ from tamewild.errors import PRECISION_EXHAUSTED
 from tamewild.normoracle import (
     NormResidueOracle,
     _Kummer,
-    _Pivots,
     _unramified_kummer,
     norm_residue_trivial,
 )
@@ -323,7 +322,7 @@ def test_norms_above_the_level_bound_are_mth_powers(name, m, ys):
         assert old[:len(new)] == new
         for elem, shift in old[len(new):]:
             assert red.full_normal_form(elem, shift) == [], (y_text, shift)
-        old_pivots = _Pivots()
+        old_pivots = {}
         for elem, shift in old:
             red.insert_generator(old_pivots, elem, shift)
         for x in xs:
