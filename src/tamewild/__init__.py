@@ -4,7 +4,8 @@ Subpackages:
 
 - finitefield: the finite fields F_q (residue and constant fields) and F_q[x]
 - localfield: totally-ramified-over-unramified extensions F = F0(pi), the
-  unramified ring O0 being block 0 of their elements
+  unramified ring O0 being block 0 of their elements; their unit
+  filtration, the one p-th-root solver and the roots of unity
 - padic: old names of localfield and finitefield classes, kept for
   perfbench/tracing.py
 - orders: the singular subrings O0 + m^m O_F and the optimal-order bound
@@ -29,7 +30,6 @@ from .localfield import (
     hasse_forward,
     pth_root_in_filtration,
     compute_mu,
-    hensel_root,
     qp,
     qp_zeta,
     eisenstein_root,
@@ -39,7 +39,6 @@ from .orders import OrderRm, OptimalOrderReport, m0_bound, estimate_m0
 from .symbols import (
     tame_symbol,
     hilbert_quadratic_q,
-    hilbert_tame_part,
     wild_symbol_zeta,
     norm_to_base,
     k1_decompose,
@@ -71,12 +70,12 @@ __all__ = [
     "PRECISION_EXHAUSTED",
     "PadicCtx", "LocalFieldCtx", "FElem", "UnitDecomposition", "valuation",
     "unit_decompose", "unit_level", "zp_exp", "hasse_forward",
-    "pth_root_in_filtration", "compute_mu", "hensel_root", "qp", "qp_zeta",
-    "eisenstein_root", "preset",
+    "pth_root_in_filtration", "compute_mu", "qp", "qp_zeta", "eisenstein_root",
+    "preset",
     "OrderRm", "OptimalOrderReport", "m0_bound", "estimate_m0",
-    "tame_symbol", "hilbert_quadratic_q", "hilbert_tame_part",
-    "wild_symbol_zeta", "norm_to_base", "k1_decompose", "k2_transform",
-    "steinberg_check", "triviality_oracle", "norm_residue_trivial",
+    "tame_symbol", "hilbert_quadratic_q", "wild_symbol_zeta", "norm_to_base",
+    "k1_decompose", "k2_transform", "steinberg_check", "triviality_oracle",
+    "norm_residue_trivial",
     "Place", "GlobalOrderLattice", "mu_counts_q", "moore_product_q",
     "quadratic_reciprocity_view", "global_optimal_lattice",
     "GF", "FiniteField", "FqPoly", "FqRational", "FFPlace", "divisor", "ff_tame_symbol",

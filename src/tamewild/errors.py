@@ -34,10 +34,6 @@ class ZeroInput(ValueError):
     """A nonzero argument was required."""
 
 
-class HenselHypothesisFailed(ArithmeticError):
-    """Newton refinement could not be certified from the given approximation."""
-
-
 class NotPrincipalUnit(ValueError):
     """An element of 1 + m was required."""
 

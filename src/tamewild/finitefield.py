@@ -325,6 +325,39 @@ def default_modulus(p, s):
                 if is_irreducible(FqPoly(fp, list(tail) + [1])))
 
 
+class DigitSpan:
+    """Echelonized F_l-span of elements of `field`, l its characteristic,
+    each read as its F_l^d digit vector (a prime field's element is its own
+    vector).  Rows carry witness data, and reductions report the
+    combination used."""
+
+    def __init__(self, field):
+        self.field = field
+        self.p = field.p
+        self.rows = []  # (vec, pivot digit index, its inverse, witness)
+
+    def reduce(self, vec):
+        """(residual, combo) with combo = [(witness, scale), ...] such that
+        vec = residual + sum scale * row_vec."""
+        k = self.field
+        combo = []
+        for row_vec, piv, inv, wit in self.rows:
+            c = k.digits(vec)[piv]
+            if c:
+                scale = c * inv % self.p
+                vec = k.sub(vec, k.scale(row_vec, scale))
+                combo.append((wit, scale))
+        return vec, combo
+
+    def insert(self, vec, witness):
+        """Insert a row whose vector is already reduced against this span."""
+        if not vec:
+            raise ValueError("cannot insert a zero row")
+        piv, lead = next((i, c) for i, c in enumerate(self.field.digits(vec))
+                         if c)
+        self.rows.append((vec, piv, pow(lead, -1, self.p), witness))
+
+
 # ---------------------------------------------------------------------------
 # polynomials over F_q
 # ---------------------------------------------------------------------------

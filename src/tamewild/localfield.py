@@ -25,13 +25,11 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as _iproduct
 
 from .errors import (
     PRECISION_EXHAUSTED,
     BadInput,
     BelowThreshold,
-    HenselHypothesisFailed,
     InvariantFailed,
     NotInIdeal,
     NotPrincipalUnit,
@@ -39,7 +37,7 @@ from .errors import (
     UnsupportedField,
     ZeroInput,
 )
-from .finitefield import MAX_Q, FiniteField, default_modulus
+from .finitefield import MAX_Q, DigitSpan, FiniteField, default_modulus
 from .ntheory import isprime
 
 #: Largest precision N a PadicCtx carries, so that no -N, preset or field
@@ -286,18 +284,26 @@ class LocalFieldCtx:
         return self.one + self.lift_residue(c) * self.pi ** s
 
     def graded_pth_root(self, s, c):
-        """(a, t) with (1 + [a] pi^t)^p = 1 + [c] pi^s mod U^{s+1}, for c a
-        nonzero residue: the graded p-power map sends level t < e1 to p*t
-        by the Frobenius (a = c^(1/p)) and level t > e1 to t + e by
-        multiplication by rho (a = c/rho).  None at the levels s < p*e1
-        prime to p, which no p-th power reaches, and at the critical level
-        s = p*e1, where a -> a^p + rho*a need not be onto."""
-        kappa = self.base.kappa
-        if s % self.p == 0 and Fraction(s, self.p) < self.e1:
-            return kappa.pow(c, self.q // self.p), s // self.p
-        if s > self.p * self.e1:
-            return kappa.mul(c, kappa.inv(self.rho)), s - self.e
-        return None
+        """(a, t, r) with (1 + [a] pi^t)^p = 1 + [c - r] pi^s mod U^{s+1},
+        r the part of the residue c that no p-th power reaches: r = 0 when
+        all of c is reached, and a = 0 when none of it is.  The graded
+        p-power map sends level t < e1 to p*t by the Frobenius (a =
+        c^(1/p)), level t > e1 to t + e by multiplication by rho (a =
+        c/rho), and the critical level t = e1 to p*t by phi (phi_span); no
+        p-th power lands on a level s < p*e1 prime to p."""
+        kappa, p = self.base.kappa, self.p
+        above = s * (p - 1) - p * self.e  # the sign of s - p*e1
+        if above > 0:
+            return kappa.mul(c, kappa.inv(self.rho)), s - self.e, 0
+        if above == 0:
+            r, combo = self.phi_span.reduce(c)
+            a = 0
+            for wit, scale in combo:
+                a = kappa.add(a, kappa.scale(wit, scale))
+            return a, s // p, r
+        if s % p:
+            return 0, s // p, c
+        return kappa.pow(c, self.q // p), s // p, 0
 
     def teichmuller(self, c):
         """The unique (q-1)-st root of unity congruent to c mod p.
@@ -363,14 +369,57 @@ class LocalFieldCtx:
         return self.w_inv.residue()
 
     @_lazy
+    def phi_span(self):
+        """The image of phi(a) = a^p + rho*a, the graded p-power map at the
+        critical level, as a DigitSpan over kappa whose rows carry their
+        preimages."""
+        kappa = self.base.kappa
+        span = DigitSpan(kappa)
+        gen = kappa.generator() if self.d > 1 else kappa.one
+        for j in range(self.d):
+            a = kappa.pow(gen, j)
+            img = kappa.add(kappa.pow(a, self.p), kappa.mul(self.rho, a))
+            residual, combo = span.reduce(img)
+            if residual:
+                for prev, scale in combo:
+                    a = kappa.sub(a, kappa.scale(prev, scale))
+                span.insert(residual, a)
+        return span
+
+    @_lazy
     def omega(self):
         """Teichmuller lift of the fixed residue-field generator."""
         return self.teichmuller(self.base.kappa.generator())
 
     @_lazy
     def k(self):
-        """Wild exponent: #mu(F) = p^k (q-1)."""
-        return _wild_exponent(self)
+        """Wild exponent: #mu(F) = p^k (q-1).
+
+        mu_p lies in F iff e1 is an integer and phi has a kernel, that is
+        iff -rho = a^(p-1) for some a in kappa; then x = 1 + [a] pi^e1 has
+        x^p in U^{p*e1+1}, where every unit is a p-th power, and zeta_p =
+        x * pth_root(x^-p).  Each zeta_{p^(j+1)} is pth_root(zeta_{p^j})
+        until that is None.  zeta_{p^j} is certified mod pi^{M-j*e}, and
+        the decision reads its digits up to level p*e1, so PrecisionExhausted
+        is raised once M - j*e <= p*e1.
+        """
+        p, e, kappa = self.p, self.e, self.base.kappa
+        if e % (p - 1):
+            return 0
+        n, r = divmod(kappa.dlog(kappa.neg(self.rho)), p - 1)
+        if r:
+            return 0
+        x = self.level_unit(kappa.pow(kappa.generator(), n), e // (p - 1))
+        zeta, k = x * pth_root(x.invert_unit() ** p), 1
+        critical = p * e // (p - 1)
+        while self.M - k * e > critical:
+            zeta = pth_root(zeta)
+            if zeta is None:
+                return k
+            k += 1
+        raise PrecisionExhausted(
+            f"zeta_{p ** k} is certified only mod pi^{self.M - k * e}, "
+            f"not past p*e1 = {critical}")
 
     @_lazy
     def wild_level(self):
@@ -803,6 +852,8 @@ def hasse_forward(ctx, t, depth=None):
         raise BadInput("t must be >= 1")
     if depth is None:
         depth = ctx.e
+    if depth < 1:
+        raise BadInput(f"depth = {depth} must be at least 1")
     if depth * ctx.e >= ctx.M:
         raise PrecisionExhausted("spanning depth exceeds working precision")
     if not t * ctx.p < ctx.M // 2:
@@ -826,177 +877,56 @@ def hasse_forward(ctx, t, depth=None):
     )
 
 
-def pth_root_in_filtration(w, t):
-    """A u in U^t with u^p = w, for w in U^{t+e} and t > e1 (exact rational
-    comparison).
+def pth_root(w):
+    """A p-th root of the principal unit w, or None when w is no p-th power.
 
-    Solved level by level: above e1 the induced map on each graded piece is
-    multiplication by the residue of p*pi^{-e}, a bijection, so every digit
-    is one residue-field division.  The answer is unique up to mu_p(F).
+    Solved level by level: the defect x^p w^-1 of the root x found so far
+    has its leading digit c at some level s, and x is multiplied by the
+    graded p-th root of 1 - [c] pi^s; a part of c that no p-th power reaches
+    means that w is no p-th power.  Every step raises the defect's level,
+    so the root is exact mod pi^M; it is unique up to mu_p(F).
     """
     ctx = w.ctx
-    if not Fraction(t) > ctx.e1:
-        raise BelowThreshold(f"t = {t} is not above e1 = {ctx.e1}")
-    lv = unit_level(w)
-    if lv is PRECISION_EXHAUSTED:
-        return ctx.one
-    if lv < t + ctx.e:
-        raise NotInIdeal(f"w has level {lv} < t + e = {t + ctx.e}")
-    u = ctx.one
-    defect = w
+    kappa = ctx.base.kappa
+    x, defect = ctx.one, w.invert_unit()
     for _ in range(ctx.M + 1):
-        dl = valuation(defect - ctx.one)
-        if dl is PRECISION_EXHAUSTED:
-            break
-        if dl < t + ctx.e:
-            raise InvariantFailed(f"defect at level {dl} is below t + e")
-        c = (defect - ctx.one).div_pi_pow(dl).residue()
-        corr = ctx.level_unit(*ctx.graded_pth_root(dl, c))
-        u = u * corr
-        defect = defect * (corr ** ctx.p).invert_unit()
+        s = valuation(defect - ctx.one)
+        if s is PRECISION_EXHAUSTED:
+            return x
+        if s < 1:
+            raise NotPrincipalUnit("pth_root needs a principal unit")
+        c = (defect - ctx.one).div_pi_pow(s).residue()
+        a, t, r = ctx.graded_pth_root(s, kappa.neg(c))
+        if r:
+            return None
+        corr = ctx.level_unit(a, t)
+        x = x * corr
+        defect = defect * corr ** ctx.p
     else:  # pragma: no cover
         raise PrecisionExhausted("digit solving did not terminate")
-    return u
 
 
-# ---------------------------------------------------------------------------
-# Hensel refinement
-# ---------------------------------------------------------------------------
+def pth_root_in_filtration(w, t):
+    """A u in U^t with u^p = w, for w in U^{t+e} and t > e1.
 
-def hensel_root(poly, approx):
-    """Newton refinement of an approximate root of poly (a list of FElems
-    or ints, low degree first).
-
-    Requires the classical certificate v(poly(a)) > 2*v(poly'(a)) at
-    working precision; raises HenselHypothesisFailed otherwise.  Each step
-    divides exactly by pi^v(poly'(a)), which costs that many certified
-    levels; the root is returned once poly(root) vanishes at the remaining
-    certified precision.
+    Above e1 the induced map on each graded piece is multiplication by the
+    residue of p*pi^{-e}, a bijection, so pth_root finds u digit by digit.
+    The answer is unique up to mu_p(F).
     """
-    return _hensel(poly, approx)[0]
-
-
-def _hensel(poly, approx):
-    """hensel_root's refinement as (root, certified pi-levels spent)."""
-    ctx = approx.ctx
-    dpoly = [c * i for i, c in enumerate(poly)][1:]
-
-    def ev(coeffs, x):
-        acc = ctx.zero
-        for c in reversed(coeffs):
-            acc = acc * x + c
-        return acc
-
-    fx = ev(poly, approx)
-    fpx = ev(dpoly, approx)
-    va = ctx.M if fx.is_zero() else valuation(fx)
-    vd = valuation(fpx)
-    if vd is PRECISION_EXHAUSTED or not va > 2 * vd:
-        raise HenselHypothesisFailed(
-            f"v(f(a)) = {va} does not exceed 2*v(f'(a)) = "
-            f"{2 * vd if vd is not PRECISION_EXHAUSTED else 'inf'}")
-    a = approx
-    decay = 0
-    for _ in range(ctx.M.bit_length() + 8):
-        if fx.is_zero():
-            return a, decay
-        if vd and valuation(fx) >= ctx.M - decay:
-            return a, decay  # vanishes at the certified precision
-        a = a - fx.div_pi_pow(vd) * fpx.div_pi_pow(vd).invert_unit()
-        decay += vd
-        fx = ev(poly, a)
-        fpx = ev(dpoly, a)
-    raise HenselHypothesisFailed("Newton iteration failed to converge")
+    ctx = w.ctx
+    if t * (ctx.p - 1) <= ctx.e:
+        raise BelowThreshold(f"t = {t} is not above e1 = {ctx.e1}")
+    lv = unit_level(w)
+    if lv is not PRECISION_EXHAUSTED and lv < t + ctx.e:
+        raise NotInIdeal(f"w has level {lv} < t + e = {t + ctx.e}")
+    return pth_root(w)
 
 
 # ---------------------------------------------------------------------------
 # roots of unity
 # ---------------------------------------------------------------------------
 
-def compute_mu(ctx, verify_count=False):
-    """#mu(F) as the pair (q-1, p^k).
-
-    The prime-to-p part is q-1 (Teichmuller).  k is found by searching for
-    primitive p^j-th roots of unity for j = 1, 2, ... while the necessary
-    condition p^{j-1}(p-1) | e holds: candidates are enumerated by residue
-    digits from the exact level e/(p^{j-1}(p-1)) up to a Newton-certifiable
-    depth and refined; k is the largest j that produces a verified root.
-    """
-    return ctx.q - 1, ctx.p ** _wild_exponent(ctx, verify_count)
-
-
-def _wild_exponent(ctx, verify_count=False):
-    p, e = ctx.p, ctx.e
-    k = 0
-    while True:
-        eprime = p ** k * (p - 1)  # phi(p^j) for j = k + 1
-        if e % eprime or _find_zeta(ctx, k + 1, e // eprime,
-                                    verify_count) is None:
-            return k
-        k += 1
-
-
-def _find_zeta(ctx, j, sstar, verify_count=False):
-    """Search for a primitive p^j-th root of unity, 1 + (level-sstar tail),
-    each candidate refined by hensel_root's Newton step on
-    Phi_{p^j}(T) = sum_{i<p} T^{i p^{j-1}}.
-
-    Enumeration depth: at least ceil(2e/(p-1)) (documented engineering
-    default) and at least the Newton-sufficiency bound
-    ceil((j+1)e - ep/(p-1)) derived from the root separation of Phi_{p^j}.
-    """
-    p, e = ctx.p, ctx.e
-    step = p ** (j - 1)
-    phi = [int(i % step == 0) for i in range((p - 1) * step + 1)]
-    L0 = -((-2 * e) // (p - 1))  # ceil(2e/(p-1))
-    bnd = Fraction((j + 1) * e) - Fraction(e * p, p - 1)
-    Lsuff = -((-bnd.numerator) // bnd.denominator)  # ceil
-    L = max(L0, Lsuff, sstar)
-    kappa = ctx.base.kappa
-    digits = list(kappa.elements())
-    nonzero = [c for c in digits if c]
-    pis = [ctx.pi ** s for s in range(sstar, L + 1)]
-    found = []
-    for lead in nonzero:
-        for tail in _iproduct(digits, repeat=L - sstar):
-            x0 = ctx.one + ctx.lift_residue(lead) * pis[0]
-            for idx, c in enumerate(tail):
-                if c:
-                    x0 = x0 + ctx.lift_residue(c) * pis[idx + 1]
-            try:
-                root, decay = _hensel(phi, x0)
-            except HenselHypothesisFailed:
-                continue
-            if not _is_primitive_root(ctx, j, root, decay):
-                continue
-            if not verify_count:
-                return root
-            # roots from different starts agree only up to division decay
-            if all(_distinct_at_half_precision(ctx, root, other)
-                   for other in found):
-                found.append(root)
-    if verify_count and found:
-        expected = p ** j - p ** (j - 1)
-        if len(found) != expected:
-            raise InvariantFailed(f"found {len(found)} primitive p^{j} "
-                                  f"roots, expected {expected}")
-        return found[0]
-    return None
-
-
-def _distinct_at_half_precision(ctx, a, b):
-    v = valuation(a - b)
-    return not (v is PRECISION_EXHAUSTED or v >= ctx.M // 2)
-
-
-def _is_primitive_root(ctx, j, root, decay):
-    """Verify root^{p^j} = 1 at the certified precision left after Newton
-    (impostors fail already at level ~e/(p-1)) and primitivity."""
-    p = ctx.p
-    diff = root ** (p ** j) - ctx.one
-    v = valuation(diff)
-    if not (v is PRECISION_EXHAUSTED or v >= ctx.M - decay):
-        return False
-    low = root ** (p ** (j - 1)) - ctx.one
-    vlow = valuation(low)
-    return not (vlow is PRECISION_EXHAUSTED or vlow >= ctx.M - decay)
+def compute_mu(ctx):
+    """#mu(F) as the pair (q-1, p^k): the prime-to-p part is q-1
+    (Teichmuller), and k is LocalFieldCtx.k."""
+    return ctx.q - 1, ctx.p ** ctx.k

@@ -15,13 +15,14 @@ order they are read off a class pi^n omega^i u: ("pi",) and ("omega",)
 carry an exponent mod m, a digit of F_m; ("level", s) and ("coker", s)
 carry a digit of the residue field kappa, an F_p-vector (m = p there).
 Reading them divides m-th powers off: the graded p-th root
-(LocalFieldCtx.graded_pth_root) clears every level that p-th powers
-reach, and at the critical level s = p*e1 the image of a -> a^p + rho*a
-is divided off and the cokernel is the coordinate.  What survives is
-canonical; U_F^H consists of m-th powers by the p-power landing bounds, so
-a class without coordinates is an m-th power.  A subgroup is held as one
-_DigitSpan per position, and reduction modulo it is one echelon solve per
-position.
+(LocalFieldCtx.graded_pth_root) clears what p-th powers reach of each
+level's digit, all of it above the critical level s = p*e1, the image of
+a -> a^p + rho*a at it, and nothing at a fundamental level; the cokernel
+is the critical level's coordinate.  What survives is canonical; U_F^H
+consists of m-th powers by the p-power landing bounds, so a class without
+coordinates is an m-th power.  A subgroup is held as one
+finitefield.DigitSpan per position, and reduction modulo it is one
+echelon solve per position.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .errors import (
     UnsupportedSplitting,
     ZeroInput,
 )
-from .finitefield import GF, FiniteField, default_modulus
+from .finitefield import GF, DigitSpan, FiniteField, default_modulus
 from .localfield import (
     LocalFieldCtx,
     cyclotomic_eisenstein,
@@ -42,44 +43,6 @@ from .localfield import (
     unit_decompose,
     valuation,
 )
-
-
-# ---------------------------------------------------------------------------
-# F_l-echelon of the digits at one position, with witness combinations
-# ---------------------------------------------------------------------------
-
-class _DigitSpan:
-    """Echelonized F_l-span of the digits at one position of the class
-    quotient, l the characteristic of `field`: each digit is an element of
-    `field` read as its F_l^d digit vector (F_m at pi and omega, where a
-    digit is its own vector; kappa at a level or the cokernel).  Rows carry
-    witness data, and reductions report the combination used."""
-
-    def __init__(self, field):
-        self.field = field
-        self.p = field.p
-        self.rows = []  # (vec, pivot digit index, its inverse, witness)
-
-    def reduce(self, vec):
-        """(residual, combo) with combo = [(witness, scale), ...] such that
-        vec = residual + sum scale * row_vec."""
-        k = self.field
-        combo = []
-        for row_vec, piv, inv, wit in self.rows:
-            c = k.digits(vec)[piv]
-            if c:
-                scale = c * inv % self.p
-                vec = k.sub(vec, k.scale(row_vec, scale))
-                combo.append((wit, scale))
-        return vec, combo
-
-    def insert(self, vec, witness):
-        """Insert a row whose vector is already reduced against this span."""
-        if not vec:
-            raise ValueError("cannot insert a zero row")
-        piv, lead = next((i, c) for i, c in enumerate(self.field.digits(vec))
-                         if c)
-        self.rows.append((vec, piv, pow(lead, -1, self.p), witness))
 
 
 class _ClassState:
@@ -126,49 +89,17 @@ class _Reducer:
             self.H = ctx.wild_level
             self.critical = (int(p * ctx.e1)
                              if ctx.e1.denominator == 1 else None)
-            self.rho = ctx.rho
-            self._phi_span = self._build_phi_span()
         else:
             raise BadInput(f"m must be 2 or p = {p}")
 
-    # -- graded p-power machinery (wild case) -------------------------------
-
-    def _phi(self, a):
-        k = self.kappa
-        return k.add(k.pow(a, self.ctx.p), k.mul(self.rho, a))
-
-    def _build_phi_span(self):
-        k = self.kappa
-        span = _DigitSpan(k)
-        gen = k.generator() if self.ctx.d > 1 else k.one
-        basis = [k.pow(gen, j) for j in range(self.ctx.d)]
-        for a in basis:
-            img = self._phi(a)
-            residual, combo = span.reduce(img)
-            if residual != k.zero:
-                wit = a
-                for prev_a, scale in combo:
-                    wit = k.sub(wit, k.scale(prev_a, scale))
-                span.insert(residual, wit)
-        return span
-
     def _eliminate_step(self, u, s, c):
-        """Divide an m-th power off u to kill (part of) the digit c at level
-        s; returns (new u, surviving digit or None)."""
-        ctx, k = self.ctx, self.kappa
-        root = ctx.graded_pth_root(s, c)
-        if root is not None:
-            return u * (ctx.level_unit(*root) ** ctx.p).invert_unit(), None
-        if s != self.critical:
-            return u, c  # fundamental level: the digit survives
-        residual, combo = self._phi_span.reduce(c)
-        if combo:
-            a = k.zero
-            for wit, scale in combo:
-                a = k.add(a, k.scale(wit, scale))
-            corr = ctx.level_unit(a, s // ctx.p)
-            u = u * (corr ** ctx.p).invert_unit()
-        return u, (residual if residual != k.zero else None)
+        """Divide the p-th power that the graded p-th root finds off u, to
+        kill what it can of the digit c at level s; returns (new u,
+        surviving digit or None)."""
+        a, t, r = self.ctx.graded_pth_root(s, c)
+        if a:
+            u = u * (self.ctx.level_unit(a, t) ** self.ctx.p).invert_unit()
+        return u, r or None
 
     def _lead(self, st):
         """Divide m-th powers off st up to its first coordinate, returned
@@ -234,7 +165,7 @@ class _Reducer:
 
     def normal_form(self, st, pivots, collect=None):
         """Reduce a class state modulo (F^x)^m U^H and the subgroup spanned
-        by `pivots` (position -> _DigitSpan of class states).
+        by `pivots` (position -> DigitSpan of class states).
 
         Returns None when the state reduces to triviality; otherwise the
         leading irreducible (position, digit, state).  With a `collect`
@@ -278,7 +209,7 @@ class _Reducer:
         if lead is not None:
             pos, digit, st = lead
             field = self.exponents if len(pos) == 1 else self.kappa
-            pivots.setdefault(pos, _DigitSpan(field)).insert(digit, st.copy())
+            pivots.setdefault(pos, DigitSpan(field)).insert(digit, st.copy())
 
     def is_member(self, pivots, x, shift=0):
         return self.normal_form(self.decompose(x, shift), pivots) is None

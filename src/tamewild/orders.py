@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 from .errors import (
     PRECISION_EXHAUSTED,
+    BadInput,
     BudgetExceeded,
     OracleUnavailable,
     PIsTwo,
@@ -159,6 +160,8 @@ def estimate_m0(ctx, symbol_oracle=None, sample_budget=500, depth=2):
     roots of unity the tame symbol is the full symbol, and
     triviality_oracle(ctx) decides it when no oracle is supplied.
     """
+    if depth < 1:
+        raise BadInput(f"depth = {depth} must be at least 1")
     if ctx.p == 2:
         raise PIsTwo("no bound computation at p = 2")
     if ctx.e == 1:

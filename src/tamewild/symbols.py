@@ -59,10 +59,6 @@ def tame_symbol(x, y):
     return x.ctx.base.kappa.dlog(tame_symbol_residue(x, y))
 
 
-hilbert_tame_part = tame_symbol  # the prime-to-p component of the Hilbert
-# symbol is the Teichmuller lift of the tame symbol
-
-
 def steinberg_check(x, extra_evaluators=()):
     """Check that the symbol of (x, 1-x) is trivial for the tame symbol and
     every supplied evaluator (callables (x, y) -> trivial-or-not value where

@@ -129,6 +129,28 @@ def test_hasse_subcommand(capsys):
     assert doc["result"]["ok"] is True
 
 
+@pytest.mark.parametrize("argv", [
+    ["m0", "--preset", "qp-zeta-3", "-N", "32", "--depth", "0"],
+    ["m0", "--preset", "qp-zeta-3", "-N", "32", "--depth", "-1"],
+    ["hasse-verify", "--preset", "qp-zeta-5", "--t", "1", "--depth", "0"],
+], ids=["m0-0", "m0-minus-1", "hasse-verify-0"])
+def test_depth_below_one_exits_2(capsys, argv):
+    # m0 used to sweep no pairs and report estimated_m0 = 0, and
+    # hasse-verify to fail on an untyped min() of no landings
+    assert dispatch(argv + ["--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: depth = {argv[-1]} must be at least 1\n"
+
+
+@pytest.mark.parametrize("preset", ["root10-11", "root12-13"])
+def test_m0_decides_k_promptly(preset):
+    # a digit enumeration of roots of unity ran for more than 20 s here
+    proc = _subprocess(_ENTRY, ["m0", "--preset", preset, "-N", "16"],
+                       timeout=10)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_lattice_subcommand(capsys):
     code, doc = _run_json(capsys, ["lattice", "--p", "3", "--m", "2"])
     assert code == 0
@@ -397,6 +419,35 @@ _LOCAL_GOLDEN = [
      '{"certified_precision": 256, "entries": [[3, 0, 7], [4, 0, 8], '
      '[5, 0, 9], [6, 0, 10]], "min_landing": 7, "ok": true, "regime": '
      '"above", "required": 7, "t": 3}, "schema": "v1"}'),
+    # recorded before roots of unity came from the residue criterion and
+    # the graded p-th root instead of a digit enumeration
+    (["m0", "--preset", "root6-7", "-N", "16"],
+     '{"certified_precision": 96, "command": "m0", "config": {"budget": 500, '
+     '"precision": 16, "seed": 0}, "result": {"bound": 1, "certificates": '
+     '[{"data": {"pairs": 7}, "kind": "vanishing-sweep", "m": 0}, {"data": '
+     '{"pairs": 13}, "kind": "vanishing-sweep", "m": 1}], '
+     '"certified_precision": 96, "depth": 2, "estimated_m0": 0}, '
+     '"schema": "v1"}'),
+]
+
+# the same for Q_3(sqrt(-3)) from a descriptor: k = 1, but its zeta_3 is
+# not 1 + pi
+_SQRT_MINUS_3 = {"p": 3, "N": 32, "f": [3, 0, 1]}
+_DESCRIPTOR_GOLDEN = [
+    (["m0"],
+     '{"certified_precision": 64, "command": "m0", "config": {"budget": 500, '
+     '"precision": 64, "seed": 0}, "result": {"bound": 4, "certificates": '
+     '[{"data": {"x": [["1"], ["1"]], "y": [["1853020188851839"], ["0"]]}, '
+     '"kind": "witness", "m": 0}, {"data": {"x": [["4"], ["0"]], "y": '
+     '[["1"], ["1"]]}, "kind": "witness", "m": 1}, {"data": {"pairs": 13}, '
+     '"kind": "vanishing-sweep", "m": 2}, {"data": {"pairs": 13}, "kind": '
+     '"vanishing-sweep", "m": 3}, {"data": {"pairs": 13}, "kind": '
+     '"vanishing-sweep", "m": 4}], "certified_precision": 64, "depth": 2, '
+     '"estimated_m0": 2}, "schema": "v1"}'),
+    (["norm-oracle", "--m", "p", "--x", "1+pi", "--y", "2+pi"],
+     '{"certified_precision": 64, "command": "norm-oracle", "config": '
+     '{"budget": 500, "precision": 64, "seed": 0}, "result": {"m": 3, '
+     '"trivial": true}, "schema": "v1"}'),
 ]
 
 
@@ -414,6 +465,16 @@ def test_function_field_golden_output(capsys, argv, result):
                          else "")
 def test_local_field_golden_output(capsys, argv, stdout):
     code, out = _run(capsys, argv + ["--json"])
+    assert code == 0
+    assert out == stdout + "\n"
+
+
+@pytest.mark.parametrize("argv,stdout", _DESCRIPTOR_GOLDEN,
+                         ids=lambda v: v[0] if isinstance(v, list) else "")
+def test_descriptor_golden_output(tmp_path, capsys, argv, stdout):
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps(_SQRT_MINUS_3))
+    code, out = _run(capsys, argv + ["--field-json", str(path), "--json"])
     assert code == 0
     assert out == stdout + "\n"
 

@@ -1,12 +1,17 @@
+import itertools
+import math
 import random
+from fractions import Fraction
 
 import pytest
+from test_padic import HenselHypothesisFailed, _hensel
 
 from tamewild.errors import (
     PRECISION_EXHAUSTED,
     BelowThreshold,
     NotInIdeal,
     NotPrincipalUnit,
+    PrecisionExhausted,
 )
 from tamewild.localfield import (
     LocalFieldCtx,
@@ -15,6 +20,7 @@ from tamewild.localfield import (
     eisenstein_root,
     hasse_forward,
     preset,
+    pth_root,
     pth_root_in_filtration,
     qp,
     qp_zeta,
@@ -182,29 +188,53 @@ def test_pth_root_trivial_and_roundtrip(z3, z5):
 
 
 @pytest.mark.parametrize("name", ["qp-zeta-3", "qp-zeta-5", "cbrt-3",
-                                  "root4-3"])
+                                  "root4-3", "sqrt-3-unram2"])
 def test_graded_pth_root(name):
-    ctx = preset(name, 16)
-    p, top = ctx.p, 3 * ctx.e + 4
+    if name == "sqrt-3-unram2":
+        ctx = eisenstein_root(3, 2, 16, d=2)
+    else:
+        ctx = preset(name, 16)
+    kappa, p, top = ctx.base.kappa, ctx.p, 3 * ctx.e + 4
     # the levels that p-th powers land on, read off (1 + pi^t)^p; t = e1
     # lands on the critical level only when a -> a^p + rho*a is onto
     reached = {unit_level(ctx.level_unit(1, t) ** p)
                for t in range(1, top) if t != ctx.e1}
+    # the image of a -> a^p + rho*a over kappa, by brute force
+    image = {kappa.add(kappa.pow(a, p), kappa.mul(ctx.rho, a))
+             for a in kappa.elements()}
     regimes = set()
     for s in range(1, top):
-        for c in ctx.base.kappa.elements():
+        for c in kappa.elements():
             if not c:
                 continue
-            root = ctx.graded_pth_root(s, c)
-            assert (root is None) == (s not in reached), (s, c)
-            if root is None:
-                continue
-            a, t = root
-            regimes.add(s == p * t)
-            v = valuation(ctx.level_unit(a, t) ** p - ctx.level_unit(c, s))
-            assert v is PRECISION_EXHAUSTED or v > s, (s, c)
+            a, t, r = ctx.graded_pth_root(s, c)
+            hit = kappa.sub(c, r)
+            if s == p * ctx.e1:
+                assert hit in image and (r == 0) == (c in image), (s, c)
+            else:
+                assert r == (0 if s in reached else c), (s, c)
+                if r == 0:
+                    regimes.add(s == p * t)
+            assert (a == 0) == (hit == 0), (s, c)
+            if a:
+                v = valuation(ctx.level_unit(a, t) ** p
+                              - ctx.level_unit(hit, s))
+                assert v is PRECISION_EXHAUSTED or v > s, (s, c)
     # below e1 (Frobenius, s = p*t) only when some t >= 1 lies below e1
     assert regimes == ({True, False} if ctx.e1 > 1 else {False})
+
+
+def test_pth_root_decides_pth_powers(z3, z5):
+    rng = random.Random(7)
+    for ctx in (z3, z5):
+        for _ in range(20):
+            u = ctx.one + _random_nonzero(ctx, rng) * ctx.pi
+            w = u ** ctx.p
+            assert pth_root(w) ** ctx.p == w
+        # 1 + pi sits at level 1 < p*e1, prime to p: no p-th power
+        assert pth_root(ctx.one + ctx.pi) is None
+    with pytest.raises(NotPrincipalUnit):
+        pth_root(z3.from_int(2))
 
 
 def test_pth_root_threshold(z3):
@@ -222,6 +252,15 @@ def test_pth_root_frozen_example(z3):
 
 # -- roots of unity -----------------------------------------------------------------
 
+def _cyclotomic(p, n, N):
+    """Q_p(zeta_{p^n}), f = Phi_{p^n}(T + 1) = sum_{i<p} (T + 1)^(i p^(n-1)),
+    so pi = zeta_{p^n} - 1."""
+    step = p ** (n - 1)
+    f = [sum(math.comb(i * step, j) for i in range(p))
+         for j in range((p - 1) * step + 1)]
+    return LocalFieldCtx(PadicCtx(p, N, 1), f)
+
+
 @pytest.mark.parametrize("maker,expected_k", [
     (lambda: qp(3, 16), 0),
     (lambda: qp(5, 16), 0),
@@ -231,6 +270,24 @@ def test_pth_root_frozen_example(z3):
     (lambda: eisenstein_root(3, 3, 16), 0),
     (lambda: eisenstein_root(3, 2, 16), 0),
     (lambda: qp(2, 16), 1),
+    # fields where a digit enumeration of roots of unity took seconds
+    (lambda: preset("root6-7", 16), 0),
+    (lambda: preset("root10-11", 16), 0),
+    (lambda: preset("root12-13", 16), 0),
+    (lambda: LocalFieldCtx(PadicCtx(7, 16), [-21, 0, 0, 0, 0, 0, 1]), 0),
+    (lambda: preset("root8-2", 16), 1),
+    (lambda: LocalFieldCtx(PadicCtx(3, 32), [3, 0, 1]), 1),  # sqrt(-3)
+    (lambda: LocalFieldCtx(PadicCtx(5, 16), [5, 0, 0, 0, 1]), 1),
+    (lambda: LocalFieldCtx(PadicCtx(7, 16), [7, 0, 0, 0, 0, 0, 1]), 1),
+    (lambda: eisenstein_root(5, 4, 16, d=2), 1),
+    # Q_p(zeta_{p^n}) has k = n
+    (lambda: _cyclotomic(2, 2, 16), 2),
+    (lambda: _cyclotomic(2, 3, 16), 3),
+    (lambda: _cyclotomic(2, 4, 8), 4),
+    (lambda: _cyclotomic(2, 5, 8), 5),
+    (lambda: _cyclotomic(3, 3, 8), 3),
+    (lambda: _cyclotomic(5, 2, 8), 2),
+    (lambda: _cyclotomic(7, 2, 8), 2),
 ])
 def test_compute_mu(maker, expected_k):
     ctx = maker()
@@ -240,11 +297,66 @@ def test_compute_mu(maker, expected_k):
     assert ctx.k == expected_k
 
 
+def test_wild_exponent_past_the_certified_digits():
+    # Q_2(zeta_64) at N = 8: zeta_64 is certified only mod pi^(M - 6e), and
+    # M - 6e = 256 - 192 = 64 = p*e1 leaves no certified digit to decide
+    # whether it is a square
+    ctx = _cyclotomic(2, 6, 8)
+    with pytest.raises(PrecisionExhausted, match="p\\*e1 = 64"):
+        ctx.k
+
+
+def _primitive_roots_by_enumeration(ctx, j):
+    """Every primitive p^j-th root of unity, by digit enumeration: each
+    1 + sum [c_s] pi^s over digits from the exact level e/phi(p^j) up to a
+    Newton-certifiable depth is refined by Newton on Phi_{p^j}(T) =
+    sum_{i<p} T^(i p^(j-1)), and the roots are kept that are primitive at
+    the certified precision and pairwise distinct at half of it."""
+    p, e, kappa = ctx.p, ctx.e, ctx.base.kappa
+    step = p ** (j - 1)
+    phi = [int(i % step == 0) for i in range((p - 1) * step + 1)]
+    sstar = e // (step * (p - 1))
+    # ceil(2e/(p-1)), and the root separation of Phi_{p^j}
+    depth = max(-(-2 * e // (p - 1)),
+                math.ceil(Fraction((j + 1) * e) - Fraction(e * p, p - 1)),
+                sstar)
+    digits = list(kappa.elements())
+    found = []
+    for lead in digits:
+        if not lead:
+            continue
+        for tail in itertools.product(digits, repeat=depth - sstar):
+            x0 = ctx.one
+            for s, c in enumerate((lead,) + tail, sstar):
+                x0 = x0 + ctx.lift_residue(c) * ctx.pi ** s
+            try:
+                root, decay = _hensel(phi, x0)
+            except HenselHypothesisFailed:
+                continue
+            certified = ctx.M - decay
+            top = valuation(root ** (p ** j) - ctx.one)
+            low = valuation(root ** step - ctx.one)
+            if top is not PRECISION_EXHAUSTED and top < certified:
+                continue
+            if low is PRECISION_EXHAUSTED or low >= certified:
+                continue
+            gaps = [valuation(root - other) for other in found]
+            if all(v is not PRECISION_EXHAUSTED and v < ctx.M // 2
+                   for v in gaps):
+                found.append(root)
+    return found
+
+
 @pytest.mark.parametrize("p,N", [(3, 16), (5, 8)])
 def test_compute_mu_root_count(p, N):
     # cross-check by exhaustive enumeration: exactly phi(p) primitive roots,
-    # also at N = 8, where Newton refinement has the least precision to spend
-    assert compute_mu(qp_zeta(p, N), verify_count=True) == (p - 1, p)
+    # also at N = 8, where Newton refinement has the least precision to
+    # spend; none of them is a p-th power, since k = 1
+    ctx = qp_zeta(p, N)
+    roots = _primitive_roots_by_enumeration(ctx, 1)
+    assert len(roots) == p - 1
+    assert all(pth_root(root) is None for root in roots)
+    assert compute_mu(ctx) == (p - 1, p)
 
 
 def test_unramified_base_field():

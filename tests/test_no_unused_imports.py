@@ -1,9 +1,13 @@
 """A module-level import that the module never uses is a stale artefact of
 a deletion.  This is the lint gate for that rule; `__init__.py` re-exports
-by design, and a line marked `# noqa` keeps a name for outside readers."""
+by design, and a line marked `# noqa` keeps a name for outside readers.
+Its export list is checked instead: every name in it resolves, once."""
 
 import ast
+from collections import Counter
 from pathlib import Path
+
+import tamewild
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "tamewild"
 
@@ -46,3 +50,11 @@ def test_no_unused_imports_in_the_package():
         found += [f"{path.name}:{line} {name}" for line, name in
                   unused_imports(path.read_text(), str(path))]
     assert not found, f"unused module-level imports in src: {found}"
+
+
+def test_every_export_resolves_once():
+    missing = [name for name in tamewild.__all__
+               if not hasattr(tamewild, name)]
+    repeated = [name for name, n in Counter(tamewild.__all__).items()
+                if n > 1]
+    assert not missing and not repeated, (missing, repeated)

@@ -1,20 +1,16 @@
-"""The unramified ring O0 as the e = 1 FElems of F = O0[1/p] (f = T - p)."""
+"""The unramified ring O0 as the e = 1 FElems of F = O0[1/p] (f = T - p),
+and hensel_root, the Newton reference that p-th roots and roots of unity
+are checked against."""
 
 import random
 
 import pytest
 
-from tamewild.errors import (
-    PRECISION_EXHAUSTED,
-    BadInput,
-    HenselHypothesisFailed,
-    ZeroInput,
-)
+from tamewild.errors import PRECISION_EXHAUSTED, BadInput, ZeroInput
 from tamewild.finitefield import default_modulus
 from tamewild.localfield import (
     LocalFieldCtx,
     PadicCtx,
-    hensel_root,
     val_p_coeffs,
     valuation,
 )
@@ -162,6 +158,58 @@ def test_teichmuller_power_check_random():
 
 
 # -- Hensel -------------------------------------------------------------------
+
+class HenselHypothesisFailed(ArithmeticError):
+    """Newton refinement could not be certified from the given
+    approximation."""
+
+
+def hensel_root(poly, approx):
+    """Newton refinement of an approximate root of poly (a list of FElems
+    or ints, low degree first): the reference the p-th-root solver of the
+    package is checked against.
+
+    Requires the classical certificate v(poly(a)) > 2*v(poly'(a)) at
+    working precision; raises HenselHypothesisFailed otherwise.  Each step
+    divides exactly by pi^v(poly'(a)), which costs that many certified
+    levels; the root is returned once poly(root) vanishes at the remaining
+    certified precision.
+    """
+    return _hensel(poly, approx)[0]
+
+
+def _hensel(poly, approx):
+    """hensel_root's refinement as (root, certified pi-levels spent)."""
+    ctx = approx.ctx
+    dpoly = [c * i for i, c in enumerate(poly)][1:]
+
+    def ev(coeffs, x):
+        acc = ctx.zero
+        for c in reversed(coeffs):
+            acc = acc * x + c
+        return acc
+
+    fx = ev(poly, approx)
+    fpx = ev(dpoly, approx)
+    va = ctx.M if fx.is_zero() else valuation(fx)
+    vd = valuation(fpx)
+    if vd is PRECISION_EXHAUSTED or not va > 2 * vd:
+        raise HenselHypothesisFailed(
+            f"v(f(a)) = {va} does not exceed 2*v(f'(a)) = "
+            f"{2 * vd if vd is not PRECISION_EXHAUSTED else 'inf'}")
+    a = approx
+    decay = 0
+    for _ in range(ctx.M.bit_length() + 8):
+        if fx.is_zero():
+            return a, decay
+        if vd and valuation(fx) >= ctx.M - decay:
+            return a, decay  # vanishes at the certified precision
+        a = a - fx.div_pi_pow(vd) * fpx.div_pi_pow(vd).invert_unit()
+        decay += vd
+        fx = ev(poly, a)
+        fpx = ev(dpoly, a)
+    raise HenselHypothesisFailed("Newton iteration failed to converge")
+
 
 def test_hensel_linear_and_frozen_sqrt():
     ctx = _o0(7, 8, 1)

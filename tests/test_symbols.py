@@ -13,7 +13,6 @@ from tamewild.errors import PRECISION_EXHAUSTED
 from tamewild.symbols import (
     hilbert_quadratic_padic,
     hilbert_quadratic_q,
-    hilbert_tame_part,
     k1_decompose,
     k2_transform,
     norm_to_base,
@@ -141,7 +140,7 @@ def test_tame_part_matches_quadratic(q5):
         if u % 5 == 0:
             continue
         x = q5.from_int(u)
-        expo = hilbert_tame_part(q5.pi, x)
+        expo = tame_symbol(q5.pi, x)
         sign = -1 if expo % 2 else 1  # (q-1)/2-th power of the generator
         assert sign == hilbert_quadratic_q(5, u, 5)
 
