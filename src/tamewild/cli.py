@@ -73,7 +73,7 @@ def _load_field(args, cfg):
     return preset(args.preset, cfg.precision)
 
 
-def _emit(args, cfg, command, result, certified=None):
+def _emit(cfg, command, result, certified=None):
     if cfg.json_mode:
         doc = {
             "schema": SCHEMA,
@@ -120,14 +120,14 @@ def _cmd_tame(args, cfg):
     expo = tame_symbol(x, y)
     result = {"value": {"tame": expo, "tame_mod": ctx.q - 1},
               "trivial": expo == 0}
-    _emit(args, cfg, "tame", result, certified=ctx.M)
+    _emit(cfg, "tame", result, certified=ctx.M)
     return 0
 
 
 def _cmd_hilbert2(args, cfg):
     place = args.place if args.place == "inf" else int(args.place)
     val = hilbert_quadratic_q(args.a, args.b, place)
-    _emit(args, cfg, "hilbert2", {"value": val}, certified="exact")
+    _emit(cfg, "hilbert2", {"value": val}, certified="exact")
     return 0
 
 
@@ -135,9 +135,8 @@ def _cmd_wild_zeta(args, cfg):
     ctx = preset(f"qp-zeta-{args.p}", cfg.precision)
     x = element_from_string(ctx, args.x)
     j = wild_symbol_zeta(x, ctx)
-    _emit(args, cfg, "wild-zeta",
-          {"value": {"wild": j, "wild_mod": ctx.p}, "trivial": j == 0},
-          certified=ctx.M)
+    _emit(cfg, "wild-zeta", {"value": {"wild": j, "wild_mod": ctx.p},
+                             "trivial": j == 0}, certified=ctx.M)
     return 0
 
 
@@ -147,8 +146,7 @@ def _cmd_norm_oracle(args, cfg):
     y = element_from_string(ctx, args.y)
     m = ctx.p if args.m == "p" else int(args.m)
     triv = norm_residue_trivial(x, y, m)
-    _emit(args, cfg, "norm-oracle", {"trivial": triv, "m": m},
-          certified=ctx.M)
+    _emit(cfg, "norm-oracle", {"trivial": triv, "m": m}, certified=ctx.M)
     return 0
 
 
@@ -164,7 +162,7 @@ def _cmd_order(args, cfg):
             "in_maximal_ideal": order.ideal_contains(x),
             "is_unit": order.is_unit(x),
         })
-    _emit(args, cfg, "order", result, certified=ctx.M)
+    _emit(cfg, "order", result, certified=ctx.M)
     return 0
 
 
@@ -175,20 +173,20 @@ def _cmd_m0(args, cfg):
         oracle = triviality_oracle(ctx)
     report = estimate_m0(ctx, oracle, sample_budget=cfg.budget,
                          depth=args.depth)
-    _emit(args, cfg, "m0", report.to_json(), certified=ctx.M)
+    _emit(cfg, "m0", report.to_json(), certified=ctx.M)
     return 0
 
 
 def _cmd_hasse_verify(args, cfg):
     ctx = _load_field(args, cfg)
     report = hasse_forward(ctx, args.t, depth=args.depth)
-    _emit(args, cfg, "hasse-verify", report.to_json(), certified=ctx.M)
+    _emit(cfg, "hasse-verify", report.to_json(), certified=ctx.M)
     return 0 if report.ok else 1
 
 
 def _cmd_moore(args, cfg):
     res = moore_product_q(args.a, args.b)
-    _emit(args, cfg, "moore", res.to_json(), certified="exact")
+    _emit(cfg, "moore", res.to_json(), certified="exact")
     return 0 if res.product == 1 else 1
 
 
@@ -197,7 +195,7 @@ def _cmd_lattice(args, cfg):
     result = lat.to_json()
     result["contains_one"] = lat.contains_one()
     result["multiplicatively_closed"] = lat.multiplicatively_closed()
-    _emit(args, cfg, "lattice", result, certified=cfg.precision)
+    _emit(cfg, "lattice", result, certified=cfg.precision)
     ok = result["contains_one"] and result["multiplicatively_closed"]
     return 0 if ok else 1
 
@@ -215,7 +213,7 @@ def _cmd_funcfield(args, cfg):
         ok, table = check(f, g)
         result = {"product_is_one": ok}
     result["table"] = {pl.label(): v for pl, v in table}
-    _emit(args, cfg, args.command, result, certified="exact")
+    _emit(cfg, args.command, result, certified="exact")
     return 0 if ok else 1
 
 
@@ -233,7 +231,7 @@ def _cmd_selftest(args, cfg):
             if args.timings:
                 entry["elapsed"] = round(r.elapsed, 6)
             criteria.append(entry)
-        _emit(args, cfg, "selftest", {"criteria": criteria})
+        _emit(cfg, "selftest", {"criteria": criteria})
     else:
         for r in results:
             status = "PASS" if r.passed else "FAIL"

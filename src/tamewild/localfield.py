@@ -16,6 +16,12 @@ attained at a unique index.
 
 Working pi-precision is M = e*N.  An element whose canonical form is the
 zero vector is indistinguishable from 0 at that precision.
+
+Since pi^e = p*w with w a unit, pi^(e*k+r) divides x iff p^k divides its
+blocks i >= r and p^(k+1) its blocks i < r (FElem.div_pi_pow), and the
+leading digit of x, the residue of x/pi^v for v = v(x) = e*k + i, is that
+of block i / p^k times rho^k, rho the residue of 1/w (lead); the p-th-power
+walk on the graded pieces U^s/U^(s+1) reads digits so (strip_pth_powers).
 """
 
 from __future__ import annotations
@@ -356,13 +362,6 @@ class LocalFieldCtx:
         return self.w_unit.invert_unit()
 
     @_lazy
-    def p_over_pi(self):
-        """p * pi^{-1} = pi^{e-1} * w^{-1}, used for division by pi."""
-        if self.e == 1:
-            return self.w_inv
-        return self.monomial(self.e - 1) * self.w_inv
-
-    @_lazy
     def rho(self):
         """Residue of p * pi^{-e}; multiplication by rho is the graded
         p-power map on levels above e1."""
@@ -397,11 +396,12 @@ class LocalFieldCtx:
 
         mu_p lies in F iff e1 is an integer and phi has a kernel, that is
         iff -rho = a^(p-1) for some a in kappa; then x = 1 + [a] pi^e1 has
-        x^p in U^{p*e1+1}, where every unit is a p-th power, and zeta_p =
-        x * pth_root(x^-p).  Each zeta_{p^(j+1)} is pth_root(zeta_{p^j})
-        until that is None.  zeta_{p^j} is certified mod pi^{M-j*e}, and
-        the decision reads its digits up to level p*e1, so PrecisionExhausted
-        is raised once M - j*e <= p*e1.
+        x^p in U^{p*e1+1}, where every unit is a p-th power, so the walk
+        strip_pth_powers(x^p) ends at 1 with a z that makes zeta_p = x*z.
+        Each zeta_{p^(j+1)} is pth_root(zeta_{p^j}) until that is None.
+        zeta_{p^j} is certified mod pi^{M-j*e}, and the decision reads its
+        digits up to level p*e1, so PrecisionExhausted is raised once
+        M - j*e <= p*e1.
         """
         p, e, kappa = self.p, self.e, self.base.kappa
         if e % (p - 1):
@@ -410,7 +410,7 @@ class LocalFieldCtx:
         if r:
             return 0
         x = self.level_unit(kappa.pow(kappa.generator(), n), e // (p - 1))
-        zeta, k = x * pth_root(x.invert_unit() ** p), 1
+        zeta, k = x * strip_pth_powers(x ** p, self.M)[1], 1
         critical = p * e // (p - 1)
         while self.M - k * e > critical:
             zeta = pth_root(zeta)
@@ -618,52 +618,29 @@ class FElem:
 
     # -- valuation-aware helpers ------------------------------------------
 
-    def valuation(self):
-        return valuation(self)
-
     def residue(self):
         """Image in the residue field (the constant coefficient's residue)."""
         return self.ctx.base.kappa.pack(self.flat[:self.ctx.d])
 
-    def div_p(self):
-        """Exact division by p (valuation must be >= e).
-
-        Dividing by pi^v is exact in value but costs v levels of certified
-        pi-precision: results are certified mod pi^{M-v}.
-        """
-        p = self.ctx.p
-        if any(c % p for c in self.flat):
-            raise ValueError("element not divisible by p")
-        return FElem(self.ctx, tuple(c // p for c in self.flat))
-
-    def div_pi(self):
-        """Exact division by pi (valuation must be >= 1); see div_p for the
-        precision cost."""
-        ctx = self.ctx
-        if ctx.e == 1:
-            return self.div_p() * ctx.w_inv
-        d = ctx.d
-        # a_0 = p b with b in O0, and p / pi = p_over_pi
-        b = FElem(ctx, self.flat[:d] + (0,) * (len(self.flat) - d)).div_p()
-        shifted = FElem(ctx, self.flat[d:] + (0,) * d)
-        return shifted + ctx.p_over_pi * b
-
     def div_pi_pow(self, n):
-        """Exact division by pi^n (valuation must be >= n).
-
-        Uses pi^{-e} = p^{-1} w^{-1} blockwise (w is the unit pi^e/p), then
-        single pi-divisions for the remainder.
-        """
-        x = self
-        e = self.ctx.e
-        k, r = divmod(n, e)
-        if k:
-            for _ in range(k):
-                x = x.div_p()
-            x = x * self.ctx.w_inv ** k
-        for _ in range(r):
-            x = x.div_pi()
-        return x
+        """Exact division by pi^n, n >= 0, by the block rule of the module
+        docstring: for n = e*k + r, blocks i >= r over p^k move down r
+        places, blocks i < r over p^(k+1) move up e - r places times w^-1,
+        and the sum is multiplied by w^-k.  ValueError unless v(x) >= n;
+        the quotient is certified only mod pi^{M-n}."""
+        if not n:
+            return self
+        ctx, flat = self.ctx, self.flat
+        k, r = divmod(n, ctx.e)
+        cut, hi, lo = r * ctx.d, ctx.p ** k, ctx.p ** (k + 1)
+        if (any(c % hi for c in flat[cut:])
+                or any(c % lo for c in flat[:cut])):
+            raise ValueError(f"element not divisible by pi^{n}")
+        y = FElem(ctx, tuple(c // hi for c in flat[cut:]) + (0,) * cut)
+        low = tuple(c // lo for c in flat[:cut])
+        if any(low):
+            y = y + FElem(ctx, (0,) * (len(flat) - cut) + low) * ctx.w_inv
+        return y * ctx.w_inv ** k if k else y
 
     def invert_unit(self):
         """Inverse of a unit (valuation 0), by Newton from the lifted inverse
@@ -723,13 +700,31 @@ class UnitDecomposition:
         return ctx.pi ** self.n * ctx.teichmuller_power(self.i) * self.u
 
 
-def split_unit(x):
-    """(v(x), x / pi^v(x)), the unit part exact but certified only mod
-    pi^{M - v(x)}; PrecisionExhausted when x is indistinguishable from 0."""
+def _nonzero_valuation(x):
     v = valuation(x)
     if v is PRECISION_EXHAUSTED:
         raise PrecisionExhausted("cannot decompose an element that is "
                                  "indistinguishable from 0")
+    return v
+
+
+def lead(x):
+    """(v(x), residue of x/pi^v(x)), read off one block with no product:
+    for v = e*k + i it is that of block i / p^k times rho^k (module
+    docstring).  PrecisionExhausted when x is indistinguishable from 0."""
+    v = _nonzero_valuation(x)
+    ctx = x.ctx
+    kappa, d = ctx.base.kappa, ctx.d
+    k, i = divmod(v, ctx.e)
+    pk = ctx.p ** k
+    c = kappa.pack([b // pk for b in x.flat[i * d:(i + 1) * d]])
+    return v, kappa.mul(c, kappa.pow(ctx.rho, k)) if k else c
+
+
+def split_unit(x):
+    """(v(x), x / pi^v(x)), the unit part exact but certified only mod
+    pi^{M - v(x)}; PrecisionExhausted when x is indistinguishable from 0."""
+    v = _nonzero_valuation(x)
     return v, x.div_pi_pow(v)
 
 
@@ -795,8 +790,6 @@ def zp_exp(u, alpha, ideal=1):
         lv = valuation(x)
         if lv is not PRECISION_EXHAUSTED and lv < r:
             raise NotInIdeal(f"u - 1 has level {lv} < {r}")
-    if x.is_zero():
-        return ctx.one
     total = ctx.one
     xl = x
     binom = 1
@@ -877,33 +870,38 @@ def hasse_forward(ctx, t, depth=None):
     )
 
 
-def pth_root(w):
-    """A p-th root of the principal unit w, or None when w is no p-th power.
-
-    Solved level by level: the defect x^p w^-1 of the root x found so far
-    has its leading digit c at some level s, and x is multiplied by the
-    graded p-th root of 1 - [c] pi^s; a part of c that no p-th power reaches
-    means that w is no p-th power.  Every step raises the defect's level,
-    so the root is exact mod pi^M; it is unique up to mu_p(F).
-    """
-    ctx = w.ctx
-    kappa = ctx.base.kappa
-    x, defect = ctx.one, w.invert_unit()
-    for _ in range(ctx.M + 1):
-        s = valuation(defect - ctx.one)
-        if s is PRECISION_EXHAUSTED:
-            return x
+def strip_pth_powers(u, stop):
+    """(u*x^p, x, lead): multiply p-th powers into the principal unit u,
+    level by level, until u*x^p lies in U^stop (lead None) or keeps a digit
+    r at a level s < stop that no p-th power reaches (lead (s, r)).  The
+    digit c at s is cleared as far as p-th powers reach it by (1 + [a]
+    pi^t)^p, (a, t, m) = graded_pth_root(s, -c), which leaves -m; no
+    inverse is taken, and each cleared level raises the level of u*x^p."""
+    ctx = u.ctx
+    one, p, neg = ctx.one, ctx.p, ctx.base.kappa.neg
+    x = one
+    while True:
+        y = u - one
+        s, c = lead(y) if not y.is_zero() else (stop, 0)
+        if s >= stop:
+            return u, x, None
         if s < 1:
-            raise NotPrincipalUnit("pth_root needs a principal unit")
-        c = (defect - ctx.one).div_pi_pow(s).residue()
-        a, t, r = ctx.graded_pth_root(s, kappa.neg(c))
-        if r:
-            return None
-        corr = ctx.level_unit(a, t)
-        x = x * corr
-        defect = defect * corr ** ctx.p
-    else:  # pragma: no cover
-        raise PrecisionExhausted("digit solving did not terminate")
+            raise NotPrincipalUnit("strip_pth_powers needs a principal unit")
+        a, t, missed = ctx.graded_pth_root(s, neg(c))
+        if a:
+            corr = ctx.level_unit(a, t)
+            x = x * corr
+            u = u * corr ** p
+        if missed:
+            return u, x, (s, neg(missed))
+
+
+def pth_root(w):
+    """A p-th root x of the principal unit w, exact mod pi^M and unique up
+    to mu_p(F), or None when w is no p-th power: the walk from w^-1 ends at
+    1 (then x^p = w) or at a digit that no p-th power reaches."""
+    _, x, stuck = strip_pth_powers(w.invert_unit(), w.ctx.M)
+    return None if stuck else x
 
 
 def pth_root_in_filtration(w, t):

@@ -14,23 +14,23 @@ The quotient is an F_m-space whose coordinates sit at positions, in the
 order they are read off a class pi^n omega^i u: ("pi",) and ("omega",)
 carry an exponent mod m, a digit of F_m; ("level", s) and ("coker", s)
 carry a digit of the residue field kappa, an F_p-vector (m = p there).
-Reading them divides m-th powers off: the graded p-th root
-(LocalFieldCtx.graded_pth_root) clears what p-th powers reach of each
-level's digit, all of it above the critical level s = p*e1, the image of
-a -> a^p + rho*a at it, and nothing at a fundamental level; the cokernel
-is the critical level's coordinate.  What survives is canonical; U_F^H
-consists of m-th powers by the p-power landing bounds, so a class without
-coordinates is an m-th power.  A subgroup is held as one
-finitefield.DigitSpan per position, and reduction modulo it is one
-echelon solve per position.
+Reading them multiplies m-th powers in: localfield.strip_pth_powers reads
+each level's digit off one block (pi^e = p*w) and clears with the graded
+p-th root (LocalFieldCtx.graded_pth_root) what p-th powers reach of it:
+all of it above the critical level s = p*e1, the image of a -> a^p +
+rho*a at it, and nothing at a fundamental level; the cokernel is the
+critical level's coordinate.  Two representatives differ by a p-th power
+in U^s, whose digit lies in the graded image, so what survives is
+canonical; U_F^H consists of m-th powers by the p-power landing bounds, so
+a class without coordinates is an m-th power.  A subgroup is held as one
+finitefield.DigitSpan per position, and reduction modulo it is one echelon
+solve per position.
 """
 
 from __future__ import annotations
 
 from .errors import (
-    PRECISION_EXHAUSTED,
     BadInput,
-    InvariantFailed,
     PrecisionExhausted,
     UnsupportedSplitting,
     ZeroInput,
@@ -40,6 +40,7 @@ from .localfield import (
     LocalFieldCtx,
     cyclotomic_eisenstein,
     split_unit,
+    strip_pth_powers,
     unit_decompose,
     valuation,
 )
@@ -92,19 +93,9 @@ class _Reducer:
         else:
             raise BadInput(f"m must be 2 or p = {p}")
 
-    def _eliminate_step(self, u, s, c):
-        """Divide the p-th power that the graded p-th root finds off u, to
-        kill what it can of the digit c at level s; returns (new u,
-        surviving digit or None)."""
-        a, t, r = self.ctx.graded_pth_root(s, c)
-        if a:
-            u = u * (self.ctx.level_unit(a, t) ** self.ctx.p).invert_unit()
-        return u, r or None
-
     def _lead(self, st):
-        """Divide m-th powers off st up to its first coordinate, returned
+        """Multiply m-th powers into st up to its first coordinate, returned
         as (position, digit); None once st lies in (F^x)^m U^H."""
-        ctx = self.ctx
         st.n %= self.m
         if st.n:
             return ("pi",), st.n
@@ -115,16 +106,11 @@ class _Reducer:
             return ("omega",), st.i
         if not self.wild:
             return None  # principal units are all squares here
-        for _ in range(self.H + ctx.M):
-            lv = valuation(st.u - ctx.one)
-            if lv is PRECISION_EXHAUSTED or lv >= self.H:
-                return None
-            c = (st.u - ctx.one).div_pi_pow(lv).residue()
-            st.u, surviving = self._eliminate_step(st.u, lv, c)
-            if surviving is not None:
-                return ("coker" if lv == self.critical else "level",
-                        lv), surviving
-        raise InvariantFailed("unit reduction did not terminate")
+        st.u, _, stuck = strip_pth_powers(st.u, self.H)
+        if stuck is None:
+            return None
+        s, digit = stuck
+        return ("coker" if s == self.critical else "level", s), digit
 
     # -- class states --------------------------------------------------------
 
@@ -132,8 +118,6 @@ class _Reducer:
         if x.is_zero():
             raise ZeroInput("zero element has no class")
         v = valuation(x)
-        if v is PRECISION_EXHAUSTED:
-            raise ZeroInput("element indistinguishable from 0")
         if self.ctx.M - v <= self.H:
             # dividing by pi^v leaves fewer certified digits than the
             # reduction needs to read

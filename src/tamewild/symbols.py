@@ -29,7 +29,13 @@ from .errors import (
     PrecisionExhausted,
     ZeroInput,
 )
-from .localfield import FElem, cyclotomic_eisenstein, split_unit, unit_level
+from .localfield import (
+    FElem,
+    cyclotomic_eisenstein,
+    lead,
+    split_unit,
+    unit_level,
+)
 from .ntheory import isprime
 
 #: Module constant (see module docstring): units act on mu_{p^infty} by
@@ -44,10 +50,9 @@ WILD_UNIT_ACTS_BY_INVERSE = True
 def tame_symbol_residue(x, y):
     """Residue of (-1)^{v(x)v(y)} x^{v(y)} y^{-v(x)}, a residue-field unit."""
     ctx = x.ctx
-    a, ux = split_unit(x)
-    b, uy = split_unit(y)
+    a, rx = lead(x)
+    b, ry = lead(y)
     kappa = ctx.base.kappa
-    rx, ry = ux.residue(), uy.residue()
     val = kappa.mul(kappa.pow(rx, b), kappa.pow(kappa.inv(ry), a))
     if (a * b) % 2 and ctx.p != 2:
         val = kappa.neg(val)
@@ -246,7 +251,7 @@ def k2_transform(u):
     if lv is not PRECISION_EXHAUSTED and lv < 2:
         raise NotDeepEnough(f"unit level {lv} < 2")
     z = ctx.one - u
-    g = ctx.one + z.div_pi() - z if not z.is_zero() else ctx.one
+    g = ctx.one + z.div_pi_pow(1) - z if not z.is_zero() else ctx.one
     a = g.invert_unit()
     b = ctx.one - ctx.pi * g
     return a, b

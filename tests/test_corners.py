@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from test_division import ref_div_p, ref_div_pi
 
 from tamewild.cli import dispatch
 from tamewild.errors import BadInput, PrecisionExhausted
@@ -12,7 +13,8 @@ from tamewild.symbols import tame_symbol
 
 def test_div_pi_unramified(q5):
     # e = 1: pi = p, division by pi is division by p
-    assert q5.from_int(10).div_pi() == q5.from_int(2)
+    assert q5.from_int(10).div_pi_pow(1) == q5.from_int(2)
+    assert ref_div_pi(q5.from_int(10)) == q5.from_int(2)
     assert q5.from_int(50).div_pi_pow(2) == q5.from_int(2)
 
 
@@ -82,7 +84,9 @@ def test_padic_validation_corners():
     with pytest.raises(ValueError):
         PadicCtx(3, 16, 2, g=(2, 1, 1))  # wrong reduction mod p
     with pytest.raises(ValueError):
-        ctx.from_int(1).div_p()  # not divisible
+        ctx.from_int(1).div_pi_pow(ctx.e)  # not divisible by p
+    with pytest.raises(ValueError):
+        ref_div_p(ctx.from_int(1))
 
 
 def test_precision_cap():

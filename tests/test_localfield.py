@@ -19,12 +19,14 @@ from tamewild.localfield import (
     compute_mu,
     eisenstein_root,
     hasse_forward,
+    lead,
     preset,
     pth_root,
     pth_root_in_filtration,
     qp,
     qp_zeta,
     spanning_units,
+    strip_pth_powers,
     unit_decompose,
     unit_level,
     valuation,
@@ -187,13 +189,16 @@ def test_pth_root_trivial_and_roundtrip(z3, z5):
             assert lv is PRECISION_EXHAUSTED or rate ** ctx.p == ctx.one
 
 
+def _field(name):
+    if name == "sqrt-3-unram2":
+        return eisenstein_root(3, 2, 16, d=2)
+    return preset(name, 16)
+
+
 @pytest.mark.parametrize("name", ["qp-zeta-3", "qp-zeta-5", "cbrt-3",
                                   "root4-3", "sqrt-3-unram2"])
 def test_graded_pth_root(name):
-    if name == "sqrt-3-unram2":
-        ctx = eisenstein_root(3, 2, 16, d=2)
-    else:
-        ctx = preset(name, 16)
+    ctx = _field(name)
     kappa, p, top = ctx.base.kappa, ctx.p, 3 * ctx.e + 4
     # the levels that p-th powers land on, read off (1 + pi^t)^p; t = e1
     # lands on the critical level only when a -> a^p + rho*a is onto
@@ -250,6 +255,42 @@ def test_pth_root_frozen_example(z3):
     assert rate ** 3 == z3.one  # recovers 1+pi^2 up to mu_3
 
 
+@pytest.mark.parametrize("name", ["qp-zeta-3", "qp-zeta-5", "cbrt-3",
+                                  "root4-3", "sqrt-3-unram2"])
+def test_strip_pth_powers_multiplies_in_x_to_the_p(name):
+    ctx = _field(name)
+    rng = random.Random(11)
+    for _ in range(10):
+        u = ctx.one + _random_nonzero(ctx, rng) * ctx.pi
+        for stop in (2, ctx.e + 2, ctx.M):
+            v, x, stuck = strip_pth_powers(u, stop)
+            assert v == u * x ** ctx.p
+            if stuck is None:
+                lv = unit_level(v)
+                assert lv is PRECISION_EXHAUSTED or lv >= stop
+                continue
+            # the level's digit, of which no p-th power reaches any part
+            s, r = stuck
+            assert s < stop and lead(v - ctx.one) == (s, r)
+            assert ctx.graded_pth_root(s, r) == (0, s // ctx.p, r)
+        # pth_root(w) is the walk from w^-1 to 1
+        v, x, stuck = strip_pth_powers(u ** ctx.p, ctx.M)
+        assert v == ctx.one and stuck is None
+        assert (x * u) ** ctx.p == ctx.one
+
+
+def test_strip_pth_powers_stops_at_a_fundamental_level(z3, z5):
+    for ctx in (z3, z5):
+        p = ctx.p
+        for s in range(1, p * int(ctx.e1)):
+            if s % p == 0:
+                continue
+            for c in range(1, p):
+                u = ctx.level_unit(c, s) * (ctx.one + ctx.pi ** (s + 1))
+                assert strip_pth_powers(u, ctx.M) == (u, ctx.one, (s, c))
+                assert strip_pth_powers(u, s) == (u, ctx.one, None)
+
+
 # -- roots of unity -----------------------------------------------------------------
 
 def _cyclotomic(p, n, N):
@@ -295,6 +336,18 @@ def test_compute_mu(maker, expected_k):
     assert qm1 == ctx.q - 1
     assert pk == ctx.p ** expected_k
     assert ctx.k == expected_k
+
+
+@pytest.mark.parametrize("p,n", [(7, 2), (5, 2), (3, 3)])
+def test_k_pinned_at_n_8(p, n):
+    # Q_p(zeta_{p^n}) at N = 8: pi = zeta_{p^n} - 1, so 1 + pi has order
+    # p^n exactly, is no p-th power (k = n), and its p-th power is one
+    ctx = _cyclotomic(p, n, 8)
+    assert ctx.k == n
+    zeta = ctx.one + ctx.pi
+    assert zeta ** (p ** n) == ctx.one != zeta ** (p ** (n - 1))
+    assert pth_root(zeta) is None
+    assert pth_root(zeta ** p) ** p == zeta ** p
 
 
 def test_wild_exponent_past_the_certified_digits():

@@ -3,9 +3,13 @@
 The oracle's reducer decides membership in (F^x)^m U^H.  On small fields
 the principal-unit part of that subgroup can be enumerated outright, so the
 reducer's verdicts are checked against literal power sets, class by class.
+The digits of a class are read through the product-chain reference
+division, independently of the reducer's own digit reader.
 """
 
 import itertools
+
+from test_division import ref_div_pi_pow
 
 from tamewild.localfield import qp, qp_zeta, unit_level
 from tamewild.errors import PRECISION_EXHAUSTED
@@ -25,7 +29,7 @@ def _unit_class_digits(ctx, u, depth):
         lv = unit_level(u)
         if lv is PRECISION_EXHAUSTED or lv >= depth:
             return tuple(sorted(digits.items()))
-        d = (u - ctx.one).div_pi_pow(lv).residue()
+        d = ref_div_pi_pow(u - ctx.one, lv).residue()
         digits[lv] = d
         u = u * (ctx.one + ctx.lift_residue(d)
                  * ctx.pi ** lv).invert_unit()
