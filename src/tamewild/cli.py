@@ -37,7 +37,6 @@ from .parsing import parse_ring_expr
 from .symbols import (
     hilbert_quadratic_q,
     tame_symbol,
-    triviality_oracle,
     wild_symbol_zeta,
 )
 
@@ -168,11 +167,7 @@ def _cmd_order(args, cfg):
 
 def _cmd_m0(args, cfg):
     ctx = _load_field(args, cfg)
-    oracle = None
-    if ctx.e > 1 and ctx.k >= 1:
-        oracle = triviality_oracle(ctx)
-    report = estimate_m0(ctx, oracle, sample_budget=cfg.budget,
-                         depth=args.depth)
+    report = estimate_m0(ctx, sample_budget=cfg.budget, depth=args.depth)
     _emit(cfg, "m0", report.to_json(), certified=ctx.M)
     return 0
 

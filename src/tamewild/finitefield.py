@@ -30,9 +30,10 @@ The norm to the base is the resultant Res(modulus, a), the trace is
 sum_j a_j p_j with p_j the power sums of Newton's identities (H. Cohen, A
 Course in Computational Algebraic Number Theory, Sec. 3.3 and Ch. 4).
 
-The FqPoly kernels _mul and _divmod work on plain ints mod p when s = 1,
-on the logarithms of a table field, and by the field's operations over a
-tower.
+The FqPoly kernels _mul and _divmod work on plain ints mod p when s = 1
+and on the logarithms of a table field otherwise.  No FqPoly is built over
+a tower, whose digit polynomials are multiplied over its base, so a
+product over a tower with s > 1 fails in _build_tables.
 """
 
 from __future__ import annotations
@@ -484,7 +485,7 @@ def _mul(gf, a, b):
                 for j, y in enumerate(b, i):
                     out[j] += x * y
         out = [v % gf.p for v in out]
-    elif gf.base is None:  # on the logarithms of the table field
+    else:  # on the logarithms of the table field
         exp, log, zech = gf._tables or gf._build_tables()
         m = gf.q - 1
         lb = [(j, log[y]) for j, y in enumerate(b) if y]
@@ -499,12 +500,6 @@ def _mul(gf, a, b):
                         out[i + j] = exp[lo + z] if z >= 0 else 0
                     else:
                         out[i + j] = exp[lx + ly]
-    else:
-        add, mul = gf.add, gf.mul
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b, i):
-                    out[j] = add(out[j], mul(x, y))
     return out
 
 
@@ -521,7 +516,7 @@ def _divmod(gf, a, b):
                 for i, y in enumerate(b, k):
                     a[i] -= f * y
         a = [x % p for x in a[:n]]
-    elif gf.base is None:  # on the logarithms of the table field
+    else:  # on the logarithms of the table field
         exp, log, zech = gf._tables or gf._build_tables()
         m = gf.q - 1
         minus = 0 if gf.p == 2 else m // 2  # -1 = g^minus
@@ -539,13 +534,6 @@ def _divmod(gf, a, b):
                         a[k + i] = exp[lx + z] if z >= 0 else 0
                     else:
                         a[k + i] = exp[(f + lb) % m]
-    else:
-        inv_lead, sub, mul = gf.inv(b[-1]), gf.sub, gf.mul
-        for k in tops:
-            f = q[k] = mul(a[k + n], inv_lead)
-            if f:
-                for i in range(n):
-                    a[k + i] = sub(a[k + i], mul(f, b[i]))
     return q, a[:n]
 
 

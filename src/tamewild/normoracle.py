@@ -25,6 +25,13 @@ canonical; U_F^H consists of m-th powers by the p-power landing bounds, so
 a class without coordinates is an m-th power.  A subgroup is held as one
 finitefield.DigitSpan per position, and reduction modulo it is one echelon
 solve per position.
+
+Since the coordinates depend only on the class, every quantity is kept
+modulo m-th powers, not exactly: a pivot is divided off j times by
+multiplying in its (m - j)-th power, so nothing is inverted; a Kummer norm
+drops the powers of pi that keep its vector integral; and no generator
+whose norm is an m-th power (pi^m when pi stays prime, omega^m when
+kappa_L = kappa) is built.
 """
 
 from __future__ import annotations
@@ -49,24 +56,12 @@ from .localfield import (
 class _ClassState:
     """A running class representative pi^n omega^i u, u a principal unit."""
 
-    __slots__ = ("n", "i", "u", "_inverse")
+    __slots__ = ("n", "i", "u")
 
-    def __init__(self, n, i, u, u_inv=None):
+    def __init__(self, n, i, u):
         self.n = n
         self.i = i
         self.u = u
-        # (u, u^-1) once known
-        self._inverse = None if u_inv is None else (u, u_inv)
-
-    def copy(self):
-        return _ClassState(self.n, self.i, self.u)
-
-    def u_inverse(self):
-        """u^-1, inverted once per u: a stored pivot is divided off on
-        every query that meets it."""
-        if self._inverse is None or self._inverse[0] is not self.u:
-            self._inverse = (self.u, self.u.invert_unit())
-        return self._inverse[1]
 
 
 # ---------------------------------------------------------------------------
@@ -80,18 +75,15 @@ class _Reducer:
         self.kappa = ctx.base.kappa
         self.exponents = GF(m)  # the digits at ("pi",) and ("omega",)
         p = ctx.p
-        if m == 2 and p != 2:
-            self.wild = False
-            self.H = 1  # principal units are 2-divisible for odd p
-        elif m == p:
-            self.wild = True
+        self.wild = m == p  # otherwise m = 2 and p is odd
+        if self.wild:
             if p != 2 and ctx.k < 1:
                 raise BadInput("mu_p is not contained in F")
             self.H = ctx.wild_level
             self.critical = (int(p * ctx.e1)
                              if ctx.e1.denominator == 1 else None)
         else:
-            raise BadInput(f"m must be 2 or p = {p}")
+            self.H = 1  # principal units are 2-divisible for odd p
 
     def _lead(self, st):
         """Multiply m-th powers into st up to its first coordinate, returned
@@ -114,7 +106,7 @@ class _Reducer:
 
     # -- class states --------------------------------------------------------
 
-    def decompose(self, x, shift=0):
+    def decompose(self, x):
         if x.is_zero():
             raise ZeroInput("zero element has no class")
         v = valuation(x)
@@ -125,24 +117,25 @@ class _Reducer:
                 f"valuation {v} leaves no certified digits below level "
                 f"{self.H}")
         dec = unit_decompose(x)
-        return _ClassState(dec.n - shift, dec.i, dec.u)
+        return _ClassState(dec.n, dec.i, dec.u)
 
     def _divide(self, st, piv, j):
-        j %= self.m
-        if j == 0:
-            return
-        st.n -= j * piv.n
-        st.i -= j * piv.i
-        st.u = st.u * piv.u_inverse() ** j
+        """Divide piv^j off st by multiplying in piv^(m-j), which differs
+        from piv^-j by the m-th power piv^m."""
+        j = -j % self.m
+        if j:
+            st.n += j * piv.n
+            st.i += j * piv.i
+            st.u = st.u * piv.u ** j
 
     def _coordinate(self, pos, digit):
         """The class whose only coordinate is digit at pos: pi^digit,
         omega^digit or 1 + [digit] pi^s."""
         one = self.ctx.one
         if pos == ("pi",):
-            return _ClassState(digit, 0, one, one)
+            return _ClassState(digit, 0, one)
         if pos == ("omega",):
-            return _ClassState(0, digit, one, one)
+            return _ClassState(0, digit, one)
         return _ClassState(0, 0, self.ctx.level_unit(digit, pos[1]))
 
     # -- the normal form -----------------------------------------------------
@@ -171,11 +164,11 @@ class _Reducer:
             collect.append((pos, digit))
             self._divide(st, self._coordinate(pos, digit), 1)
 
-    def full_normal_form(self, x, shift=0):
+    def full_normal_form(self, x):
         """Canonical coordinates of the class of x; empty iff x is an m-th
         power (modulo U^H, hence on the nose)."""
         coords = []
-        self.normal_form(self.decompose(x, shift), {}, collect=coords)
+        self.normal_form(self.decompose(x), {}, collect=coords)
         return coords
 
     # -- pivot solving and insertion ------------------------------------------
@@ -188,15 +181,15 @@ class _Reducer:
             self._divide(st, piv, scale)
         return residual
 
-    def insert_generator(self, pivots, x, shift=0):
-        lead = self.normal_form(self.decompose(x, shift), pivots)
+    def insert_generator(self, pivots, x):
+        lead = self.normal_form(self.decompose(x), pivots)
         if lead is not None:
             pos, digit, st = lead
             field = self.exponents if len(pos) == 1 else self.kappa
-            pivots.setdefault(pos, DigitSpan(field)).insert(digit, st.copy())
+            pivots.setdefault(pos, DigitSpan(field)).insert(digit, st)
 
-    def is_member(self, pivots, x, shift=0):
-        return self.normal_form(self.decompose(x, shift), pivots) is None
+    def is_member(self, pivots, x):
+        return self.normal_form(self.decompose(x), pivots) is None
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +217,8 @@ class _Kummer:
     a prime element, the unit level for the relation (1+G)^p = y); lam = 0
     makes it unramified, the relation reducing to an irreducible polynomial
     over kappa = F_p whose root G generates kappa_L.  Elements are G-power
-    coefficient vectors with an optional pi^{-shift} scaling; in this basis
-    v_L(sum w_j G^j) = min_j (e(L/F) v_F(w_j) + j lam)."""
+    coefficient vectors; in this basis v_L(sum w_j G^j) = min_j (e(L/F)
+    v_F(w_j) + j lam)."""
 
     def __init__(self, ctx, m, rhs, lam):
         self.ctx = ctx
@@ -234,9 +227,9 @@ class _Kummer:
         self.rhs = rhs  # list of m FElems: G^m = sum rhs[j] G^j
         self.lam = lam
 
-    def norm(self, vec, shift=0):
+    def norm(self, vec):
         """N_{L/F} as the determinant of the multiplication matrix in the
-        G-power basis; returns (FElem, F-side shift)."""
+        G-power basis."""
         cols = [list(vec)]
         for _ in range(self.m - 1):
             prev = cols[-1]
@@ -247,46 +240,46 @@ class _Kummer:
                     shifted[j] = shifted[j] + top * self.rhs[j]
             cols.append(shifted)
         mat = [[cols[j][i] for j in range(self.m)] for i in range(self.m)]
-        return _felem_det(self.ctx, mat), self.m * shift
+        return _felem_det(self.ctx, mat)
 
-    def _level_element(self, s, c, scale):
-        """scale * G^c times the monomial G^a pi^b of valuation s, as
-        (vec, shift); c > 0 only when G is a unit."""
+    def _level_element(self, s, c, scale, plus_one):
+        """pi^max(-b,0) (plus_one + scale G^c G^a pi^b) as a vector, G^a pi^b
+        the monomial of valuation s; c > 0 only when G is a unit.  The power
+        of pi keeps the vector integral and multiplies the norm by an m-th
+        power."""
         ctx, m, lam = self.ctx, self.m, self.lam
         a = s * pow(lam, -1, m) % m if lam else 0
         b = (s - a * lam) // self.ram_index
         vec = [ctx.zero] * m
-        if b >= 0:
-            vec[a + c] = scale * ctx.pi ** b
-            return vec, 0
-        vec[a + c] = scale
-        return vec, -b
+        vec[a + c] = scale * ctx.pi ** b if b > 0 else scale
+        if plus_one:
+            vec[0] = vec[0] + (ctx.pi ** -b if b < 0 else ctx.one)
+        return vec
 
     def spanning_norms(self, high):
-        """Norms of a prime element of L, of a unit whose residue generates
-        kappa_L^x, and of the units 1 + b pi_L^s for b over an F_p-basis of
-        kappa_L, covering U_L levels 1..high-1."""
+        """Norms, modulo m-th powers, of a spanning set of L^x modulo
+        (L^x)^m U_L^high: a prime element of L, a unit whose residue
+        generates kappa_L^x when kappa_L is bigger than kappa, and the units
+        1 + b pi_L^s for b over an F_p-basis of kappa_L and 1 <= s < high.
+        The rest of the set, pi when it stays prime and omega when kappa_L
+        = kappa, has an m-th power for norm."""
         ctx, m = self.ctx, self.m
         if self.lam:
             # kappa_L = kappa: N(omega) = omega^m, basis omega^c
-            out = [self.norm(*self._level_element(1, 0, ctx.one)),
-                   (ctx.teichmuller_power(m), 0)]
+            out = [self.norm(self._level_element(1, 0, ctx.one, False))]
             basis = [(0, ctx.teichmuller_power(c)) for c in range(ctx.d)]
         else:
-            # pi stays prime, and kappa_L = F_p[G]/(G^m - R(G)) has the basis
+            # N(pi) = pi^m, and kappa_L = F_p[G]/(G^m - R(G)) has the basis
             # 1, G, ..., G^(m-1); a digit lift of its generator differs from
             # the Teichmuller lift by a principal unit, whose norm the level
             # units already span
             kappa = FiniteField(ctx.p, [-r.residue() for r in self.rhs] + [1])
             gen = [ctx.from_int(c) for c in kappa.digits(kappa.generator())]
-            out = [(ctx.pi ** m, 0), self.norm(gen)]
+            out = [self.norm(gen)]
             basis = [(c, ctx.one) for c in range(m)]
         for s in range(1, high):
             for c, scale in basis:
-                vec, shift = self._level_element(s, c, scale)
-                vec[0] = vec[0] + (ctx.one if shift == 0
-                                   else ctx.pi ** shift)
-                out.append(self.norm(vec, shift))
+                out.append(self.norm(self._level_element(s, c, scale, True)))
         return out
 
 
@@ -325,18 +318,11 @@ class NormResidueOracle:
         ctx, m = self.ctx, self.m
         npart = dict(coords).get(("pi",), 0)
         if npart % m:
-            # totally ramified: normalise to a prime element y'' ~ y^c
+            # totally ramified: for y = pi^v u_y and c = v^-1 mod m, y^c is
+            # u_y^c pi times an m-th power of pi, a prime element
             v, u_y = split_unit(y)
-            nprime = v % m
-            yprime = u_y * ctx.pi ** nprime
-            c = pow(nprime, -1, m)
-            t = (nprime * c - 1) // m
-            ydouble = (yprime ** c).div_pi_pow(m * t)
-            if valuation(ydouble) != 1:
-                raise UnsupportedSplitting("y normalised to a non-prime "
-                                           "element")
             rhs = [ctx.zero] * m
-            rhs[0] = ydouble
+            rhs[0] = u_y ** pow(v, -1, m) * ctx.pi
             return _Kummer(ctx, m, rhs, lam=1)
         if not self.reducer.wild:
             # odd p, m = 2, unit class: only the omega coordinate survives,
@@ -369,8 +355,8 @@ class NormResidueOracle:
             pivots = {}
             # norms from U_L^high lie in U_F^H (module docstring)
             high = ext.ram_index * (self.reducer.H - 1) + 1
-            for elem, shift in ext.spanning_norms(high):
-                self.reducer.insert_generator(pivots, elem, shift)
+            for elem in ext.spanning_norms(high):
+                self.reducer.insert_generator(pivots, elem)
             self._pivot_cache[key] = pivots
         return self._pivot_cache[key]
 

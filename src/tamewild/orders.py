@@ -14,7 +14,6 @@ from .errors import (
     PRECISION_EXHAUSTED,
     BadInput,
     BudgetExceeded,
-    OracleUnavailable,
     PIsTwo,
     PrecisionExhausted,
 )
@@ -156,9 +155,9 @@ def estimate_m0(ctx, symbol_oracle=None, sample_budget=500, depth=2):
 
     The oracle is a callable (x, y) -> bool deciding triviality of the full
     symbol; bimultiplicativity makes spanning-pair vanishing certify the
-    subgroup generated at the tested depth.  For fields without p-power
-    roots of unity the tame symbol is the full symbol, and
-    triviality_oracle(ctx) decides it when no oracle is supplied.
+    subgroup generated at the tested depth.  Without an oracle it uses
+    triviality_oracle(ctx), which raises OracleUnavailable for the fields
+    it does not cover.
     """
     if depth < 1:
         raise BadInput(f"depth = {depth} must be at least 1")
@@ -173,10 +172,6 @@ def estimate_m0(ctx, symbol_oracle=None, sample_budget=500, depth=2):
             depth=depth, precision=ctx.M)
     bound = m0_bound(ctx)
     if symbol_oracle is None:
-        if ctx.k >= 1:
-            raise OracleUnavailable(
-                "field has p-power roots of unity but no wild symbol "
-                "evaluator was supplied")
         symbol_oracle = triviality_oracle(ctx)
     budget = sample_budget
     certificates = []

@@ -9,9 +9,9 @@ Value conventions:
 - quadratic Hilbert symbols are +-1;
 - the wild pairing against zeta_p is an exponent mod p.
 
-The cyclotomic-character normalisation is a module constant: a unit u of
-Z_p acts on p-power roots of unity by u^{-1}, the uniformizer acts
-trivially on the ramified part.  The opposite convention flips the sign of
+The cyclotomic-character normalisation is fixed: a unit u of Z_p acts on
+p-power roots of unity by u^{-1}, the uniformizer acts trivially on the
+ramified part.  The opposite convention flips the sign of
 wild_symbol_zeta; the chosen one is pinned by the test suite.
 """
 
@@ -37,10 +37,6 @@ from .localfield import (
     unit_level,
 )
 from .ntheory import isprime
-
-#: Module constant (see module docstring): units act on mu_{p^infty} by
-#: their inverse under the local reciprocity map.
-WILD_UNIT_ACTS_BY_INVERSE = True
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +218,7 @@ def wild_symbol_zeta(x, ctx):
     if u % p != 1:
         raise NormUnitNotPrincipal(
             f"unit part of the norm is {u % p} mod p, expected 1")
-    u2 = u % p ** 2
-    chi = pow(u2, -1, p ** 2) if WILD_UNIT_ACTS_BY_INVERSE else u2
+    chi = pow(u, -1, p ** 2)  # u acts by its inverse (module docstring)
     return ((chi - 1) // p) % p
 
 

@@ -262,3 +262,6 @@ def test_degree_one_towers_are_their_base(q):
                 for n in (-3, -1, 0, 1, 2, q + 1):
                     assert tower.pow(a, n) == gf.pow(a, n)
         assert tower._tables is None
+        # polynomials are built over the base, never over a tower
+        with pytest.raises(BadInput):
+            FqPoly(tower, [c, 1]) * FqPoly(tower, [1, 1])

@@ -1,5 +1,6 @@
 """Cross-module invariants that do not belong to a single unit file."""
 
+import json
 import random
 
 import pytest
@@ -7,11 +8,11 @@ import pytest
 import sympy
 
 from tamewild.errors import OracleUnavailable
-from tamewild.localfield import PadicCtx, qp_zeta, zp_exp
+from tamewild.localfield import LocalFieldCtx, PadicCtx, qp_zeta, zp_exp
 from tamewild.normoracle import norm_residue_trivial
 from tamewild.orders import OrderRm, estimate_m0
 from tamewild.finitefield import GF, FqPoly, default_modulus, is_irreducible
-from tamewild.symbols import tame_symbol
+from tamewild.symbols import tame_symbol, triviality_oracle
 
 
 def test_default_moduli_cover_small_fields():
@@ -62,9 +63,16 @@ def test_zp_exp_with_order_ideal():
 
 
 def test_estimate_requires_wild_oracle():
+    # without an oracle, estimate_m0 takes triviality_oracle's, and a field
+    # that has none (k = 1 over F_9) still raises
     ctx = qp_zeta(3, 16)
+    explicit = estimate_m0(ctx, triviality_oracle(ctx)).to_json()
+    assert estimate_m0(qp_zeta(3, 16)).to_json() == explicit
+    k1_d2 = LocalFieldCtx.from_json(
+        json.dumps({"p": 3, "d": 2, "N": 16, "f": [-3, 0, 1]}))
+    assert (k1_d2.k, k1_d2.d) == (1, 2)
     with pytest.raises(OracleUnavailable):
-        estimate_m0(ctx, None)
+        estimate_m0(k1_d2)
 
 
 def test_inverse_stays_in_order():

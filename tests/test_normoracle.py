@@ -8,7 +8,13 @@ import pytest
 from tamewild.cli import element_from_string
 from tamewild.errors import BadInput, ZeroInput
 from tamewild.finitefield import FiniteField
-from tamewild.localfield import preset, qp, spanning_units, valuation
+from tamewild.localfield import (
+    FElem,
+    preset,
+    qp,
+    spanning_units,
+    valuation,
+)
 from tamewild.errors import PRECISION_EXHAUSTED
 from tamewild.normoracle import (
     NormResidueOracle,
@@ -320,14 +326,35 @@ def test_norms_above_the_level_bound_are_mth_powers(name, m, ys):
         new = ext.spanning_norms(high)
         old = ext.spanning_norms(_old_high(ctx, m))
         assert old[:len(new)] == new
-        for elem, shift in old[len(new):]:
-            assert red.full_normal_form(elem, shift) == [], (y_text, shift)
+        for elem in old[len(new):]:
+            assert red.full_normal_form(elem) == [], y_text
         old_pivots = {}
-        for elem, shift in old:
-            red.insert_generator(old_pivots, elem, shift)
+        for elem in old:
+            red.insert_generator(old_pivots, elem)
         for x in xs:
             assert oracle.trivial(x, y) == red.is_member(old_pivots, x)
     assert unramified == {False, True}
+
+
+@pytest.mark.parametrize("name", ["qp-zeta-3", "qp-zeta-5"])
+def test_cold_queries_invert_nothing(monkeypatch, name):
+    # everything is read modulo p-th powers: a pivot is divided off by
+    # multiplying in its (p - j)-th power, and a prime y is normalised by a
+    # power of its unit part, so past the lazy constants of the field no
+    # query inverts a unit
+    ctx = preset(name, 16)
+    assert ctx.k == 1 and not ctx.omega.is_zero() and not ctx.w_inv.is_zero()
+    calls = []
+    invert = FElem.invert_unit
+    monkeypatch.setattr(FElem, "invert_unit",
+                        lambda self: calls.append(self) or invert(self))
+    rng = random.Random(f"cold-{name}")
+    p = ctx.p
+    for y_text in ("pi", "1+pi", f"1+pi^{p}", "2", "pi^2*(1+pi)"):
+        y = element_from_string(ctx, y_text)
+        x = _random_nonzero(ctx, rng) * ctx.pi ** rng.randrange(p)
+        NormResidueOracle(ctx, p).trivial(x, y)
+    assert calls == []
 
 
 @pytest.mark.parametrize("name,calls", [("qp-zeta-5", 26), ("qp-zeta-7", 50)])
@@ -357,7 +384,7 @@ def test_big_unramified_ring_builds_no_tables(monkeypatch):
     monkeypatch.setattr(FiniteField, "_build_tables", spy)
     for p in (5, 7):
         norms = _unramified_kummer(qp(p, 8), p).spanning_norms(2)
-        assert len(norms) == 2 + p
+        assert len(norms) == 1 + p
     assert built == []
 
 
