@@ -4,11 +4,13 @@ Decides whether x is a norm from L = F(y^{1/m}) (m = 2 or m = p) by finite
 computation: L is realised explicitly as F[G]/(G^m - R(G)), one monic
 relation chosen by the shape of y (totally ramified by a prime element,
 ramified by a unit, or unramified), norms of a spanning set of
-L^x/(L^x)^m U_L^{e(L/F)(H-1)+1} are pushed down to F as determinants of
-multiplication in the G-power basis, and membership is solved by filtered
-Gaussian elimination in the elementary abelian quotient F^x/(F^x)^m U_F^H.
-Deeper units add nothing, since every conjugate of z has v_L(z):
-v_F(N(1+z) - 1) >= v_L(z)/e(L/F).
+L^x/(L^x)^m U_L^{e(L/F)(H-1)+1} are pushed down to F in closed form (each
+spanning element is v0 + v1 G^a, whose norm is a form in v0, v1 with the
+elementary symmetric functions of the a-th powers of G's conjugates for
+coefficients, from Newton's identities), and membership is solved by
+filtered Gaussian elimination in the elementary abelian quotient
+F^x/(F^x)^m U_F^H.  Deeper units add nothing, since every conjugate of z
+has v_L(z): v_F(N(1+z) - 1) >= v_L(z)/e(L/F).
 
 The quotient is an F_m-space whose coordinates sit at positions, in the
 order they are read off a class pi^n omega^i u: ("pi",) and ("omega",)
@@ -28,10 +30,13 @@ solve per position.
 
 Since the coordinates depend only on the class, every quantity is kept
 modulo m-th powers, not exactly: a pivot is divided off j times by
-multiplying in its (m - j)-th power, so nothing is inverted; a Kummer norm
-drops the powers of pi that keep its vector integral; and no generator
-whose norm is an m-th power (pi^m when pi stays prime, omega^m when
-kappa_L = kappa) is built.
+multiplying in its (m - j)-th power, so nothing is inverted; a Kummer
+norm drops the powers of pi that keep its coefficients integral; and no
+generator whose norm is an m-th power (pi^m when pi stays prime, omega^m
+when kappa_L = kappa, the Teichmuller generator of kappa_L^x when L is
+unramified of degree p) is built.  In the tame case (m = 2, odd p) only
+the exponents of pi and omega are read, so unit parts are not multiplied
+at all.
 """
 
 from __future__ import annotations
@@ -54,7 +59,8 @@ from .localfield import (
 
 
 class _ClassState:
-    """A running class representative pi^n omega^i u, u a principal unit."""
+    """A running class representative pi^n omega^i u, u a principal unit
+    (None for 1 in the divisors _Reducer._coordinate builds)."""
 
     __slots__ = ("n", "i", "u")
 
@@ -121,21 +127,22 @@ class _Reducer:
 
     def _divide(self, st, piv, j):
         """Divide piv^j off st by multiplying in piv^(m-j), which differs
-        from piv^-j by the m-th power piv^m."""
+        from piv^-j by the m-th power piv^m.  Unit parts are multiplied
+        only when they are read (m = p) and not 1 (None)."""
         j = -j % self.m
         if j:
             st.n += j * piv.n
             st.i += j * piv.i
-            st.u = st.u * piv.u ** j
+            if self.wild and piv.u is not None:
+                st.u = st.u * piv.u ** j
 
     def _coordinate(self, pos, digit):
         """The class whose only coordinate is digit at pos: pi^digit,
-        omega^digit or 1 + [digit] pi^s."""
-        one = self.ctx.one
+        omega^digit (unit part None, standing for 1) or 1 + [digit] pi^s."""
         if pos == ("pi",):
-            return _ClassState(digit, 0, one)
+            return _ClassState(digit, 0, None)
         if pos == ("omega",):
-            return _ClassState(0, digit, one)
+            return _ClassState(0, digit, None)
         return _ClassState(0, 0, self.ctx.level_unit(digit, pos[1]))
 
     # -- the normal form -----------------------------------------------------
@@ -196,29 +203,20 @@ class _Reducer:
 # explicit Kummer extensions and their norms
 # ---------------------------------------------------------------------------
 
-def _felem_det(ctx, mat):
-    n = len(mat)
-    if n == 1:
-        return mat[0][0]
-    acc = ctx.zero
-    for j in range(n):
-        c = mat[0][j]
-        if c.is_zero():
-            continue
-        minor = [row[:j] + row[j + 1:] for row in mat[1:]]
-        term = c * _felem_det(ctx, minor)
-        acc = acc - term if j % 2 else acc + term
-    return acc
-
-
 class _Kummer:
     """L = F[G]/(G^m - R(G)) for a monic degree-m relation over F, with
     v_L(G) = lam.  A lam coprime to m makes L totally ramified (lam = 1 for
     a prime element, the unit level for the relation (1+G)^p = y); lam = 0
     makes it unramified, the relation reducing to an irreducible polynomial
-    over kappa = F_p whose root G generates kappa_L.  Elements are G-power
-    coefficient vectors; in this basis v_L(sum w_j G^j) = min_j (e(L/F)
-    v_F(w_j) + j lam)."""
+    over kappa = F_p whose root G generates kappa_L.  In the G-power basis
+    v_L(sum w_j G^j) = min_j (e(L/F) v_F(w_j) + j lam).
+
+    Every element whose norm is taken has the form v0 + v1 G^a, so its norm
+    is prod_i (v0 + v1 r_i^a) over the conjugates r_i of G, a form in v0, v1
+    whose coefficients are the elementary symmetric functions of the r_i^a.
+    Those come from the power sums of the r_i by Newton's identities, which
+    divide only by k < m, a unit; the identity holds in every commutative
+    ring, so the norm is exact in O/p^N."""
 
     def __init__(self, ctx, m, rhs, lam):
         self.ctx = ctx
@@ -226,73 +224,118 @@ class _Kummer:
         self.ram_index = m if lam else 1  # e(L/F)
         self.rhs = rhs  # list of m FElems: G^m = sum rhs[j] G^j
         self.lam = lam
+        # the power sums S_n of the r_i for n <= (m-1)^2, by the division-
+        # free S_n = n R_{m-n} + sum_{i < n} R_{m-i} S_{n-i} over the
+        # nonzero R_j (the first term only for n <= m): Newton's identities
+        # up to m, the relation itself above
+        terms = [(m - j, r) for j, r in enumerate(rhs) if not r.is_zero()]
+        sums = [ctx.from_int(m)]
+        for n in range(1, (m - 1) ** 2 + 1):
+            acc = ctx.zero
+            for i, r in terms:
+                if i < n and not sums[n - i].is_zero():
+                    acc = acc + r * sums[n - i]
+                elif i == n:
+                    acc = acc + r * n
+            sums.append(acc)
+        # e_0, ..., e_m of the r_i^a, whose power sums are S_0, S_a, S_2a,
+        # ...; e_m = N(G)^a, with N(G) = (-1)^(m+1) R_0
+        top = rhs[0] if m % 2 else -rhs[0]
+        self._elementary = [None] + [self._newton(sums[::a], top ** a)
+                                     for a in range(1, m)]
 
-    def norm(self, vec):
-        """N_{L/F} as the determinant of the multiplication matrix in the
-        G-power basis."""
-        cols = [list(vec)]
-        for _ in range(self.m - 1):
-            prev = cols[-1]
-            top = prev[-1]
-            shifted = [self.ctx.zero] + prev[:-1]
-            if not top.is_zero():
-                for j in range(self.m):
-                    shifted[j] = shifted[j] + top * self.rhs[j]
-            cols.append(shifted)
-        mat = [[cols[j][i] for j in range(self.m)] for i in range(self.m)]
-        return _felem_det(self.ctx, mat)
+    def _newton(self, power_sums, last):
+        """e_0, ..., e_m from power_sums[i] = P_i by Newton's identities k e_k
+        = sum_{i=1}^k (-1)^(i-1) e_{k-i} P_i for k < m, which divide only
+        by a unit k; e_m = last."""
+        ctx = self.ctx
+        e = [ctx.one]
+        for k in range(1, self.m):
+            acc = ctx.zero
+            for i in range(1, k + 1):
+                if power_sums[i].is_zero() or e[k - i].is_zero():
+                    continue
+                term = e[k - i] * power_sums[i]
+                acc = acc + term if i % 2 else acc - term
+            e.append(acc * pow(k, -1, ctx.mod))
+        return e + [last]
+
+    def norm(self, v0, v1, a):
+        """N_{L/F}(v0 + v1 G^a) = sum_j e_j v1^j v0^(m-j), by Horner in v1
+        with the powers of v0 riding along."""
+        m = self.m
+        if a == 0:
+            return (v0 + v1) ** m
+        e = self._elementary[a]
+        acc, v0_pow = e[m], self.ctx.one
+        for j in range(m - 1, -1, -1):
+            v0_pow = v0_pow * v0
+            acc = acc * v1
+            if not e[j].is_zero():
+                acc = acc + e[j] * v0_pow
+        return acc
 
     def _level_element(self, s, c, scale, plus_one):
-        """pi^max(-b,0) (plus_one + scale G^c G^a pi^b) as a vector, G^a pi^b
-        the monomial of valuation s; c > 0 only when G is a unit.  The power
-        of pi keeps the vector integral and multiplies the norm by an m-th
-        power."""
+        """(v0, v1, a + c) with v0 + v1 G^(a+c) = pi^max(-b,0) (plus_one +
+        scale G^c G^a pi^b), G^a pi^b the monomial of valuation s; c > 0
+        only when G is a unit.  The power of pi keeps v0 and v1 integral
+        and multiplies the norm by an m-th power."""
         ctx, m, lam = self.ctx, self.m, self.lam
         a = s * pow(lam, -1, m) % m if lam else 0
         b = (s - a * lam) // self.ram_index
-        vec = [ctx.zero] * m
-        vec[a + c] = scale * ctx.pi ** b if b > 0 else scale
-        if plus_one:
-            vec[0] = vec[0] + (ctx.pi ** -b if b < 0 else ctx.one)
-        return vec
+        v1 = scale * ctx.pi ** b if b > 0 else scale
+        if not plus_one:
+            return ctx.zero, v1, a + c
+        return ctx.pi ** -b if b < 0 else ctx.one, v1, a + c
 
     def spanning_norms(self, high):
         """Norms, modulo m-th powers, of a spanning set of L^x modulo
         (L^x)^m U_L^high: a prime element of L, a unit whose residue
-        generates kappa_L^x when kappa_L is bigger than kappa, and the units
-        1 + b pi_L^s for b over an F_p-basis of kappa_L and 1 <= s < high.
-        The rest of the set, pi when it stays prime and omega when kappa_L
-        = kappa, has an m-th power for norm."""
+        generates kappa_L^x when kappa_L is bigger than kappa and m = 2,
+        and the units 1 + b pi_L^s for b over an F_p-basis of kappa_L and
+        1 <= s < high.  The rest of the set, pi when it stays prime, omega
+        when kappa_L = kappa and the generator of kappa_L^x when m = p, has
+        an m-th power for norm."""
         ctx, m = self.ctx, self.m
         if self.lam:
             # kappa_L = kappa: N(omega) = omega^m, basis omega^c
-            out = [self.norm(self._level_element(1, 0, ctx.one, False))]
+            out = [self.norm(*self._level_element(1, 0, ctx.one, False))]
             basis = [(0, ctx.teichmuller_power(c)) for c in range(ctx.d)]
         else:
             # N(pi) = pi^m, and kappa_L = F_p[G]/(G^m - R(G)) has the basis
-            # 1, G, ..., G^(m-1); a digit lift of its generator differs from
-            # the Teichmuller lift by a principal unit, whose norm the level
-            # units already span
-            kappa = FiniteField(ctx.p, [-r.residue() for r in self.rhs] + [1])
-            gen = [ctx.from_int(c) for c in kappa.digits(kappa.generator())]
-            out = [self.norm(gen)]
+            # 1, G, ..., G^(m-1).  A digit lift of the generator of
+            # kappa_L^x differs from its Teichmuller lift by a principal
+            # unit, whose norm the level units already span; at m = p the
+            # Teichmuller lift has order prime to p, so its norm is a p-th
+            # power and the generator adds nothing
+            out = []
+            if m != ctx.p:
+                kappa = FiniteField(ctx.p,
+                                    [-r.residue() for r in self.rhs] + [1])
+                g0, g1 = (ctx.from_int(c)
+                          for c in kappa.digits(kappa.generator()))
+                out.append(self.norm(g0, g1, 1))
             basis = [(c, ctx.one) for c in range(m)]
         for s in range(1, high):
             for c, scale in basis:
-                out.append(self.norm(self._level_element(s, c, scale, True)))
+                out.append(self.norm(*self._level_element(s, c, scale, True)))
         return out
 
 
 def _unramified_kummer(ctx, m):
-    """The unramified degree-m extension of F (prime residue field only):
-    the relation is the default modulus of F_{p^m}, which stays irreducible
-    over kappa = F_p."""
+    """The unramified degree-m extension of F (prime residue field only),
+    by a relation that stays irreducible over kappa = F_p: for m = p the
+    Artin-Schreier relation G^p = G + 1, for m = 2 the default modulus of
+    F_{p^2}."""
     if ctx.d != 1:
         raise UnsupportedSplitting(
             "unramified splitting is implemented over prime residue "
             "fields only")
-    g = default_modulus(ctx.p, m)
-    return _Kummer(ctx, m, [ctx.from_int(-c) for c in g[:m]], lam=0)
+    if m == ctx.p:
+        rhs = [ctx.one, ctx.one] + [ctx.zero] * (m - 2)
+    else:
+        rhs = [ctx.from_int(-c) for c in default_modulus(ctx.p, m)[:m]]
+    return _Kummer(ctx, m, rhs, lam=0)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from tamewild.errors import PRECISION_EXHAUSTED
 from tamewild.normoracle import (
     NormResidueOracle,
     _Kummer,
+    _Reducer,
     _unramified_kummer,
     norm_residue_trivial,
 )
@@ -370,10 +371,63 @@ def test_ramified_class_norm_count(monkeypatch, name, calls):
     assert len(seen) == calls
 
 
+def test_cold_septic_query_multiplication_count(monkeypatch):
+    # the pivots of one ramified class at p = 7: 50 closed-form norms, each
+    # a few products once the symmetric functions of the conjugates of G^a
+    # are known, where a cofactor expansion paid about 840 per norm
+    ctx = preset("qp-zeta-7", 16)
+    assert ctx.k == 1 and not ctx.omega.is_zero() and not ctx.w_inv.is_zero()
+    calls = []
+    mul = FElem.__mul__
+
+    def spy(self, other):
+        calls.append(None)
+        return mul(self, other)
+
+    monkeypatch.setattr(FElem, "__mul__", spy)
+    monkeypatch.setattr(FElem, "__rmul__", spy)
+    NormResidueOracle(ctx, 7).trivial(ctx.from_int(1 + ctx.p),
+                                      ctx.one + ctx.pi)
+    assert len(calls) < 5000
+
+
+def test_tame_reduction_multiplies_no_units(monkeypatch):
+    # with m = 2 and odd p the reducer reads only the exponents of pi and
+    # omega, so dividing off a pivot multiplies no unit parts
+    ctx = preset("cbrt-3", 32)
+    oracle = NormResidueOracle(ctx, 2)
+    ys = [element_from_string(ctx, text) for text in ("pi", "2", "2*pi")]
+    rng = random.Random("tame-divide")
+    xs = [_random_nonzero(ctx, rng) * ctx.pi ** rng.randrange(2)
+          for _ in range(20)]
+    for y in ys:
+        oracle.trivial(ctx.one, y)  # warm the pivots
+    inside, products = [], []
+    divide, mul, power = _Reducer._divide, FElem.__mul__, FElem.__pow__
+
+    def spy_divide(self, *args):
+        inside.append(None)
+        try:
+            return divide(self, *args)
+        finally:
+            inside.pop()
+
+    def counted(op):
+        return lambda a, b: (inside and products.append(op)) or \
+            (mul if op == "mul" else power)(a, b)
+
+    monkeypatch.setattr(_Reducer, "_divide", spy_divide)
+    monkeypatch.setattr(FElem, "__mul__", counted("mul"))
+    monkeypatch.setattr(FElem, "__pow__", counted("pow"))
+    answers = {oracle.trivial(x, y) for x in xs for y in ys}
+    assert answers == {False, True}
+    assert products == []
+
+
 def test_big_unramified_ring_builds_no_tables(monkeypatch):
     # kappa_L has q = 7^7 = 823543 at p = 7, above MAX_Q, and already at
-    # p = 5 its tables would cost tens of milliseconds; the generator and
-    # the determinant norms need none
+    # p = 5 its tables would cost tens of milliseconds; the closed-form
+    # norms need none, and at m = p no generator of kappa_L^x is built
     built = []
     original = FiniteField._build_tables
 
@@ -384,7 +438,7 @@ def test_big_unramified_ring_builds_no_tables(monkeypatch):
     monkeypatch.setattr(FiniteField, "_build_tables", spy)
     for p in (5, 7):
         norms = _unramified_kummer(qp(p, 8), p).spanning_norms(2)
-        assert len(norms) == 1 + p
+        assert len(norms) == p
     assert built == []
 
 
