@@ -24,16 +24,19 @@ every s.
 Over a FiniteField base (a tower) the field is the residue field kappa(v)
 of one place and serves the symbols at that place, so it is not shared and
 builds no tables: it multiplies digit polynomials by the FqPoly kernels
-over the base, inverts by the extended Euclidean algorithm, and takes its
+over the base, raises them to powers by the same _pow_mod kernel as
+FqPoly.pow_mod, inverts by the extended Euclidean algorithm, and takes its
 modulus as irreducible.  A tower of degree 1 runs on its base's operations.
 The norm to the base is the resultant Res(modulus, a), the trace is
 sum_j a_j p_j with p_j the power sums of Newton's identities (H. Cohen, A
 Course in Computational Algebraic Number Theory, Sec. 3.3 and Ch. 4).
 
 The FqPoly kernels _mul and _divmod work on plain ints mod p when s = 1
-and on the logarithms of a table field otherwise.  No FqPoly is built over
-a tower, whose digit polynomials are multiplied over its base, so a
-product over a tower with s > 1 fails in _build_tables.
+and on the logarithms of a table field otherwise.  _pow_mod, square-and-
+multiply on coefficient lists, and FqPoly.gcd run on them directly, with
+no FqPoly per step.  No FqPoly is built over a tower, whose digit
+polynomials are multiplied over its base, so a product over a tower with
+s > 1 fails in _build_tables.
 """
 
 from __future__ import annotations
@@ -129,13 +132,9 @@ class FiniteField:
         return self.pack(_divmod(base, prod, self.modulus)[1])
 
     def _power(self, a, n):
-        r = 1
-        while n:
-            if n & 1:
-                r = self._times(r, a)
-            a = self._times(a, a)
-            n >>= 1
-        return r
+        """a^n for n >= 0 by the _pow_mod kernel on a's digit polynomial."""
+        base = self.base or GF(self.p)
+        return self.pack(_pow_mod(base, self.digits(a), n, self.modulus))
 
     def _euclid_inv(self, a):
         """1/a for a tower, by the extended Euclidean algorithm against the
@@ -445,20 +444,15 @@ class FqPoly:
         return self.divmod(other)[0]
 
     def gcd(self, other):
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic()
+        """The monic gcd, by Euclid on the coefficient lists."""
+        gf, a, b = self.gf, self.c, other.c
+        while b:
+            a, b = b, _trim(_divmod(gf, list(a), b)[1])
+        return FqPoly(gf, a).monic()
 
     def pow_mod(self, n, mod):
-        r = FqPoly(self.gf, [1])
-        b = self % mod
-        while n:
-            if n & 1:
-                r = (r * b) % mod
-            b = (b * b) % mod
-            n >>= 1
-        return r
+        """self^n mod mod for n >= 0, by the _pow_mod kernel."""
+        return FqPoly(self.gf, _pow_mod(self.gf, self.c, n, mod.c))
 
     def derivative(self):
         gf = self.gf
@@ -535,6 +529,21 @@ def _divmod(gf, a, b):
                     else:
                         a[k + i] = exp[(f + lb) % m]
     return q, a[:n]
+
+
+def _pow_mod(gf, a, n, m):
+    """a^n mod m for the coefficient lists a and m over gf and n >= 0, by
+    left-to-right square-and-multiply: floor(log2 n) squarings, one product
+    per further set bit of n, and no squaring after the last bit."""
+    if not n:
+        return [1]
+    a = _divmod(gf, list(a), m)[1]
+    r = a
+    for bit in bin(n)[3:]:  # the bits below the leading one
+        r = _divmod(gf, _mul(gf, r, r), m)[1]
+        if bit == "1":
+            r = _divmod(gf, _mul(gf, r, a), m)[1]
+    return r
 
 
 def is_irreducible(f):

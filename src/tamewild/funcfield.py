@@ -9,15 +9,22 @@ as reduced fractions with monic denominator.
 Places are monic irreducible polynomials plus the degree-one place at
 infinity.  The residue field kappa(v) of a place is a FiniteField tower over
 F_q (F_q[t]/pi_v, or F_q[x]/(x) at infinity), so tame symbols and residues
-are ints of kappa(v) and F_q sits in it as the ints below q.  Residues
-are read after a Taylor shift to the class theta of t in kappa(v) (of 1/t
-at infinity), truncated at the one coefficient that the residue needs.
+are ints of kappa(v) and F_q sits in it as the ints below q.  The orders of
+a function at its places are the multiplicities in the factorizations of
+its numerator and denominator (degree differences at infinity), so the
+Weil/Hilbert pass factors each of f.num, f.den, g.num and g.den once and
+strips nothing: a tame symbol reads only the units whose exponent is
+nonzero and inverts at most one element of kappa(v).  Residues are read
+after a Taylor shift to the class theta of t in kappa(v) (of 1/t at
+infinity), truncated at the one coefficient that the residue needs; the
+pole order there comes from the same factorization of the denominator.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import reduce
 
 from .errors import BadInput, InvariantFailed, ZeroInput
 from .finitefield import (  # noqa: F401 - GF and is_irreducible re-exported
@@ -213,17 +220,6 @@ class FFPlace:
         return FiniteField(gf, (0, 1) if self.poly is None else self.poly.c)
 
 
-def _strip(poly, pi):
-    """(k, poly / pi^k mod pi), k the multiplicity of pi in poly != 0."""
-    k = 0
-    while True:
-        q, r = poly.divmod(pi)
-        if not r.is_zero():
-            return k, r
-        poly = q
-        k += 1
-
-
 def _reverse_poly(poly, deg):
     c = poly.c + [0] * (deg + 1 - len(poly.c))
     return FqPoly(poly.gf, list(reversed(c)))
@@ -240,69 +236,87 @@ def _chart(f, place):
             _reverse_poly(f.den, dd), dd - dn)
 
 
+def _order_table(*fs):
+    """{place: [ord_v f for f in fs]} over infinity, where the orders are
+    degree differences, and every place dividing a numerator or a
+    denominator, where they are the multiplicities in its factorization."""
+    table = {FFPlace.infinity(): [f.den.degree() - f.num.degree()
+                                  for f in fs]}
+    for i, f in enumerate(fs):
+        for poly, sign in ((f.num, 1), (f.den, -1)):
+            for pi, mult in factor(poly):
+                table.setdefault(FFPlace(pi), [0] * len(fs))[i] += sign * mult
+    return table
+
+
 def divisor(f: FqRational):
     """[(FFPlace, order)] over all places, sorted; the degree-weighted sum
     vanishes (a principal divisor)."""
     if f.is_zero():
         raise ZeroInput("divisor of zero")
-    out = {}
-    for poly, mult in factor(f.num):
-        out[FFPlace.finite(poly)] = mult
-    for poly, mult in factor(f.den):
-        pl = FFPlace.finite(poly)
-        out[pl] = out.get(pl, 0) - mult
-    vinf = f.den.degree() - f.num.degree()
-    if vinf:
-        out[FFPlace.infinity()] = vinf
-    items = sorted(out.items(), key=lambda kv: kv[0].sort_key())
-    return [(pl, n) for pl, n in items if n]
+    items = sorted(_order_table(f).items(), key=lambda kv: kv[0].sort_key())
+    return [(pl, n) for pl, (n,) in items if n]
 
 
 # ---------------------------------------------------------------------------
 # residue fields kappa(v) and the tame symbol
 # ---------------------------------------------------------------------------
 
-def _order_and_unit_at(f, place, kappa):
-    """(v, the value in kappa = kappa(v) of f / pi^v) for v = ord_v(f)."""
-    pi, num, den, k = _chart(f, place)
-    kn, un = _strip(num, pi)
-    kd, ud = _strip(den, pi)
-    unit = kappa.mul(kappa.pack(un.c), kappa.inv(kappa.pack(ud.c)))
-    return k + kn - kd, unit
+def _unit_at(poly, pi, k):
+    """The class in F_q[t]/pi of poly / pi^k, for pi^k the exact power of pi
+    dividing poly, as a coefficient list."""
+    for _ in range(k):
+        poly = poly // pi
+    return (poly % pi).c
 
 
-def ff_tame_symbol(f, g, place):
-    """(-1)^{v(f)v(g)} f^{v(g)} g^{-v(f)} reduced at the place: a nonzero
-    int of kappa(v) = place.residue_field(F_q)."""
+def ff_tame_symbol(f, g, place, orders=None):
+    """(-1)^{ab} f^b g^{-a} reduced at the place, a = v(f) and b = v(g): a
+    nonzero int of kappa(v) = place.residue_field(F_q).  `orders` is (a, b)
+    when the caller has them from its factorizations, and is otherwise read
+    off _order_table.  Only the units of f and g whose exponent is nonzero
+    are read, and the value is one quotient top / bot."""
     if f.is_zero() or g.is_zero():
         raise ZeroInput("tame symbol of zero")
+    if orders is None:
+        orders = _order_table(f, g).get(place, (0, 0))
+    a, b = orders
     kappa = place.residue_field(f.gf())
-    a, uf = _order_and_unit_at(f, place, kappa)
-    b, ug = _order_and_unit_at(g, place, kappa)
-    val = kappa.mul(kappa.pow(uf, b), kappa.pow(ug, -a))
+    tops, bots = [], []
+    for h, v, e in ((f, a, b), (g, b, -a)):
+        if not e:
+            continue
+        # h = s^k num/den in the chart, so pi divides num v - k times and
+        # den k - v times (the reversed polynomials at infinity not at all)
+        pi, num, den, k = _chart(h, place)
+        un = kappa.pack(_unit_at(num, pi, max(v - k, 0)))
+        ud = kappa.pack(_unit_at(den, pi, max(k - v, 0)))
+        if e < 0:
+            un, ud, e = ud, un, -e
+        tops.append(kappa.pow(un, e))
+        if ud != 1:
+            bots.append(kappa.pow(ud, e))
+    val = reduce(kappa.mul, tops) if tops else 1
+    if bots:
+        val = kappa.mul(val, kappa.inv(reduce(kappa.mul, bots)))
     return kappa.neg(val) if a * b % 2 else val
-
-
-def _places(*polys):
-    """The places dividing some of the polynomials, and infinity, in
-    sort_key order."""
-    places = {FFPlace.finite(pi) for h in polys for pi, _ in factor(h)}
-    places.add(FFPlace.infinity())
-    return sorted(places, key=FFPlace.sort_key)
 
 
 def _symbol_norms(f, g, power):
     """The pass shared by both checks: the norm of the tame symbol at each
     place of the support (the Frobenius-orbit product; with `power`, also
-    the power map, which must agree) and whether their product is 1."""
+    the power map, which must agree) and whether their product is 1.  The
+    orders at every place come from one factorization of each of f.num,
+    f.den, g.num and g.den."""
     if f.is_zero() or g.is_zero():
         raise ZeroInput("reciprocity check of zero")
     gf = f.gf()
+    orders = _order_table(f, g)
     table = []
     prod = gf.one
-    for pl in _places(f.num, f.den, g.num, g.den):
+    for pl in sorted(orders, key=FFPlace.sort_key):
         kappa = pl.residue_field(gf)
-        sym = ff_tame_symbol(f, g, pl)
+        sym = ff_tame_symbol(f, g, pl, orders[pl])
         val = kappa.norm(sym)
         if power and kappa.power_norm(sym) != val:
             raise InvariantFailed("power and Frobenius norms disagree")
@@ -347,10 +361,12 @@ def residue_at(f, g, place):
     dg = g.derivative()
     if f.is_zero() or dg.is_zero():
         return 0
-    return _residue(f * dg, place)
+    form = f * dg
+    kd = dict(factor(form.den)).get(place.poly, 0)  # 0 at infinity
+    return _residue(form, place, kd)
 
 
-def _residue(form, place):
+def _residue(form, place, kd):
     """res_v(form dt) for the nonzero rational function form.
 
     The residue of a differential does not depend on the uniformizer used
@@ -359,12 +375,13 @@ def _residue(form, place):
     place takes u = s - theta in the chart s of _chart, with theta the
     class of s in kappa(v) (0 at infinity).  With form dt = s^k num/den ds,
     negated at infinity, and den(theta + u) = u^kd D(u), the residue is
-    the coefficient of u^(kd - k - 1) in num(theta + u) / D(u)."""
+    the coefficient of u^(kd - k - 1) in num(theta + u) / D(u).  kd is the
+    multiplicity of pi_v in form.den, read off its factorization (0 at
+    infinity, where the reversed den has a nonzero constant term)."""
     kappa = place.residue_field(form.gf())
     pi, num, den, k = _chart(form, place)
     if place.is_infinite():
         k -= 2  # dt = -s^-2 ds
-    kd = _strip(den, pi)[0]
     n = kd - k - 1
     if n < 0:
         return 0
@@ -394,8 +411,10 @@ def residue_theorem_check(f, g):
     form = f * dg
     table = []
     total = 0
-    for pl in _places(form.den):
-        tr = pl.residue_field(gf).trace(_residue(form, pl))
+    poles = [(FFPlace.infinity(), 0)] + [(FFPlace(pi), kd) for pi, kd in
+                                         factor(form.den)]
+    for pl, kd in poles:
+        tr = pl.residue_field(gf).trace(_residue(form, pl, kd))
         table.append((pl, tr))
         total = gf.add(total, tr)
     return total == 0, table, False

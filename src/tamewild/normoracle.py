@@ -57,6 +57,11 @@ from .localfield import (
     valuation,
 )
 
+#: Most class keys one oracle remembers by y.flat; the memo is cleared
+#: when full, so warm queries on a few y skip class_key and memory stays
+#: bounded however many distinct y a run queries.
+CLASS_KEY_MEMO = 256
+
 
 class _ClassState:
     """A running class representative pi^n omega^i u, u a principal unit
@@ -353,6 +358,7 @@ class NormResidueOracle:
             raise BadInput("m must be 2 or the residue characteristic")
         self.reducer = _Reducer(ctx, self.m)
         self._pivot_cache = {}
+        self._keys = {}  # y.flat -> class_key(y), at most CLASS_KEY_MEMO
 
     def class_key(self, y):
         return tuple(self.reducer.full_normal_form(y))
@@ -390,7 +396,11 @@ class NormResidueOracle:
         return _Kummer(ctx, m, rhs, lam=lam)
 
     def _pivots_for(self, y):
-        key = self.class_key(y)
+        key = self._keys.get(y.flat)
+        if key is None:
+            if len(self._keys) >= CLASS_KEY_MEMO:
+                self._keys.clear()
+            key = self._keys[y.flat] = self.class_key(y)
         if not key:
             return None  # y is an m-th power: L = F, everything is a norm
         if key not in self._pivot_cache:

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from tamewild import finitefield
 from tamewild.errors import BadInput
 from tamewild.finitefield import MAX_Q, GF, FiniteField, FqPoly, is_irreducible
 
@@ -265,3 +266,43 @@ def test_degree_one_towers_are_their_base(q):
         # polynomials are built over the base, never over a tower
         with pytest.raises(BadInput):
             FqPoly(tower, [c, 1]) * FqPoly(tower, [1, 1])
+
+
+def test_pow_mod_squares_floor_log2_n_times(monkeypatch):
+    gf = GF(9)
+    mod = [1, 2, 0, 1]
+    mul, squares, products = finitefield._mul, [], []
+
+    def spy(field, a, b):
+        (squares if a is b else products).append(1)
+        return mul(field, a, b)
+
+    monkeypatch.setattr(finitefield, "_mul", spy)
+    for n in range(200):
+        squares.clear()
+        products.clear()
+        finitefield._pow_mod(gf, [3, 1], n, mod)
+        assert len(squares) == max(n.bit_length() - 1, 0), n
+        assert len(products) == max(bin(n).count("1") - 1, 0), n
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 25])
+def test_powers_match_repeated_multiplication(q):
+    gf, rng = GF(q), random.Random(q)
+    mod = FqPoly(gf, [rng.randrange(q) for _ in range(3)] + [1])
+    a = FqPoly(gf, [rng.randrange(q) for _ in range(5)])
+    r = FqPoly(gf, [1])
+    for n in range(41):
+        assert a.pow_mod(n, mod) == r % mod, n
+        r = r * a % mod
+    while True:
+        modulus = [rng.randrange(q) for _ in range(2)] + [1]
+        if is_irreducible(FqPoly(gf, modulus)):
+            break
+    kappa = FiniteField(gf, modulus)
+    for a in (1, rng.randrange(q, kappa.q), kappa.q - 1):
+        r = 1
+        for n in range(41):
+            assert kappa.pow(a, n) == r, (a, n)
+            assert kappa.mul(kappa.pow(a, -n), r) == 1, (a, -n)
+            r = kappa.mul(r, a)

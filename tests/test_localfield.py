@@ -425,3 +425,14 @@ def test_unramified_base_field():
 def test_spanning_units_levels(z5):
     for u in spanning_units(z5, 3, 6):
         assert 3 <= unit_level(u) < 6
+
+
+def test_level_unit_caches_only_the_levels_asked_for():
+    ctx = eisenstein_root(3, 3, 8)
+    before = {k for k in ctx._cache if k[0] == "pi_pow"}
+    assert not before
+    for c, s in ((1, 2), (2, 5), (1, 5)):
+        assert ctx.level_unit(c, s) == \
+            ctx.one + ctx.lift_residue(c) * ctx.pi ** s
+    assert {k for k in ctx._cache if k[0] == "pi_pow"} == \
+        {("pi_pow", 2), ("pi_pow", 5)}

@@ -16,6 +16,7 @@ from tamewild.localfield import (
     valuation,
 )
 from tamewild.errors import PRECISION_EXHAUSTED
+from tamewild import normoracle
 from tamewild.normoracle import (
     NormResidueOracle,
     _Kummer,
@@ -487,3 +488,31 @@ def test_a_unit_leading_at_a_fundamental_level_is_not_unramified():
     y = element_from_string(ctx, "2*(1+2*pi^3)")
     assert oracle.class_key(y)[0][0] == ("level", 2)
     assert not _leads_unramified(oracle, y)
+
+
+def test_warm_queries_read_the_class_key_of_y_once(z3, monkeypatch):
+    oracle = NormResidueOracle(z3, 3)
+    calls = []
+    normal_form = oracle.reducer.full_normal_form
+
+    def spy(y):
+        calls.append(y)
+        return normal_form(y)
+
+    monkeypatch.setattr(oracle.reducer, "full_normal_form", spy)
+    y = z3.one + z3.pi
+    first = oracle.trivial(z3.pi, y)
+    assert oracle.trivial(z3.pi, y) == first
+    assert oracle.trivial(z3.one + z3.pi ** 2, y) == \
+        NormResidueOracle(z3, 3).trivial(z3.one + z3.pi ** 2, y)
+    assert len(calls) == 1
+
+
+def test_the_class_key_memo_is_capped(z3, monkeypatch):
+    monkeypatch.setattr(normoracle, "CLASS_KEY_MEMO", 3)
+    oracle, fresh = NormResidueOracle(z3, 3), NormResidueOracle(z3, 3)
+    x = z3.one + z3.pi
+    for k in range(10):
+        y = z3.one + z3.from_int(k % 5 + 1) * z3.pi ** (k % 2 + 1)
+        assert oracle.trivial(x, y) == fresh.trivial(x, y)
+        assert len(oracle._keys) <= 3

@@ -17,11 +17,11 @@ from tamewild.funcfield import (
     FqPoly,
     FqRational,
     _reverse_poly,
-    _strip,
     is_irreducible,
     residue_at,
     residue_theorem_check,
 )
+from test_tame_pass import _strip
 
 # ---------------------------------------------------------------------------
 # the reference: truncated Laurent series and Newton's uniformizer
