@@ -2,7 +2,8 @@
 
 Subpackages:
 
-- finitefield: the finite fields F_q (residue and constant fields) and F_q[x]
+- finitefield: F_q (residue and constant fields), F_q[x], its distinct-degree
+  split shared by factor and is_irreducible
 - localfield: totally-ramified-over-unramified extensions F = F0(pi), the
   unramified ring O0 being block 0 of their elements; their unit
   filtration, the one p-th-root solver and the roots of unity
@@ -26,10 +27,8 @@ from .localfield import (
     valuation,
     unit_decompose,
     unit_level,
-    zp_exp,
     hasse_forward,
     pth_root_in_filtration,
-    compute_mu,
     qp,
     qp_zeta,
     eisenstein_root,
@@ -43,7 +42,6 @@ from .symbols import (
     norm_to_base,
     k1_decompose,
     k2_transform,
-    steinberg_check,
     triviality_oracle,
 )
 from .normoracle import norm_residue_trivial
@@ -51,9 +49,7 @@ from . import padic  # noqa: F401  (perfbench/tracing.py looks it up)
 from .globalrecip import (
     Place,
     GlobalOrderLattice,
-    mu_counts_q,
     moore_product_q,
-    quadratic_reciprocity_view,
     global_optimal_lattice,
 )
 from .funcfield import (
@@ -69,15 +65,13 @@ from .funcfield import (
 __all__ = [
     "PRECISION_EXHAUSTED",
     "PadicCtx", "LocalFieldCtx", "FElem", "UnitDecomposition", "valuation",
-    "unit_decompose", "unit_level", "zp_exp", "hasse_forward",
-    "pth_root_in_filtration", "compute_mu", "qp", "qp_zeta", "eisenstein_root",
-    "preset",
+    "unit_decompose", "unit_level", "hasse_forward", "pth_root_in_filtration",
+    "qp", "qp_zeta", "eisenstein_root", "preset",
     "OrderRm", "OptimalOrderReport", "m0_bound", "estimate_m0",
     "tame_symbol", "hilbert_quadratic_q", "wild_symbol_zeta", "norm_to_base",
-    "k1_decompose", "k2_transform", "steinberg_check", "triviality_oracle",
+    "k1_decompose", "k2_transform", "triviality_oracle",
     "norm_residue_trivial",
-    "Place", "GlobalOrderLattice", "mu_counts_q", "moore_product_q",
-    "quadratic_reciprocity_view", "global_optimal_lattice",
+    "Place", "GlobalOrderLattice", "moore_product_q", "global_optimal_lattice",
     "GF", "FiniteField", "FqPoly", "FqRational", "FFPlace", "divisor", "ff_tame_symbol",
     "weil_reciprocity_check", "ff_hilbert_check", "residue_theorem_check",
 ]

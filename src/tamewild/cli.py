@@ -18,7 +18,6 @@ from .errors import (
     BadInput,
     BudgetExceeded,
     InvariantFailed,
-    NormUnitNotPrincipal,
     OracleUnavailable,
     UnsupportedSplitting,
 )
@@ -355,8 +354,7 @@ def dispatch(argv) -> int:
     try:
         return args.func(args, cfg)
     except (ValueError, ArithmeticError, OSError, OracleUnavailable,
-            BudgetExceeded, UnsupportedSplitting, InvariantFailed,
-            NormUnitNotPrincipal) as exc:
+            BudgetExceeded, UnsupportedSplitting, InvariantFailed) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -50,14 +50,6 @@ class NotDeepEnough(ValueError):
     """The unit does not lie deep enough in the unit filtration."""
 
 
-class DegenerateInput(ValueError):
-    """The input degenerates the requested relation (e.g. x in {0, 1})."""
-
-
-class ComplexPlace(ValueError):
-    """Complex places carry no symbol data."""
-
-
 class BadInput(ValueError):
     """Arguments violate a documented precondition."""
 
@@ -76,10 +68,6 @@ class OracleUnavailable(RuntimeError):
 
 class BudgetExceeded(RuntimeError):
     """The sampling budget ran out before the sweep finished."""
-
-
-class NormUnitNotPrincipal(RuntimeError):
-    """A norm's unit part failed to be a principal unit; indicates a bug."""
 
 
 class InvariantFailed(RuntimeError):

@@ -34,9 +34,10 @@ Course in Computational Algebraic Number Theory, Sec. 3.3 and Ch. 4).
 The FqPoly kernels _mul and _divmod work on plain ints mod p when s = 1
 and on the logarithms of a table field otherwise.  _pow_mod, square-and-
 multiply on coefficient lists, and FqPoly.gcd run on them directly, with
-no FqPoly per step.  No FqPoly is built over a tower, whose digit
-polynomials are multiplied over its base, so a product over a tower with
-s > 1 fails in _build_tables.
+no FqPoly per step.  distinct_degree, the Frobenius walk of factoring, is
+also the irreducibility test: it stops at the first factor it finds.  No
+FqPoly is built over a tower, whose digit polynomials are multiplied over
+its base, so a product over a tower with s > 1 fails in _build_tables.
 """
 
 from __future__ import annotations
@@ -546,16 +547,32 @@ def _pow_mod(gf, a, n, m):
     return r
 
 
+def distinct_degree(f):
+    """The distinct-degree split of the squarefree f, lazily and by
+    increasing d: pairs (g, d) with g the product of f's irreducible
+    factors of degree d (Cantor and Zassenhaus, Math. Comp. 36 (1981)).
+    Step d raises x^(q^(d-1)) to the q-th power mod what is left of f and
+    splits off its gcd with x^(q^d) - x; what is left once it cannot hold
+    two factors of degree above d is one piece of its own degree."""
+    x = FqPoly.x(f.gf)
+    h, v, d = x, f, 0
+    while v.degree() > 2 * (d + 1) - 1:
+        d += 1
+        h = h.pow_mod(f.gf.q, v)
+        g = (h - x).gcd(v)
+        if g.degree() > 0:
+            yield g, d
+            v = v // g
+            h = h % v
+    if v.degree() > 0:
+        yield v, v.degree()
+
+
 def is_irreducible(f):
-    """Whether f (degree d >= 1) is irreducible over its F_q: x^(q^i) - x is
-    prime to f for every i < d, and x^(q^d) = x mod f."""
+    """Whether f (degree d >= 1) is irreducible over its F_q: the first
+    piece of its distinct-degree split has degree d, which also holds for
+    an f with a repeated factor, since that factor has degree <= d/2."""
     d = f.degree()
     if d < 1 or (d > 1 and not f.c[0]):  # x | f: 1/p of default_modulus tries
         return False
-    x = FqPoly.x(f.gf)
-    h = x
-    for i in range(1, d + 1):
-        h = h.pow_mod(f.gf.q, f)
-        if i < d and (h - x).gcd(f).degree() > 0:
-            return False
-    return ((h - x) % f).is_zero()
+    return next(distinct_degree(f))[1] == d

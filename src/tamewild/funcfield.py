@@ -31,6 +31,7 @@ from .finitefield import (  # noqa: F401 - GF and is_irreducible re-exported
     GF,
     FiniteField,
     FqPoly,
+    distinct_degree,
     is_irreducible,
 )
 # perfbench/tracing.py wraps the F_q methods through this name
@@ -68,27 +69,6 @@ def squarefree_decomposition(f):
     return out
 
 
-def _ddf(f):
-    """Distinct-degree: [(product_of_degree_d_factors, d)]."""
-    gf = f.gf
-    out = []
-    x = FqPoly.x(gf)
-    h = x
-    v = f
-    d = 0
-    while v.degree() > 2 * (d + 1) - 1:
-        d += 1
-        h = h.pow_mod(gf.q, v)
-        g = (h - x).gcd(v)
-        if g.degree() > 0:
-            out.append((g, d))
-            v = v // g
-            h = h % v
-    if v.degree() > 0:
-        out.append((v, v.degree()))
-    return out
-
-
 def _edf(f, d, rng):
     """Equal-degree splitting (Cantor-Zassenhaus; trace map in char 2)."""
     gf = f.gf
@@ -122,7 +102,7 @@ def factor(f):
     rng = random.Random(hash((f.gf.q, tuple(f.c))) & 0xFFFFFFFF)
     out = []
     for g, mult in squarefree_decomposition(f):
-        for h, d in _ddf(g):
+        for h, d in distinct_degree(g):
             for irr in _edf(h, d, rng):
                 out.append((irr, mult))
     out.sort(key=lambda t: (t[0].degree(), t[0].c))

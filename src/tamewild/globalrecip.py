@@ -15,13 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    BadInput,
-    ComplexPlace,
-    InvariantFailed,
-    UnsupportedField,
-    ZeroInput,
-)
+from .errors import BadInput, InvariantFailed, UnsupportedField, ZeroInput
 from .localfield import qp_zeta
 from .ntheory import factorint, hnf, isprime
 from .orders import OrderRm, m0_bound
@@ -30,15 +24,15 @@ from .symbols import hilbert_quadratic_q
 
 @dataclass(frozen=True)
 class Place:
-    """A place of Q: finite(p), real or complex."""
-    kind: str  # "finite" | "real" | "complex"
+    """A place of Q: finite(p) or real."""
+    kind: str  # "finite" | "real"
     p: int | None = None
 
     def __post_init__(self):
         if self.kind == "finite" and (self.p is None
                                       or not isprime(self.p)):
             raise BadInput("finite places carry a prime")
-        if self.kind not in ("finite", "real", "complex"):
+        if self.kind not in ("finite", "real"):
             raise BadInput(f"unknown place kind {self.kind!r}")
 
     @classmethod
@@ -54,15 +48,6 @@ class Place:
 
     def sort_key(self):
         return (0, 0) if self.kind != "finite" else (1, self.p)
-
-
-def mu_counts_q(v: Place) -> int:
-    """#mu(Q_v): p-1 for odd p, 2 at p = 2 and at the real place."""
-    if v.kind == "complex":
-        raise ComplexPlace("complex places are excluded from the product")
-    if v.kind == "real":
-        return 2
-    return 2 if v.p == 2 else v.p - 1
 
 
 @dataclass
@@ -105,30 +90,6 @@ def moore_product_q(a, b) -> MooreResult:
         table.append((pl, val))
         prod *= val
     return MooreResult(prod, table)
-
-
-def quadratic_reciprocity_view(p, q) -> dict:
-    """Derive Legendre(p,q) Legendre(q,p) = (-1)^{(p-1)(q-1)/4} from the
-    per-place table of the product formula, attributing each sign."""
-    if p == q or p == 2 or q == 2 or not (isprime(p) and isprime(q)):
-        raise BadInput("need distinct odd primes")
-    res = moore_product_q(p, q)
-    tab = {pl.label(): v for pl, v in res.table}
-    legendre_qp = tab[str(p)]   # (p, q)_p = (q|p)
-    legendre_pq = tab[str(q)]   # (p, q)_q = (p|q)
-    sign_2 = tab["2"]           # (-1)^{(p-1)(q-1)/4}
-    predicted = -1 if ((p - 1) // 2) * ((q - 1) // 2) % 2 else 1
-    return {
-        "p": p,
-        "q": q,
-        "table": tab,
-        "legendre_p_q": legendre_pq,
-        "legendre_q_p": legendre_qp,
-        "sign_rule": predicted,
-        "product": res.product,
-        "identity_holds": legendre_pq * legendre_qp == predicted
-        and res.product == 1 and sign_2 == predicted,
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Arithmetic in F = F0(pi) for an Eisenstein polynomial f over O0.
 
 O0 is the unramified extension of Z_p of degree d (the Witt vectors of
-F_q), realised as Z[x]/(g, p^N) for a monic degree-d lift g of an
+F_q), realised as Z[x]/(g, p^N) for g the digit lift of a monic
 irreducible gbar over F_p; PadicCtx holds its parameters.  The residue field
 kappa = F_p[x]/(gbar) is a finitefield.FiniteField, so residues are ints in
 [0, q) whose base-p digit j is the coefficient of x^j.
@@ -78,13 +78,14 @@ class PadicCtx:
     p must be prime, 8 <= N <= MAX_N is the number of carried p-digits,
     gbar the residue modulus (the first irreducible in lexicographic
     coefficient order by default, so residue fields are reproducible across
-    runs and shared with the function-field presets) and g its monic lift.
+    runs and shared with the function-field presets); its digit lift g, the
+    same coefficients read in Z, is the modulus of O0.
     The default is searched for only up to p^d = MAX_Q: a larger residue
     field could not build the tables its products need, and the search
     alone can run for minutes.
     """
 
-    def __init__(self, p, N=64, d=1, gbar=None, g=None):
+    def __init__(self, p, N=64, d=1, gbar=None):
         if not isprime(p):
             raise ValueError(f"p = {p} is not prime")
         if N < 8:
@@ -105,13 +106,7 @@ class PadicCtx:
             raise ValueError("gbar must have degree d")
         self.kappa = FiniteField(p, gbar)  # BadInput unless monic irreducible
         self.q = p ** d
-        if g is None:
-            g = gbar
-        self.g = tuple(int(c) for c in g)
-        if len(self.g) != d + 1 or self.g[d] != 1:
-            raise ValueError("g must be a monic degree-d lift of gbar")
-        if any((gc - gb) % p for gc, gb in zip(self.g, gbar)):
-            raise ValueError("g does not reduce to gbar mod p")
+        self.g = gbar
 
     def __repr__(self):
         return f"PadicCtx(p={self.p}, N={self.N}, d={self.d})"
@@ -772,46 +767,6 @@ def spanning_units(ctx, lo, hi):
 
 
 # ---------------------------------------------------------------------------
-# Z_p-exponentiation
-# ---------------------------------------------------------------------------
-
-def zp_exp(u, alpha, ideal=1):
-    """(1+x)^alpha = sum_l binom(alpha, l) x^l for u = 1+x in the selected
-    ideal.
-
-    `ideal` is a minimal unit-filtration level r >= 1, or any object with an
-    ideal_contains(x) predicate (an OrderRm for 1 + maximal-ideal groups).
-    alpha is an integer, read as a p-adic integer through its representative;
-    binomial coefficients are computed exactly over Z, so for honest integer
-    exponents the truncated series is exact mod pi^M.
-    """
-    ctx = u.ctx
-    x = u - ctx.one
-    if hasattr(ideal, "ideal_contains"):
-        if not ideal.ideal_contains(x):
-            raise NotInIdeal("u - 1 is not in the selected ideal")
-    else:
-        r = int(ideal)
-        lv = valuation(x)
-        if lv is not PRECISION_EXHAUSTED and lv < r:
-            raise NotInIdeal(f"u - 1 has level {lv} < {r}")
-    total = ctx.one
-    xl = x
-    binom = 1
-    l = 0
-    while not xl.is_zero():
-        l += 1
-        binom = binom * (alpha - l + 1) // l
-        c = binom % ctx.base.mod
-        if c:
-            total = total + xl * c
-        xl = xl * x
-        if l > ctx.M + ctx.N:
-            raise PrecisionExhausted("binomial series did not terminate")
-    return total
-
-
-# ---------------------------------------------------------------------------
 # p-power maps along the unit filtration
 # ---------------------------------------------------------------------------
 
@@ -923,13 +878,3 @@ def pth_root_in_filtration(w, t):
     if lv is not PRECISION_EXHAUSTED and lv < t + ctx.e:
         raise NotInIdeal(f"w has level {lv} < t + e = {t + ctx.e}")
     return pth_root(w)
-
-
-# ---------------------------------------------------------------------------
-# roots of unity
-# ---------------------------------------------------------------------------
-
-def compute_mu(ctx):
-    """#mu(F) as the pair (q-1, p^k): the prime-to-p part is q-1
-    (Teichmuller), and k is LocalFieldCtx.k."""
-    return ctx.q - 1, ctx.p ** ctx.k

@@ -66,7 +66,7 @@ def _strong_probable_prime(n, base):
     return False
 
 
-def _jacobi(a, n):
+def jacobi(a, n):
     """The Jacobi symbol (a/n) for odd n > 0."""
     a %= n
     sign = 1
@@ -96,7 +96,7 @@ def _strong_lucas_probable_prime(n):
         return False  # no D with (D/n) = -1 exists
     D = 5
     while True:
-        j = _jacobi(D, n)
+        j = jacobi(D, n)
         if j == -1:
             break
         if j == 0:

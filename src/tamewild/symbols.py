@@ -22,8 +22,7 @@ from fractions import Fraction
 from .errors import (
     PRECISION_EXHAUSTED,
     BadInput,
-    DegenerateInput,
-    NormUnitNotPrincipal,
+    InvariantFailed,
     NotDeepEnough,
     OracleUnavailable,
     PrecisionExhausted,
@@ -36,7 +35,7 @@ from .localfield import (
     split_unit,
     unit_level,
 )
-from .ntheory import isprime
+from .ntheory import isprime, jacobi
 
 
 # ---------------------------------------------------------------------------
@@ -60,34 +59,9 @@ def tame_symbol(x, y):
     return x.ctx.base.kappa.dlog(tame_symbol_residue(x, y))
 
 
-def steinberg_check(x, extra_evaluators=()):
-    """Check that the symbol of (x, 1-x) is trivial for the tame symbol and
-    every supplied evaluator (callables (x, y) -> trivial-or-not value where
-    0/True-like 'trivial' is compared against)."""
-    ctx = x.ctx
-    one = ctx.one
-    y = one - x
-    if x.is_zero() or y.is_zero():
-        raise DegenerateInput("x in {0, 1}")
-    if tame_symbol(x, y) != 0:
-        return False
-    for ev in extra_evaluators:
-        if not ev(x, y):
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # quadratic Hilbert symbol over Q (classical closed forms)
 # ---------------------------------------------------------------------------
-
-def _legendre(a, p):
-    a %= p
-    if a == 0:
-        return 0
-    r = pow(a, (p - 1) // 2, p)
-    return -1 if r == p - 1 else r
-
 
 def _split_rational(a, p):
     """a = p^alpha * u with u a p-unit; returns (alpha, u mod p^3)."""
@@ -112,8 +86,8 @@ def _hilbert_closed_form(p, alpha, u, beta, v):
         expo = eps_u * eps_v + alpha * om_v + beta * om_u
         return -1 if expo % 2 else 1
     sign = -1 if (alpha * beta * (p - 1) // 2) % 2 else 1
-    return (sign * _legendre(u, p) ** (beta % 2)
-            * _legendre(v, p) ** (alpha % 2))
+    return (sign * jacobi(u, p) ** (beta % 2)
+            * jacobi(v, p) ** (alpha % 2))
 
 
 def hilbert_quadratic_q(a, b, place):
@@ -216,7 +190,7 @@ def wild_symbol_zeta(x, ctx):
     # the norm of a unit is a unit, and here even 1 mod p
     u = norm_to_base(x)
     if u % p != 1:
-        raise NormUnitNotPrincipal(
+        raise InvariantFailed(
             f"unit part of the norm is {u % p} mod p, expected 1")
     chi = pow(u, -1, p ** 2)  # u acts by its inverse (module docstring)
     return ((chi - 1) // p) % p

@@ -9,7 +9,7 @@ import pytest
 import tamewild
 from tamewild import cli, localfield
 from tamewild.cli import RunConfig, dispatch, element_from_string
-from tamewild.errors import BadInput, InvariantFailed, NormUnitNotPrincipal
+from tamewild.errors import BadInput, InvariantFailed
 from tamewild.localfield import qp_zeta
 from tamewild.symbols import hilbert_quadratic_q
 
@@ -179,7 +179,7 @@ def test_usage_errors(capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("error", [InvariantFailed, NormUnitNotPrincipal])
+@pytest.mark.parametrize("error", [InvariantFailed])
 def test_internal_errors_exit_2(monkeypatch, capsys, error):
     def fail(*args, **kwargs):
         raise error("forced")
@@ -428,6 +428,26 @@ _LOCAL_GOLDEN = [
      '{"pairs": 13}, "kind": "vanishing-sweep", "m": 1}], '
      '"certified_precision": 96, "depth": 2, "estimated_m0": 0}, '
      '"schema": "v1"}'),
+    # README examples, recorded before quadratic_reciprocity_view,
+    # mu_counts_q and the complex place left globalrecip
+    (["moore", "--a", "13", "--b", "17"],
+     '{"certified_precision": "exact", "command": "moore", "config": '
+     '{"budget": 500, "precision": 64, "seed": 0}, "result": {"product": 1, '
+     '"table": {"13": 1, "17": 1, "2": 1, "inf": 1}}, "schema": "v1"}'),
+    (["hilbert2", "--place", "5", "--a", "5", "--b", "2"],
+     '{"certified_precision": "exact", "command": "hilbert2", "config": '
+     '{"budget": 500, "precision": 64, "seed": 0}, "result": {"value": -1}, '
+     '"schema": "v1"}'),
+    (["order", "--preset", "sqrt-3", "--m", "2", "--x", "pi^3"],
+     '{"certified_precision": 128, "command": "order", "config": {"budget": '
+     '500, "precision": 64, "seed": 0}, "result": {"contains": true, '
+     '"in_maximal_ideal": true, "index": "3", "index_exponent": 1, '
+     '"is_unit": false, "m": 2}, "schema": "v1"}'),
+    (["lattice", "--p", "3", "--m", "2"],
+     '{"certified_precision": 64, "command": "lattice", "config": {"budget": '
+     '500, "precision": 64, "seed": 0}, "result": {"contains_one": true, '
+     '"hnf": [[1, 0], [0, 3]], "index": 3, "m": 2, '
+     '"multiplicatively_closed": true, "p": 3}, "schema": "v1"}'),
 ]
 
 # the same for Q_3(sqrt(-3)) from a descriptor: k = 1, but its zeta_3 is

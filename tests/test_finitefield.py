@@ -306,3 +306,51 @@ def test_powers_match_repeated_multiplication(q):
             assert kappa.pow(a, n) == r, (a, n)
             assert kappa.mul(kappa.pow(a, -n), r) == 1, (a, -n)
             r = kappa.mul(r, a)
+
+
+def _irreducible_reference(f):
+    """Whether f (degree d >= 1) is irreducible over its F_q by the full
+    Frobenius walk: x^(q^i) - x is prime to f for every i < d, and
+    x^(q^d) = x mod f."""
+    d = f.degree()
+    if d < 1:
+        return False
+    x = FqPoly.x(f.gf)
+    h = x
+    for i in range(1, d + 1):
+        h = h.pow_mod(f.gf.q, f)
+        if i < d and (h - x).gcd(f).degree() > 0:
+            return False
+    return ((h - x) % f).is_zero()
+
+
+@pytest.mark.parametrize("q,top", [(2, 7), (3, 5), (4, 4), (5, 4), (7, 4),
+                                   (9, 3)])
+def test_irreducibility_matches_the_frobenius_walk(q, top):
+    gf = GF(q)
+    for d in range(1, top + 1):
+        for tail in itertools.product(range(q), repeat=d):
+            f = FqPoly(gf, list(tail) + [1])
+            assert is_irreducible(f) == _irreducible_reference(f), f
+
+
+@pytest.mark.parametrize("coeffs,irreducible,calls", [
+    ([0, 1, 0, 1, 1], False, 0),  # t^4 + t^3 + t: t divides it
+    ([1, 0, 1, 1], False, 1),  # t^3 + t^2 + 1 has the root 1
+    ([2, 0, 0, 0, 0, 1], False, 1),  # t^5 - 1: the root 1, then a quartic
+    ([2, 1, 1, 0, 0, 1], True, 2),  # t^5 + t^2 + t + 2
+])
+def test_irreducibility_stops_at_the_first_factor(monkeypatch, coeffs,
+                                                  irreducible, calls):
+    # the x | f shortcut and the lazy split: a linear factor ends the walk
+    # after one q-th power, where a full split of t^5 - 1 would go on to the
+    # quartic, and an irreducible quintic needs two, since a factorization
+    # would have a factor of degree <= 2
+    seen = []
+    pow_mod = FqPoly.pow_mod
+    monkeypatch.setattr(FqPoly, "pow_mod",
+                        lambda self, n, mod: seen.append(n)
+                        or pow_mod(self, n, mod))
+    f = FqPoly(GF(3), coeffs)
+    assert is_irreducible(f) is irreducible
+    assert len(seen) == calls
