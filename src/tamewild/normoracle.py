@@ -31,12 +31,13 @@ solve per position.
 Since the coordinates depend only on the class, every quantity is kept
 modulo m-th powers, not exactly: a pivot is divided off j times by
 multiplying in its (m - j)-th power, so nothing is inverted; a Kummer
-norm drops the powers of pi that keep its coefficients integral; and no
-generator whose norm is an m-th power (pi^m when pi stays prime, omega^m
-when kappa_L = kappa, the Teichmuller generator of kappa_L^x when L is
-unramified of degree p) is built.  In the tame case (m = 2, odd p) only
-the exponents of pi and omega are read, so unit parts are not multiplied
-at all.
+norm drops the powers of pi that keep its coefficients integral, so a
+level unit 1 + scale G^a pi^b with b >= 0 keeps v0 = 1 and its norm is
+Horner in v1 alone, m products; and no generator whose norm is an m-th
+power (pi^m when pi stays prime, omega^m when kappa_L = kappa, the
+Teichmuller generator of kappa_L^x when L is unramified of degree p) is
+built.  In the tame case (m = 2, odd p) only the exponents of pi and
+omega are read, so unit parts are not multiplied at all.
 """
 
 from __future__ import annotations
@@ -267,31 +268,34 @@ class _Kummer:
 
     def norm(self, v0, v1, a):
         """N_{L/F}(v0 + v1 G^a) = sum_j e_j v1^j v0^(m-j), by Horner in v1
-        with the powers of v0 riding along."""
+        with the powers of v0 riding along.  v0 = None stands for 1, whose
+        powers are not multiplied: the norm is then m products, not 3m."""
         m = self.m
         if a == 0:
-            return (v0 + v1) ** m
+            return ((self.ctx.one if v0 is None else v0) + v1) ** m
         e = self._elementary[a]
-        acc, v0_pow = e[m], self.ctx.one
+        acc, v0_pow = e[m], None  # None: v0^(m-j) is 1
         for j in range(m - 1, -1, -1):
-            v0_pow = v0_pow * v0
             acc = acc * v1
+            if v0 is not None:
+                v0_pow = v0 if v0_pow is None else v0_pow * v0
             if not e[j].is_zero():
-                acc = acc + e[j] * v0_pow
+                acc = acc + (e[j] if v0_pow is None else e[j] * v0_pow)
         return acc
 
     def _level_element(self, s, c, scale, plus_one):
         """(v0, v1, a + c) with v0 + v1 G^(a+c) = pi^max(-b,0) (plus_one +
         scale G^c G^a pi^b), G^a pi^b the monomial of valuation s; c > 0
         only when G is a unit.  The power of pi keeps v0 and v1 integral
-        and multiplies the norm by an m-th power."""
+        and multiplies the norm by an m-th power; v0 is None when it is 1
+        (plus_one and b >= 0), as norm reads it."""
         ctx, m, lam = self.ctx, self.m, self.lam
         a = s * pow(lam, -1, m) % m if lam else 0
         b = (s - a * lam) // self.ram_index
         v1 = scale * ctx.pi ** b if b > 0 else scale
         if not plus_one:
             return ctx.zero, v1, a + c
-        return ctx.pi ** -b if b < 0 else ctx.one, v1, a + c
+        return ctx.pi ** -b if b < 0 else None, v1, a + c
 
     def spanning_norms(self, high):
         """Norms, modulo m-th powers, of a spanning set of L^x modulo

@@ -158,6 +158,12 @@ def estimate_m0(ctx, symbol_oracle=None, sample_budget=500, depth=2):
     subgroup generated at the tested depth.  Without an oracle it uses
     triviality_oracle(ctx), which raises OracleUnavailable for the fields
     it does not cover.
+
+    The windows of consecutive m overlap, and (y, x) is trivial exactly
+    when (x, y) is, since (y, x) = (x, y)^-1; so the oracle is asked once
+    per unordered pair and the answer is kept for the rest of the call.
+    The budget still counts every pair of every sweep, so a sweep fails
+    with BudgetExceeded at the same m however its pairs are answered.
     """
     if depth < 1:
         raise BadInput(f"depth = {depth} must be at least 1")
@@ -174,6 +180,7 @@ def estimate_m0(ctx, symbol_oracle=None, sample_budget=500, depth=2):
     if symbol_oracle is None:
         symbol_oracle = triviality_oracle(ctx)
     budget = sample_budget
+    answers = {}  # frozenset of the two flats -> the oracle's bool
     certificates = []
     estimated = None
     omega = ctx.omega
@@ -189,7 +196,11 @@ def estimate_m0(ctx, symbol_oracle=None, sample_budget=500, depth=2):
                 raise BudgetExceeded(
                     f"sample budget exhausted at m = {m}")
             budget -= 1
-            if not symbol_oracle(x, y):
+            key = frozenset((x.flat, y.flat))
+            trivial = answers.get(key)
+            if trivial is None:
+                trivial = answers[key] = symbol_oracle(x, y)
+            if not trivial:
                 witness = (x, y)
                 break
         if witness is None:

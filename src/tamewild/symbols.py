@@ -206,7 +206,7 @@ def k1_decompose(x, y):
     ctx = x.ctx
     a, u = split_unit(x)
     b, v = split_unit(y)
-    w = (v ** a) * (u.invert_unit() ** b)
+    w = (v ** a) * (u ** -b)  # u is inverted only when b != 0
     if (a * b) % 2:
         w = -w
     return [(ctx.pi, w), (u, v)]

@@ -447,7 +447,47 @@ _LOCAL_GOLDEN = [
      '{"certified_precision": 64, "command": "lattice", "config": {"budget": '
      '500, "precision": 64, "seed": 0}, "result": {"contains_one": true, '
      '"hnf": [[1, 0], [0, 3]], "index": 3, "m": 2, '
-     '"multiplicatively_closed": true, "p": 3}, "schema": "v1"}'),
+     '"multiplicatively_closed": true, "p": 3}, "schema": "v1"}'),    # m0 on three more field shapes, recorded before the sweep asked each
+    # unordered pair once
+    (["m0", "--preset", "qp-zeta-7", "-N", "16"],
+     '{"certified_precision": 96, "command": "m0", "config": {"budget": '
+     '500, "precision": 16, "seed": 0}, "result": {"bound": 8, '
+     '"certificates": [{"data": {"x": [["1"], ["1"], ["0"], ["0"], ["0"], '
+     '["0"]], "y": [["1"], ["0"], ["1"], ["0"], ["0"], ["0"]]}, "kind": '
+     '"witness", "m": 0}, {"data": {"x": [["8"], ["0"], ["0"], ["0"], '
+     '["0"], ["0"]], "y": [["1"], ["1"], ["0"], ["0"], ["0"], ["0"]]}, '
+     '"kind": "witness", "m": 1}, {"data": {"x": [["1"], ["0"], ["1"], '
+     '["0"], ["0"], ["0"]], "y": [["1"], ["0"], ["0"], ["1"], ["0"], '
+     '["0"]]}, "kind": "witness", "m": 2}, {"data": {"x": [["1"], ["0"], '
+     '["0"], ["1"], ["0"], ["0"]], "y": [["1"], ["0"], ["0"], ["0"], ["1"], '
+     '["0"]]}, "kind": "witness", "m": 3}, {"data": {"pairs": 13}, "kind": '
+     '"vanishing-sweep", "m": 4}, {"data": {"pairs": 13}, "kind": '
+     '"vanishing-sweep", "m": 5}, {"data": {"pairs": 13}, "kind": '
+     '"vanishing-sweep", "m": 6}, {"data": {"pairs": 13}, "kind": '
+     '"vanishing-sweep", "m": 7}, {"data": {"pairs": 13}, "kind": '
+     '"vanishing-sweep", "m": 8}], "certified_precision": 96, "depth": 2, '
+     '"estimated_m0": 4}, "schema": "v1"}'),
+    (["m0", "--preset", "cbrt-3", "-N", "16"],
+     '{"certified_precision": 48, "command": "m0", "config": {"budget": '
+     '500, "precision": 16, "seed": 0}, "result": {"bound": 1, '
+     '"certificates": [{"data": {"pairs": 7}, "kind": "vanishing-sweep", '
+     '"m": 0}, {"data": {"pairs": 13}, "kind": "vanishing-sweep", "m": 1}], '
+     '"certified_precision": 48, "depth": 2, "estimated_m0": 0}, "schema": '
+     '"v1"}'),
+    (["m0", "--preset", "root4-3", "-N", "16"],
+     '{"certified_precision": 64, "command": "m0", "config": {"budget": '
+     '500, "precision": 16, "seed": 0}, "result": {"bound": 1, '
+     '"certificates": [{"data": {"pairs": 7}, "kind": "vanishing-sweep", '
+     '"m": 0}, {"data": {"pairs": 13}, "kind": "vanishing-sweep", "m": 1}], '
+     '"certified_precision": 64, "depth": 2, "estimated_m0": 0}, "schema": '
+     '"v1"}'),
+    (["m0", "--preset", "root4-5", "-N", "16"],
+     '{"certified_precision": 64, "command": "m0", "config": {"budget": '
+     '500, "precision": 16, "seed": 0}, "result": {"bound": 1, '
+     '"certificates": [{"data": {"pairs": 7}, "kind": "vanishing-sweep", '
+     '"m": 0}, {"data": {"pairs": 13}, "kind": "vanishing-sweep", "m": 1}], '
+     '"certified_precision": 64, "depth": 2, "estimated_m0": 0}, "schema": '
+     '"v1"}'),
 ]
 
 # the same for Q_3(sqrt(-3)) from a descriptor: k = 1, but its zeta_3 is
@@ -487,6 +527,17 @@ def test_local_field_golden_output(capsys, argv, stdout):
     code, out = _run(capsys, argv + ["--json"])
     assert code == 0
     assert out == stdout + "\n"
+
+
+def test_m0_budget_error_golden(capsys):
+    # recorded with the m0 goldens: the budget counts every pair of the
+    # sweep, so it runs out at the same m however the pairs are answered
+    code = dispatch(["m0", "--preset", "qp-zeta-5", "-N", "32",
+                     "--budget", "40", "--json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: sample budget exhausted at m = 4\n"
 
 
 @pytest.mark.parametrize("argv,stdout", _DESCRIPTOR_GOLDEN,

@@ -53,9 +53,11 @@ def reference_norm(ext, vec):
 
 
 def _vector(ext, v0, v1, a):
-    vec = [ext.ctx.zero] * ext.m
+    """The coordinates of v0 + v1 G^a, v0 = None standing for 1."""
+    ctx = ext.ctx
+    vec = [ctx.zero] * ext.m
     vec[a] = v1
-    vec[0] = vec[0] + v0
+    vec[0] = vec[0] + (ctx.one if v0 is None else v0)
     return vec
 
 
@@ -101,6 +103,7 @@ def test_closed_form_is_the_determinant_for_every_power(name, N, m, ys):
             pairs = [(_random_elem(ctx, rng), _random_elem(ctx, rng))
                      for _ in range(2)]
             pairs += [(ctx.one, _random_elem(ctx, rng)),
+                      (None, _random_elem(ctx, rng)),
                       (ctx.zero, _random_elem(ctx, rng))]
             for v0, v1 in pairs:
                 assert ext.norm(v0, v1, a) == \

@@ -392,6 +392,26 @@ def test_cold_septic_query_multiplication_count(monkeypatch):
     assert len(calls) < 5000
 
 
+def test_cold_quintic_query_multiplication_count(monkeypatch):
+    # the 26 norms of one ramified class at p = 5: a level unit 1 + scale
+    # G^a pi^b with b >= 0 has v0 = 1, so its norm is Horner in v1 alone,
+    # m products where carrying the powers of v0 took 3m (552 in all)
+    ctx = preset("qp-zeta-5", 32)
+    assert ctx.k == 1 and not ctx.omega.is_zero() and not ctx.w_inv.is_zero()
+    calls = []
+    mul = FElem.__mul__
+
+    def spy(self, other):
+        calls.append(None)
+        return mul(self, other)
+
+    monkeypatch.setattr(FElem, "__mul__", spy)
+    monkeypatch.setattr(FElem, "__rmul__", spy)
+    NormResidueOracle(ctx, 5).trivial(ctx.from_int(1 + ctx.p),
+                                      ctx.one + ctx.pi)
+    assert len(calls) <= 352
+
+
 def test_tame_reduction_multiplies_no_units(monkeypatch):
     # with m = 2 and odd p the reducer reads only the exponents of pi and
     # omega, so dividing off a pivot multiplies no unit parts

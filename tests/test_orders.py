@@ -168,3 +168,99 @@ def test_estimate_budget():
     ctx = qp_zeta(3, 32)
     with pytest.raises(BudgetExceeded):
         estimate_m0(ctx, triviality_oracle(ctx), sample_budget=3)
+
+
+# -- one oracle query per unordered pair ------------------------------------------
+
+def _reference_estimate(ctx, symbol_oracle, sample_budget):
+    """The sweep that asks the oracle every pair of every window, both
+    orders included, as estimate_m0 did before it kept the answers."""
+    from tamewild.errors import BudgetExceeded
+    from tamewild.orders import OptimalOrderReport
+    bound = m0_bound(ctx)
+    budget = sample_budget
+    certificates = []
+    estimated = None
+    omega = ctx.omega
+    for m in range(0, bound + 1):
+        span = OrderRm(ctx, m).principal_unit_span(2)
+        pairs = [(omega, omega)]
+        pairs += [(omega, g) for g in span]
+        pairs += [(g, h) for g in span for h in span]
+        witness = None
+        for x, y in pairs:
+            if budget <= 0:
+                raise BudgetExceeded(f"sample budget exhausted at m = {m}")
+            budget -= 1
+            if not symbol_oracle(x, y):
+                witness = (x, y)
+                break
+        if witness is None:
+            certificates.append((m, "vanishing-sweep", {"pairs": len(pairs)}))
+            if estimated is None:
+                estimated = m
+        else:
+            certificates.append(
+                (m, "witness",
+                 {"x": witness[0].to_json(), "y": witness[1].to_json()}))
+    return OptimalOrderReport(bound=bound, estimated_m0=estimated,
+                              certificates=certificates, depth=2,
+                              precision=ctx.M)
+
+
+def _outcome(sweep, *args):
+    from tamewild.errors import BudgetExceeded
+    try:
+        return sweep(*args).to_json()
+    except BudgetExceeded as exc:
+        return ("BudgetExceeded", str(exc))
+
+
+@pytest.mark.parametrize("p,calls", [(3, 22), (5, 30)])
+def test_estimate_asks_each_unordered_pair_once(p, calls):
+    # the windows of consecutive m overlap and both (g, h) and (h, g) are
+    # swept; a sweep that asked every pair made 50 and 73 calls here
+    from tamewild.symbols import triviality_oracle
+    ctx = qp_zeta(p, 32)
+    oracle = triviality_oracle(ctx)
+    seen = []
+
+    def spy(x, y):
+        seen.append(frozenset((x.flat, y.flat)))
+        return oracle(x, y)
+
+    rep = estimate_m0(ctx, spy)
+    assert len(seen) == calls == len(set(seen))
+    assert rep.to_json() == _reference_estimate(ctx, oracle, 500).to_json()
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_estimate_matches_the_every_pair_sweep_at_every_budget(p):
+    # the budget counts the pairs of the sweep, not the oracle's calls, so
+    # reports and BudgetExceeded messages are those of the reference, while
+    # no unordered pair is asked twice; the reference sweep needs 50 pairs
+    # at p = 3 and 73 at p = 5
+    from tamewild.symbols import triviality_oracle
+    ctx = qp_zeta(p, 32)
+    oracle = triviality_oracle(ctx)
+    answers = {}
+
+    def memo(x, y):
+        key = (x.flat, y.flat)
+        if key not in answers:
+            answers[key] = oracle(x, y)
+        return answers[key]
+
+    outcomes = set()
+    for budget in range(1, 61):
+        ref = _outcome(_reference_estimate, ctx, memo, budget)
+        seen = []
+
+        def spy(x, y):
+            seen.append(frozenset((x.flat, y.flat)))
+            return memo(x, y)
+
+        assert _outcome(estimate_m0, ctx, spy, budget) == ref, budget
+        assert len(seen) == len(set(seen)), budget
+        outcomes.add(isinstance(ref, tuple))
+    assert outcomes == ({True, False} if p == 3 else {True})

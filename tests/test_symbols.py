@@ -242,6 +242,36 @@ def test_k1_preserves_tame(z3, q5):
                 (tame_symbol(*pairs[0]) + tame_symbol(*pairs[1])) % qm1
 
 
+_LOCAL_SYMBOL_PRESETS = ["qp-5", "qp-zeta-3", "cbrt-3", "qp-zeta-5",
+                         "qp-zeta-7"]
+
+
+@pytest.mark.parametrize("name", _LOCAL_SYMBOL_PRESETS)
+def test_k1_decompose_inverts_only_for_a_nonunit_y(monkeypatch, name):
+    from tamewild.localfield import FElem, preset, split_unit
+    ctx = preset(name, 16)
+    calls = []
+    invert = FElem.invert_unit
+    monkeypatch.setattr(FElem, "invert_unit",
+                        lambda self: calls.append(self) or invert(self))
+    rng = random.Random(f"k1-{name}")
+    units = set()
+    for _ in range(20):
+        x = _random_nonzero(ctx, rng) * ctx.pi ** rng.randrange(4)
+        y = _random_nonzero(ctx, rng) * ctx.pi ** rng.randrange(4)
+        a, u = split_unit(x)
+        b, v = split_unit(y)
+        units.add(b == 0)
+        del calls[:]
+        pairs = k1_decompose(x, y)
+        # a unit y needs no u^-1, since u^-b = 1
+        assert len(calls) == (1 if b else 0)
+        # the formula that always inverted u
+        w = v ** a * invert(u) ** b
+        assert pairs == [(ctx.pi, -w if a * b % 2 else w), (u, v)]
+    assert units == {True, False}
+
+
 def test_k2_transform_trivial(q5):
     a, b = k2_transform(q5.one)
     assert a == q5.one and b == q5.one - q5.pi
