@@ -280,14 +280,17 @@ class LocalFieldCtx:
         """The plain digit lift to O0 of a residue-field element."""
         return self.monomial(0, self.base.kappa.digits(c))
 
-    def level_unit(self, c, s):
-        """The unit 1 + [c] pi^s, [c] the digit lift of the residue c; pi^s
-        is cached per level asked for."""
+    def pi_pow(self, s):
+        """pi^s for s >= 0, cached per exponent asked for."""
         key = ("pi_pow", s)
         pi_s = self._cache.get(key)
         if pi_s is None:
             pi_s = self._cache[key] = self.pi ** s
-        return self.one + self.lift_residue(c) * pi_s
+        return pi_s
+
+    def level_unit(self, c, s):
+        """The unit 1 + [c] pi^s, [c] the digit lift of the residue c."""
+        return self.one + self.lift_residue(c) * self.pi_pow(s)
 
     def graded_pth_root(self, s, c):
         """(a, t, r) with (1 + [a] pi^t)^p = 1 + [c - r] pi^s mod U^{s+1},

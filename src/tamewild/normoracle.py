@@ -10,7 +10,12 @@ elementary symmetric functions of the a-th powers of G's conjugates for
 coefficients, from Newton's identities), and membership is solved by
 filtered Gaussian elimination in the elementary abelian quotient
 F^x/(F^x)^m U_F^H.  Deeper units add nothing, since every conjugate of z
-has v_L(z): v_F(N(1+z) - 1) >= v_L(z)/e(L/F).
+has v_L(z): v_F(N(1+z) - 1) >= v_L(z)/e(L/F).  The norms are generated one
+at a time and inserted only until their span has rank
+_Reducer.norm_rank, one less than the dimension of the quotient: by local
+class field theory the norm group has index m and contains every m-th
+power, so it is a hyperplane there, and each later norm would reduce to
+nothing.
 
 The quotient is an F_m-space whose coordinates sit at positions, in the
 order they are read off a class pi^n omega^i u: ("pi",) and ("omega",)
@@ -44,6 +49,7 @@ from __future__ import annotations
 
 from .errors import (
     BadInput,
+    InvariantFailed,
     PrecisionExhausted,
     UnsupportedSplitting,
     ZeroInput,
@@ -81,6 +87,9 @@ class _ClassState:
 # ---------------------------------------------------------------------------
 
 class _Reducer:
+    """Reduction in the F_m-space F^x/(F^x)^m U^H, which is F^x/(F^x)^m
+    since U^H consists of m-th powers."""
+
     def __init__(self, ctx: LocalFieldCtx, m: int):
         self.ctx = ctx
         self.m = m
@@ -96,6 +105,17 @@ class _Reducer:
                              if ctx.e1.denominator == 1 else None)
         else:
             self.H = 1  # principal units are 2-divisible for odd p
+
+    @property
+    def norm_rank(self):
+        """The F_m-rank of N(L^x) in F^x/(F^x)^m for a cyclic L/F of degree
+        m, dim F^x/(F^x)^m - 1.  By local class field theory N(L^x) has
+        index [L:F] = m in F^x and contains (F^x)^m (Fesenko-Vostokov,
+        Local Fields and Their Extensions, Ch. IV), so its image is a
+        hyperplane.  The dimension is [F:Q_p] + 2 when mu_p is in F (m = p,
+        and m = 2 at p = 2) and 2 for m = 2 at odd p (the exponents of pi
+        and omega)."""
+        return self.ctx.e * self.ctx.d + 1 if self.wild else 1
 
     def _lead(self, st):
         """Multiply m-th powers into st up to its first coordinate, returned
@@ -269,11 +289,14 @@ class _Kummer:
     def norm(self, v0, v1, a):
         """N_{L/F}(v0 + v1 G^a) = sum_j e_j v1^j v0^(m-j), by Horner in v1
         with the powers of v0 riding along.  v0 = None stands for 1, whose
-        powers are not multiplied: the norm is then m products, not 3m."""
+        powers are not multiplied: the norm is then m products, not 3m.  A
+        zero v0 leaves the one term e_m v1^m."""
         m = self.m
         if a == 0:
             return ((self.ctx.one if v0 is None else v0) + v1) ** m
         e = self._elementary[a]
+        if v0 is not None and v0.is_zero():
+            return e[m] * v1 ** m
         acc, v0_pow = e[m], None  # None: v0^(m-j) is 1
         for j in range(m - 1, -1, -1):
             acc = acc * v1
@@ -292,23 +315,24 @@ class _Kummer:
         ctx, m, lam = self.ctx, self.m, self.lam
         a = s * pow(lam, -1, m) % m if lam else 0
         b = (s - a * lam) // self.ram_index
-        v1 = scale * ctx.pi ** b if b > 0 else scale
+        v1 = scale * ctx.pi_pow(b) if b > 0 else scale
         if not plus_one:
             return ctx.zero, v1, a + c
-        return ctx.pi ** -b if b < 0 else None, v1, a + c
+        return ctx.pi_pow(-b) if b < 0 else None, v1, a + c
 
     def spanning_norms(self, high):
-        """Norms, modulo m-th powers, of a spanning set of L^x modulo
-        (L^x)^m U_L^high: a prime element of L, a unit whose residue
-        generates kappa_L^x when kappa_L is bigger than kappa and m = 2,
-        and the units 1 + b pi_L^s for b over an F_p-basis of kappa_L and
-        1 <= s < high.  The rest of the set, pi when it stays prime, omega
-        when kappa_L = kappa and the generator of kappa_L^x when m = p, has
-        an m-th power for norm."""
+        """Yield, one at a time and modulo m-th powers, the norms of a
+        spanning set of L^x modulo (L^x)^m U_L^high: a prime element of L,
+        a unit whose residue generates kappa_L^x when kappa_L is bigger
+        than kappa and m = 2, and the units 1 + b pi_L^s for b over an
+        F_p-basis of kappa_L and 1 <= s < high, in that order.  The rest of
+        the set, pi when it stays prime, omega when kappa_L = kappa and the
+        generator of kappa_L^x when m = p, has an m-th power for norm.  A
+        consumer that stops early computes no later norm."""
         ctx, m = self.ctx, self.m
         if self.lam:
             # kappa_L = kappa: N(omega) = omega^m, basis omega^c
-            out = [self.norm(*self._level_element(1, 0, ctx.one, False))]
+            yield self.norm(*self._level_element(1, 0, ctx.one, False))
             basis = [(0, ctx.teichmuller_power(c)) for c in range(ctx.d)]
         else:
             # N(pi) = pi^m, and kappa_L = F_p[G]/(G^m - R(G)) has the basis
@@ -317,18 +341,16 @@ class _Kummer:
             # unit, whose norm the level units already span; at m = p the
             # Teichmuller lift has order prime to p, so its norm is a p-th
             # power and the generator adds nothing
-            out = []
             if m != ctx.p:
                 kappa = FiniteField(ctx.p,
                                     [-r.residue() for r in self.rhs] + [1])
                 g0, g1 = (ctx.from_int(c)
                           for c in kappa.digits(kappa.generator()))
-                out.append(self.norm(g0, g1, 1))
+                yield self.norm(g0, g1, 1)
             basis = [(c, ctx.one) for c in range(m)]
         for s in range(1, high):
             for c, scale in basis:
-                out.append(self.norm(*self._level_element(s, c, scale, True)))
-        return out
+                yield self.norm(*self._level_element(s, c, scale, True))
 
 
 def _unramified_kummer(ctx, m):
@@ -409,11 +431,20 @@ class NormResidueOracle:
             return None  # y is an m-th power: L = F, everything is a norm
         if key not in self._pivot_cache:
             ext = self._build_extension(list(key), y)
+            red = self.reducer
             pivots = {}
-            # norms from U_L^high lie in U_F^H (module docstring)
-            high = ext.ram_index * (self.reducer.H - 1) + 1
+            # norms from U_L^high lie in U_F^H (module docstring); once the
+            # span reaches the norm group's rank, no later norm is computed
+            high = ext.ram_index * (red.H - 1) + 1
+            target, rank = red.norm_rank, 0
             for elem in ext.spanning_norms(high):
-                self.reducer.insert_generator(pivots, elem)
+                red.insert_generator(pivots, elem)
+                rank = sum(len(span.rows) for span in pivots.values())
+                if rank == target:
+                    break
+            else:
+                raise InvariantFailed(f"the spanning norms reach rank {rank}, "
+                                      f"below the norm group's rank {target}")
             self._pivot_cache[key] = pivots
         return self._pivot_cache[key]
 

@@ -34,6 +34,7 @@ CASES = [
     ("cbrt-3", 32, 2, ["pi", "2", "4*pi^2"]),
     ("sqrt-5", 32, 2, ["2*pi", "2", "3*pi"]),
     ("qp-2", 32, 2, ["6", "3", "5", "17"]),
+    ("sqrt-2", 32, 2, ["3*pi", "1+pi"]),
 ]
 
 #: Random x values per y; 1 - y and -y follow them, and both are norms.

@@ -139,7 +139,7 @@ def test_spanning_norms_are_the_determinants(name, N, m, ys):
             basis = [(c, ctx.one) for c in range(m)]
         elements += [ext._level_element(s, c, scale, True)
                      for s in range(1, high) for c, scale in basis]
-        assert ext.spanning_norms(high) == [
+        assert list(ext.spanning_norms(high)) == [
             reference_norm(ext, _vector(ext, *elem)) for elem in elements]
 
 

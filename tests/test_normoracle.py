@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from tamewild.cli import element_from_string
-from tamewild.errors import BadInput, ZeroInput
+from tamewild.cli import dispatch, element_from_string
+from tamewild.errors import BadInput, InvariantFailed, ZeroInput
 from tamewild.finitefield import FiniteField
 from tamewild.localfield import (
     FElem,
@@ -325,8 +325,8 @@ def test_norms_above_the_level_bound_are_mth_powers(name, m, ys):
         unramified.add(ext.ram_index == 1)
         high = ext.ram_index * (red.H - 1) + 1
         assert _old_high(ctx, m) > high
-        new = ext.spanning_norms(high)
-        old = ext.spanning_norms(_old_high(ctx, m))
+        new = list(ext.spanning_norms(high))
+        old = list(ext.spanning_norms(_old_high(ctx, m)))
         assert old[:len(new)] == new
         for elem in old[len(new):]:
             assert red.full_normal_form(elem) == [], y_text
@@ -359,9 +359,36 @@ def test_cold_queries_invert_nothing(monkeypatch, name):
     assert calls == []
 
 
-@pytest.mark.parametrize("name,calls", [("qp-zeta-5", 26), ("qp-zeta-7", 50)])
+def test_short_spanning_set_fails_the_rank_invariant(monkeypatch, capsys):
+    # without the prime element's norm only N(U_L) is spanned, of index p
+    # in U_F: rank 4 of the 5 the pivots need, and the oracle must refuse
+    # to answer from the short span
+    spanning = _Kummer.spanning_norms
+
+    def without_first(self, high):
+        norms = spanning(self, high)
+        next(norms)
+        return norms
+
+    monkeypatch.setattr(_Kummer, "spanning_norms", without_first)
+    ctx = preset("qp-zeta-5", 16)
+    with pytest.raises(InvariantFailed, match="rank 4, below the norm "
+                                              "group's rank 5"):
+        NormResidueOracle(ctx, 5).trivial(ctx.from_int(2), ctx.pi)
+    assert dispatch(["norm-oracle", "--preset", "qp-zeta-5", "-N", "16",
+                     "--m", "p", "--x", "2", "--y", "pi"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: the spanning norms reach rank 4, below "
+                            "the norm group's rank 5\n")
+
+
+@pytest.mark.parametrize("name,calls", [("qp-zeta-5", 5), ("qp-zeta-7", 7)])
 def test_ramified_class_norm_count(monkeypatch, name, calls):
-    # the pi_L generator plus p levels of U_L per level of U_F below H
+    # the spanning set is the pi_L generator plus p levels of U_L per level
+    # of U_F below H (26 and 50 norms), but the build stops at the norm
+    # group's rank e + 1 = p, each of the first p norms adding one pivot,
+    # and the generator computes no norm past the stop
     ctx = preset(name, 16)
     seen = []
     norm = _Kummer.norm
@@ -373,9 +400,10 @@ def test_ramified_class_norm_count(monkeypatch, name, calls):
 
 
 def test_cold_septic_query_multiplication_count(monkeypatch):
-    # the pivots of one ramified class at p = 7: 50 closed-form norms, each
-    # a few products once the symmetric functions of the conjugates of G^a
-    # are known, where a cofactor expansion paid about 840 per norm
+    # the pivots of one ramified class at p = 7: 7 closed-form norms, up to
+    # the norm group's rank, each a few products once the symmetric
+    # functions of the conjugates of G^a are known, where a cofactor
+    # expansion paid about 840 per norm
     ctx = preset("qp-zeta-7", 16)
     assert ctx.k == 1 and not ctx.omega.is_zero() and not ctx.w_inv.is_zero()
     calls = []
@@ -389,13 +417,15 @@ def test_cold_septic_query_multiplication_count(monkeypatch):
     monkeypatch.setattr(FElem, "__rmul__", spy)
     NormResidueOracle(ctx, 7).trivial(ctx.from_int(1 + ctx.p),
                                       ctx.one + ctx.pi)
-    assert len(calls) < 5000
+    assert len(calls) <= 467
 
 
 def test_cold_quintic_query_multiplication_count(monkeypatch):
-    # the 26 norms of one ramified class at p = 5: a level unit 1 + scale
-    # G^a pi^b with b >= 0 has v0 = 1, so its norm is Horner in v1 alone,
-    # m products where carrying the powers of v0 took 3m (552 in all)
+    # the 5 norms of one ramified class at p = 5 that reach the norm
+    # group's rank: a level unit 1 + scale G^a pi^b with b >= 0 has v0 = 1,
+    # so its norm is Horner in v1 alone, m products where carrying the
+    # powers of v0 took 3m, and the prime element's v0 = 0 leaves the one
+    # term e_m v1^m
     ctx = preset("qp-zeta-5", 32)
     assert ctx.k == 1 and not ctx.omega.is_zero() and not ctx.w_inv.is_zero()
     calls = []
@@ -409,7 +439,7 @@ def test_cold_quintic_query_multiplication_count(monkeypatch):
     monkeypatch.setattr(FElem, "__rmul__", spy)
     NormResidueOracle(ctx, 5).trivial(ctx.from_int(1 + ctx.p),
                                       ctx.one + ctx.pi)
-    assert len(calls) <= 352
+    assert len(calls) <= 168
 
 
 def test_tame_reduction_multiplies_no_units(monkeypatch):
@@ -458,7 +488,7 @@ def test_big_unramified_ring_builds_no_tables(monkeypatch):
 
     monkeypatch.setattr(FiniteField, "_build_tables", spy)
     for p in (5, 7):
-        norms = _unramified_kummer(qp(p, 8), p).spanning_norms(2)
+        norms = list(_unramified_kummer(qp(p, 8), p).spanning_norms(2))
         assert len(norms) == p
     assert built == []
 

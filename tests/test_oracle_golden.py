@@ -8,6 +8,7 @@ up here as a changed digest for the (field, m) it touches.
 import functools
 import importlib.util
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -64,3 +65,43 @@ def test_cases_reach_every_extension_kind():
             kinds.add(_extension_kind(oracle, oracle.class_key(y), y))
     assert kinds == {"mth-power", "prime-element", "wild-unit", "cokernel",
                      "unramified-quadratic"}
+
+
+def _full_span_pivots(oracle, y):
+    """The reference build: every norm of the spanning set inserted, with
+    no stop at the norm group's rank."""
+    red = oracle.reducer
+    ext = oracle._build_extension(list(oracle.class_key(y)), y)
+    pivots = {}
+    for elem in ext.spanning_norms(ext.ram_index * (red.H - 1) + 1):
+        red.insert_generator(pivots, elem)
+    return pivots
+
+
+def _rows(pivots):
+    return {pos: [row[:3] for row in span.rows]
+            for pos, span in pivots.items()}
+
+
+@pytest.mark.parametrize("index", range(len(IDS)), ids=IDS)
+def test_stopped_pivots_are_the_full_span(index):
+    # the cases reach every extension kind (above) and include sqrt-2 and
+    # qp-2 at m = 2: the full spanning set has exactly the norm group's
+    # rank, the stopped build holds the same rows, and both answer alike
+    oracle, rows = _transcript(index)
+    ctx = oracle.ctx
+    rng = random.Random(f"full-span-{IDS[index]}")
+    xs = [regen._random_x(ctx, rng) for _ in range(12)]
+    built = 0
+    for y, key, _ in rows:
+        if key == "()":
+            continue
+        full = _full_span_pivots(oracle, y)
+        stopped = oracle._pivots_for(y)
+        assert sum(len(span.rows) for span in full.values()) == \
+            oracle.reducer.norm_rank
+        assert _rows(stopped) == _rows(full)
+        assert [oracle.reducer.is_member(stopped, x) for x in xs] == \
+            [oracle.reducer.is_member(full, x) for x in xs]
+        built += 1
+    assert built
