@@ -25,17 +25,24 @@ Over a FiniteField base (a tower) the field is the residue field kappa(v)
 of one place and serves the symbols at that place, so it is not shared and
 builds no tables: it multiplies digit polynomials by the FqPoly kernels
 over the base, raises them to powers by the same _pow_mod kernel as
-FqPoly.pow_mod, inverts by the extended Euclidean algorithm, and takes its
-modulus as irreducible.  A tower of degree 1 runs on its base's operations.
-The norm to the base is the resultant Res(modulus, a), the trace is
-sum_j a_j p_j with p_j the power sums of Newton's identities (H. Cohen, A
-Course in Computational Algebraic Number Theory, Sec. 3.3 and Ch. 4).
+FqPoly.pow_mod, inverts by the extended Euclidean algorithm on coefficient
+lists, and takes its modulus as irreducible.  A tower of degree 1 runs on
+its base's operations.  The norm to the base is the resultant Res(modulus,
+a), the trace is sum_j a_j p_j with p_j the power sums of Newton's
+identities (H. Cohen, A Course in Computational Algebraic Number Theory,
+Sec. 3.3 and Ch. 4).  power_norm, the cross-check of the norm, multiplies
+the conjugates a^(Q^i), each the Frobenius image of the last.
 
 The FqPoly kernels _mul and _divmod work on plain ints mod p when s = 1
 and on the logarithms of a table field otherwise.  _pow_mod, square-and-
-multiply on coefficient lists, and FqPoly.gcd run on them directly, with
-no FqPoly per step.  distinct_degree, the Frobenius walk of factoring, is
-also the irreducibility test: it stops at the first factor it finds.  No
+multiply on coefficient lists for general exponents, and FqPoly.gcd run on
+them directly, with no FqPoly per step.  Every Frobenius power h^(p^r) mod
+m is the kernel _frobenius instead: r rounds of h -> sum_i h_i^p x^(p i)
+on the rows x^(p i) mod m of _frobenius_rows, each the last shifted by p
+places and reduced unless p is large (J. von zur Gathen and V. Shoup,
+Comput. Complexity 2 (1992)).  It serves distinct_degree (the Frobenius
+walk of factoring, also the irreducibility test: it stops at the first
+factor it finds), funcfield's equal-degree splitting and power_norm.  No
 FqPoly is built over a tower, whose digit polynomials are multiplied over
 its base, so a product over a tower with s > 1 fails in _build_tables.
 """
@@ -44,7 +51,7 @@ from __future__ import annotations
 
 import operator
 from functools import lru_cache, reduce
-from itertools import product
+from itertools import product, zip_longest
 
 from .errors import BadInput, InvariantFailed
 from .ntheory import factorint
@@ -139,14 +146,16 @@ class FiniteField:
 
     def _euclid_inv(self, a):
         """1/a for a tower, by the extended Euclidean algorithm against the
-        modulus over the base."""
+        modulus on coefficient lists over the base."""
         base = self.base
-        r0, r1 = FqPoly(base, self.modulus), FqPoly(base, self.digits(a))
-        s0, s1 = FqPoly(base, []), FqPoly(base, [1])
-        while not r1.is_zero():
-            quo, rem = r0.divmod(r1)
-            r0, r1, s0, s1 = r1, rem, s1, s0 - quo * s1
-        return self.pack((s0 * base.inv(r0.c[0])).c)
+        r0, r1 = list(self.modulus), _trim(self.digits(a))
+        s0, s1 = [], [1]
+        while r1:
+            quo, rem = _divmod(base, r0, r1)
+            prod = _mul(base, quo, s1)
+            r0, r1, s0, s1 = r1, _trim(rem), s1, [
+                base.sub(x, y) for x, y in zip_longest(s0, prod, fillvalue=0)]
+        return self.pack(_mul(base, s0, [base.inv(r0[0])]))
 
     def _each(self, op, *elems):
         """op of the base applied digit by digit."""
@@ -279,8 +288,16 @@ class FiniteField:
             f, g = g.monic(), f % g
 
     def power_norm(self, a):
-        """The same norm as the (q - 1)/(Q - 1)-th power map."""
-        a = self.pow(a, (self.q - 1) // (self.radix - 1))
+        """The same norm as the (q - 1)/(Q - 1)-th power map, as the product
+        of the conjugates a^(Q^i), i < deg, each the Q-th power of the last
+        by the _frobenius kernel."""
+        base, m = self.base or GF(self.p), self.modulus
+        rows = _frobenius_rows(base, m)
+        conj = acc = self.digits(a)
+        for _ in range(self.deg - 1):
+            conj = _frobenius(base, conj, rows, base.s)
+            acc = _divmod(base, _mul(base, acc, conj), m)[1]
+        a = self.pack(acc)
         if a >= self.radix:
             raise InvariantFailed(f"a norm of {self!r} did not land in the "
                                   f"base field")
@@ -547,23 +564,79 @@ def _pow_mod(gf, a, n, m):
     return r
 
 
+def _frobenius_rows(gf, m):
+    """The rows R_i = x^(p i) mod m, i < deg m, of the p-th power map on
+    gf[x]/(m), each x^p times the last mod m: a shift by p places and a
+    reduction, p deg m steps, unless p > 32, where a product with x^p mod
+    m (by _pow_mod) costs less."""
+    n, p = len(m) - 1, gf.p
+    step = _pow_mod(gf, [0, 1], p, m) if p > 32 and n > 1 else None
+    rows = [[1]]
+    while len(rows) < n:
+        top = [0] * p + rows[-1] if step is None else _mul(gf, step, rows[-1])
+        rows.append(_divmod(gf, top, m)[1])
+    return rows
+
+
+def _frobenius(gf, h, rows, r):
+    """h^(p^r) mod m for the list h reduced mod m and rows =
+    _frobenius_rows(gf, m): r rounds of h <- sum_i phi(h_i) R_i, since
+    (sum_i h_i x^i)^p = sum_i h_i^p x^(p i) in characteristic p.  phi(c) =
+    c^p is the identity on F_p and exp[p log c] on a table field; a q-th
+    power is s rounds (von zur Gathen and Shoup, "Computing Frobenius maps
+    and factoring polynomials")."""
+    n = len(rows)
+    if gf.s == 1:  # plain ints, reduced once per round
+        for _ in range(r):
+            out = [0] * n
+            for c, row in zip(h, rows):
+                if c:
+                    for j, y in enumerate(row):
+                        out[j] += c * y
+            h = [v % gf.p for v in out]
+        return h
+    exp, log, zech = gf._tables or gf._build_tables()
+    m = gf.q - 1
+    lrows = [[(j, log[y]) for j, y in enumerate(row) if y] for row in rows]
+    for _ in range(r):
+        out = [0] * n
+        for c, lrow in zip(h, lrows):
+            if c:
+                lc = log[c] * gf.p % m  # phi(c) = g^lc
+                for j, ly in lrow:  # out[j] += g^(lc + ly)
+                    o = out[j]
+                    if o:
+                        lo = log[o]
+                        z = zech[(lc + ly - lo) % m]
+                        out[j] = exp[lo + z] if z >= 0 else 0
+                    else:
+                        out[j] = exp[lc + ly]
+        h = out
+    return h
+
+
 def distinct_degree(f):
     """The distinct-degree split of the squarefree f, lazily and by
     increasing d: pairs (g, d) with g the product of f's irreducible
     factors of degree d (Cantor and Zassenhaus, Math. Comp. 36 (1981)).
-    Step d raises x^(q^(d-1)) to the q-th power mod what is left of f and
-    splits off its gcd with x^(q^d) - x; what is left once it cannot hold
-    two factors of degree above d is one piece of its own degree."""
-    x = FqPoly.x(f.gf)
+    Step d raises h = x^(q^(d-1)) to the q-th power mod what is left of f,
+    v, by the _frobenius kernel on the rows of v, and splits off the gcd of
+    v with h - x.  When a piece g splits off, the rows are reduced mod
+    v/g, since x^(p i) mod v/g = (x^(p i) mod v) mod v/g.  What is left
+    once it cannot hold two factors of degree above d is one piece of its
+    own degree."""
+    gf, x = f.gf, FqPoly.x(f.gf)
     h, v, d = x, f, 0
+    rows = _frobenius_rows(gf, f.c)
     while v.degree() > 2 * (d + 1) - 1:
         d += 1
-        h = h.pow_mod(f.gf.q, v)
+        h = FqPoly(gf, _frobenius(gf, h.c, rows, gf.s))
         g = (h - x).gcd(v)
         if g.degree() > 0:
             yield g, d
             v = v // g
             h = h % v
+            rows = [_divmod(gf, row, v.c)[1] for row in rows[:v.degree()]]
     if v.degree() > 0:
         yield v, v.degree()
 

@@ -31,6 +31,8 @@ from .finitefield import (  # noqa: F401 - GF and is_irreducible re-exported
     GF,
     FiniteField,
     FqPoly,
+    _frobenius,
+    _frobenius_rows,
     distinct_degree,
     is_irreducible,
 )
@@ -70,26 +72,32 @@ def squarefree_decomposition(f):
 
 
 def _edf(f, d, rng):
-    """Equal-degree splitting (Cantor-Zassenhaus; trace map in char 2)."""
+    """Equal-degree splitting (Cantor-Zassenhaus; trace map in char 2).
+    Every Frobenius power is a round of finitefield._frobenius on the rows
+    of f: for odd q, r^((q^d - 1)/2) = prod_(i<d) w^(q^i) with w =
+    r^((q - 1)/2); for even q, each squaring in the trace is one round."""
     gf = f.gf
     if f.degree() == d:
         return [f.monic()]
+    rows = _frobenius_rows(gf, f.c) if gf.p == 2 or d > 1 else None
     while True:
         r = FqPoly(gf, [rng.randrange(gf.q) for _ in range(f.degree())])
         if r.degree() < 1:
             continue
         if gf.p == 2:
-            t = FqPoly(gf, [])
-            w = r % f
-            for _ in range(d * gf.s):
-                t = (t + w) % f
-                w = w.pow_mod(2, f)
+            t = w = r
+            for _ in range(d * gf.s - 1):
+                w = FqPoly(gf, _frobenius(gf, w.c, rows, 1))
+                t = t + w
             g = t.gcd(f)
         else:
             g = r.gcd(f)
             if 0 < g.degree() < f.degree():
                 return _edf(g, d, rng) + _edf(f // g, d, rng)
-            w = r.pow_mod((gf.q ** d - 1) // 2, f)
+            w = conj = r.pow_mod((gf.q - 1) // 2, f)
+            for _ in range(d - 1):
+                conj = FqPoly(gf, _frobenius(gf, conj.c, rows, gf.s))
+                w = w * conj % f
             g = (w - FqPoly(gf, [1])).gcd(f)
         if 0 < g.degree() < f.degree():
             return _edf(g, d, rng) + _edf(f // g, d, rng)

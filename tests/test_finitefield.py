@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -347,10 +348,171 @@ def test_irreducibility_stops_at_the_first_factor(monkeypatch, coeffs,
     # quartic, and an irreducible quintic needs two, since a factorization
     # would have a factor of degree <= 2
     seen = []
-    pow_mod = FqPoly.pow_mod
-    monkeypatch.setattr(FqPoly, "pow_mod",
-                        lambda self, n, mod: seen.append(n)
-                        or pow_mod(self, n, mod))
+    frobenius = finitefield._frobenius
+    monkeypatch.setattr(finitefield, "_frobenius",
+                        lambda gf, h, rows, r: seen.append(r)
+                        or frobenius(gf, h, rows, r))
     f = FqPoly(GF(3), coeffs)
     assert is_irreducible(f) is irreducible
     assert len(seen) == calls
+
+
+# -- the Frobenius kernel ----------------------------------------------------
+
+def _moduli(q, rng):
+    """Monic moduli of degree 1 to 9 (so deg m <= p for some), squarefree or
+    not, and one with a zero constant term."""
+    gf = GF(q)
+    out = [[rng.randrange(q) for _ in range(d)] + [1] for d in range(1, 10)]
+    lin = FqPoly(gf, [rng.randrange(q), 1])
+    quad = FqPoly(gf, [rng.randrange(q), rng.randrange(q), 1])
+    out += [(lin * lin * quad).c, (quad * quad * lin).c, (lin * lin * lin).c,
+            [0, 0, rng.randrange(q), 1]]
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 25, 27, 81, 101, 243])
+def test_frobenius_kernel_is_the_qth_power(q):
+    # q = 101 > 32 builds its rows from x^p mod m instead of a shift
+    gf, rng = GF(q), random.Random(q)
+    for m in _moduli(q, rng):
+        mod = FqPoly(gf, m)
+        rows = finitefield._frobenius_rows(gf, m)
+        assert len(rows) == mod.degree()
+        for i, row in enumerate(rows):
+            want = FqPoly.x(gf).pow_mod(gf.p * i, mod)
+            assert FqPoly(gf, row) == want, (m, i)
+        for _ in range(4):
+            h = FqPoly(gf, [rng.randrange(q) for _ in range(len(m) - 1)])
+            for r in range(gf.s + 2):  # r = s is the q-th power
+                got = finitefield._frobenius(gf, h.c, rows, r)
+                assert FqPoly(gf, got) == h.pow_mod(gf.p ** r, mod), (m, r)
+
+
+def test_large_primes_build_rows_without_a_shift(monkeypatch):
+    # a shift by p places would reduce lists of p + deg m entries
+    gf, mod = GF(1000003), FqPoly(GF(1000003), [5, 0, 3, 0, 0, 1])
+    sizes, divmod_ = [], finitefield._divmod
+    monkeypatch.setattr(finitefield, "_divmod", lambda field, a, b:
+                        sizes.append(len(a)) or divmod_(field, a, b))
+    rows = finitefield._frobenius_rows(gf, mod.c)
+    assert sizes and max(sizes) <= 2 * mod.degree() - 1
+    for i, row in enumerate(rows):
+        assert FqPoly(gf, row) == FqPoly.x(gf).pow_mod(gf.p * i, mod)
+
+
+@pytest.mark.parametrize("q", [2, 3, 9, 25, 243])
+def test_frobenius_rows_reduce_to_a_divisor(q):
+    # distinct_degree reduces its rows when a piece splits off
+    gf, rng = GF(q), random.Random(q)
+    for _ in range(6):
+        div = FqPoly(gf, [rng.randrange(q) for _ in range(rng.randrange(
+            1, 5))] + [1])
+        m = div * FqPoly(gf, [rng.randrange(q) for _ in range(rng.randrange(
+            1, 5))] + [1])
+        rows = finitefield._frobenius_rows(gf, m.c)
+        reduced = [(FqPoly(gf, row) % div).c for row in rows[:div.degree()]]
+        assert reduced == [_trimmed(row) for row in
+                           finitefield._frobenius_rows(gf, div.c)]
+
+
+@pytest.mark.parametrize("q", [7, 8, 9, 25, 27, 81, 243, 3 ** 8])
+def test_power_norm_over_the_prime_is_the_power_map(q):
+    gf, rng = GF(q), random.Random(q)
+    assert gf.power_norm(0) == 0
+    for a in [1, q - 1] + [rng.randrange(1, q) for _ in range(60)]:
+        assert gf.power_norm(a) == gf.pow(a, (q - 1) // (gf.p - 1))
+
+
+# -- the tower inverse -------------------------------------------------------
+
+def _euclid_inv_reference(tower, a):
+    """1/a in the tower by the extended Euclidean algorithm on FqPoly."""
+    base = tower.base
+    r0, r1 = FqPoly(base, tower.modulus), FqPoly(base, tower.digits(a))
+    s0, s1 = FqPoly(base, []), FqPoly(base, [1])
+    while not r1.is_zero():
+        quo, rem = r0.divmod(r1)
+        r0, r1, s0, s1 = r1, rem, s1, s0 - quo * s1
+    return tower.pack((s0 * base.inv(r0.c[0])).c)
+
+
+def _first_irreducible(gf, d):
+    return next(list(t) + [1] for t in itertools.product(range(gf.q),
+                                                         repeat=d)
+                if is_irreducible(FqPoly(gf, list(t) + [1])))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_tower_inverse_on_every_element(q):
+    gf = GF(q)
+    for d in (2, 3, 4):
+        tower = FiniteField(gf, _first_irreducible(gf, d))
+        for a in range(1, tower.q):
+            inv = tower._euclid_inv(a)
+            assert inv == _euclid_inv_reference(tower, a), (d, a)
+            assert tower.mul(a, inv) == 1
+
+
+@pytest.mark.parametrize("q", [25, 81, 243])
+def test_tower_inverse_on_seeded_elements(q):
+    gf, rng = GF(q), random.Random(q)
+    for d in range(2, 9):
+        while True:
+            m = [rng.randrange(q) for _ in range(d)] + [1]
+            if is_irreducible(FqPoly(gf, m)):
+                break
+        tower = FiniteField(gf, m)
+        for a in [1, q - 1, q, tower.q - 1] + [rng.randrange(1, tower.q)
+                                               for _ in range(20)]:
+            inv = tower._euclid_inv(a)
+            assert inv == _euclid_inv_reference(tower, a), (d, a)
+            assert tower.mul(a, inv) == 1
+
+
+# -- kernel counts -----------------------------------------------------------
+
+def _count_kernels(monkeypatch):
+    """Count the calls of _mul, _divmod and _frobenius, wherever bound."""
+    from tamewild import funcfield
+    seen = Counter()
+    for name in ("_mul", "_divmod", "_frobenius"):
+        def spy(*args, _name=name, _fn=getattr(finitefield, name)):
+            seen[_name] += 1
+            return _fn(*args)
+        for module in (finitefield, funcfield):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, spy)
+    return seen
+
+
+def _seeded_octic(q, seed):
+    gf = GF(q)
+    gf.mul(2, 2)  # the tables, built outside the count
+    rng = random.Random(seed)
+    return FqPoly(gf, [rng.randrange(q) for _ in range(8)] + [1])
+
+
+def test_frobenius_powers_take_no_squarings(monkeypatch):
+    # a fallback to square-and-multiply shows in these counts of (_mul,
+    # _divmod, _frobenius); the square-and-multiply walk made (66, 114),
+    # (64, 209) and (10, 11) calls of the first two
+    from tamewild.funcfield import factor
+    odd, even = _seeded_octic(243, 3), _seeded_octic(16, 3)
+    tower = FiniteField(GF(7), finitefield.default_modulus(7, 4))
+    a = random.Random(4).randrange(7, tower.q)
+    seen = _count_kernels(monkeypatch)
+
+    def counts():
+        out = seen["_mul"], seen["_divmod"], seen["_frobenius"]
+        seen.clear()
+        return out
+
+    assert [(g.degree(), e) for g, e in factor(odd)] == [(1, 1), (2, 1),
+                                                         (2, 1), (3, 1)]
+    assert counts() == (22, 88, 4)
+    # the trace of even q: an octic split into two quartics, 15 rounds a try
+    assert [(g.degree(), e) for g, e in factor(even)] == [(4, 1), (4, 1)]
+    assert counts() == (0, 56, 49)
+    assert tower.power_norm(a) == 4
+    assert counts() == (3, 6, 3)

@@ -124,7 +124,7 @@ def test_every_place_of_degree_at_most_3(q):
                    count=3)
 
 
-@pytest.mark.parametrize("q", [25, 243])
+@pytest.mark.parametrize("q", [25, 81, 243])
 def test_seeded_places_of_degree_5_to_8(q):
     gf = GF(q)
     rng = random.Random(q)
