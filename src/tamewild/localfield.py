@@ -763,7 +763,7 @@ def spanning_units(ctx, lo, hi):
     out = []
     one = ctx.one
     for s in range(lo, hi):
-        pis = ctx.pi ** s
+        pis = ctx.pi_pow(s)
         for a in range(ctx.d):
             out.append(one + ctx.teichmuller_power(a) * pis)
     return out

@@ -84,22 +84,6 @@ class OrderRm:
     def index_in_of(self):
         return self.ctx.q ** self.index_exponent()
 
-    # -- spanning data for symbol sweeps ------------------------------------
-
-    def principal_unit_span(self, depth):
-        """Generators of (1 + maximal ideal) modulo depth: the p O0 layer
-        {1 + p omega^a} (for m >= 1) plus {1 + omega^a pi^s} for
-        max(m,1) <= s < max(m,1) + depth."""
-        ctx = self.ctx
-        out = []
-        lo = max(self.m, 1)
-        if self.m >= 1:
-            p_elt = ctx.from_int(ctx.p)
-            for a in range(ctx.d):
-                out.append(ctx.one + ctx.teichmuller_power(a) * p_elt)
-        out.extend(spanning_units(ctx, lo, lo + depth))
-        return out
-
 
 # ---------------------------------------------------------------------------
 # optimal-order bound and experimental estimation
@@ -183,10 +167,13 @@ def estimate_m0(ctx, symbol_oracle=None, sample_budget=500, depth=2):
     answers = {}  # frozenset of the two flats -> the oracle's bool
     certificates = []
     estimated = None
-    omega = ctx.omega
+    omega, d = ctx.omega, ctx.d
+    p_elt = ctx.from_int(ctx.p)
+    layer = [ctx.one + ctx.teichmuller_power(a) * p_elt for a in range(d)]
+    levels = spanning_units(ctx, 1, bound + depth)  # d units per level
     for m in range(0, bound + 1):
-        order = OrderRm(ctx, m)
-        span = order.principal_unit_span(depth)
+        start = (max(m, 1) - 1) * d
+        span = (layer if m else []) + levels[start:start + depth * d]
         pairs = [(omega, omega)]
         pairs += [(omega, g) for g in span]
         pairs += [(g, h) for g in span for h in span]

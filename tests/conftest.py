@@ -1,6 +1,21 @@
 import pytest
 
-from tamewild.localfield import eisenstein_root, qp, qp_zeta
+from tamewild.localfield import eisenstein_root, qp, qp_zeta, spanning_units
+
+
+def principal_unit_span(ctx, m, depth):
+    """Generators of R_m's principal units modulo depth, built afresh for
+    one m as estimate_m0 did before its windows became slices of one list:
+    the p O0 layer {1 + p omega^a} (for m >= 1) plus {1 + omega^a pi^s}
+    for max(m,1) <= s < max(m,1) + depth."""
+    out = []
+    lo = max(m, 1)
+    if m >= 1:
+        p_elt = ctx.from_int(ctx.p)
+        for a in range(ctx.d):
+            out.append(ctx.one + ctx.teichmuller_power(a) * p_elt)
+    out.extend(spanning_units(ctx, lo, lo + depth))
+    return out
 
 
 @pytest.fixture(scope="session")

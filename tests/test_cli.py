@@ -488,6 +488,48 @@ _LOCAL_GOLDEN = [
      '"m": 0}, {"data": {"pairs": 13}, "kind": "vanishing-sweep", "m": 1}], '
      '"certified_precision": 64, "depth": 2, "estimated_m0": 0}, "schema": '
      '"v1"}'),
+    # m0 at depth 3, recorded before the sweep's windows became slices of
+    # one generator list: every other m0 golden is at depth 2
+    (["m0", "--preset", "qp-zeta-3", "-N", "32", "--depth", "3"],
+     '{"certified_precision": 64, "command": "m0", "config": {"budget": 500, '
+     '"precision": 32, "seed": 0}, "result": {"bound": 4, "certificates": '
+     '[{"data": {"x": [["1"], ["1"]], "y": [["1853020188851839"], '
+     '["1853020188851838"]]}, "kind": "witness", "m": 0}, {"data": {"x": '
+     '[["4"], ["0"]], "y": [["1"], ["1"]]}, "kind": "witness", "m": 1}, '
+     '{"data": {"pairs": 21}, "kind": "vanishing-sweep", "m": 2}, {"data": '
+     '{"pairs": 21}, "kind": "vanishing-sweep", "m": 3}, {"data": {"pairs": '
+     '21}, "kind": "vanishing-sweep", "m": 4}], "certified_precision": 64, '
+     '"depth": 3, "estimated_m0": 2}, "schema": "v1"}'),
+    (["m0", "--preset", "qp-zeta-5", "-N", "32", "--depth", "3"],
+     '{"certified_precision": 128, "command": "m0", "config": {"budget": '
+     '500, "precision": 32, "seed": 0}, "result": {"bound": 6, '
+     '"certificates": [{"data": {"x": [["1"], ["1"], ["0"], ["0"]], "y": '
+     '[["1"], ["0"], ["1"], ["0"]]}, "kind": "witness", "m": 0}, {"data": '
+     '{"x": [["6"], ["0"], ["0"], ["0"]], "y": [["1"], ["1"], ["0"], '
+     '["0"]]}, "kind": "witness", "m": 1}, {"data": {"x": [["1"], ["0"], '
+     '["1"], ["0"]], "y": [["1"], ["0"], ["0"], ["1"]]}, "kind": "witness", '
+     '"m": 2}, {"data": {"pairs": 21}, "kind": "vanishing-sweep", "m": 3}, '
+     '{"data": {"pairs": 21}, "kind": "vanishing-sweep", "m": 4}, {"data": '
+     '{"pairs": 21}, "kind": "vanishing-sweep", "m": 5}, {"data": {"pairs": '
+     '21}, "kind": "vanishing-sweep", "m": 6}], "certified_precision": 128, '
+     '"depth": 3, "estimated_m0": 3}, "schema": "v1"}'),
+    (["m0", "--preset", "qp-zeta-7", "-N", "16", "--depth", "3"],
+     '{"certified_precision": 96, "command": "m0", "config": {"budget": 500, '
+     '"precision": 16, "seed": 0}, "result": {"bound": 8, "certificates": '
+     '[{"data": {"x": [["1"], ["1"], ["0"], ["0"], ["0"], ["0"]], "y": '
+     '[["1"], ["0"], ["1"], ["0"], ["0"], ["0"]]}, "kind": "witness", "m": '
+     '0}, {"data": {"x": [["8"], ["0"], ["0"], ["0"], ["0"], ["0"]], "y": '
+     '[["1"], ["1"], ["0"], ["0"], ["0"], ["0"]]}, "kind": "witness", "m": '
+     '1}, {"data": {"x": [["1"], ["0"], ["1"], ["0"], ["0"], ["0"]], "y": '
+     '[["1"], ["0"], ["0"], ["1"], ["0"], ["0"]]}, "kind": "witness", "m": '
+     '2}, {"data": {"x": [["1"], ["0"], ["0"], ["1"], ["0"], ["0"]], "y": '
+     '[["1"], ["0"], ["0"], ["0"], ["1"], ["0"]]}, "kind": "witness", "m": '
+     '3}, {"data": {"pairs": 21}, "kind": "vanishing-sweep", "m": 4}, '
+     '{"data": {"pairs": 21}, "kind": "vanishing-sweep", "m": 5}, {"data": '
+     '{"pairs": 21}, "kind": "vanishing-sweep", "m": 6}, {"data": {"pairs": '
+     '21}, "kind": "vanishing-sweep", "m": 7}, {"data": {"pairs": 21}, '
+     '"kind": "vanishing-sweep", "m": 8}], "certified_precision": 96, '
+     '"depth": 3, "estimated_m0": 4}, "schema": "v1"}'),
 ]
 
 # the same for Q_3(sqrt(-3)) from a descriptor: k = 1, but its zeta_3 is

@@ -14,6 +14,8 @@ from tamewild.orders import OrderRm, estimate_m0
 from tamewild.finitefield import GF, FqPoly, default_modulus, is_irreducible
 from tamewild.symbols import tame_symbol, triviality_oracle
 
+from conftest import principal_unit_span
+
 
 def test_default_moduli_cover_small_fields():
     for p in (2, 3, 5, 7, 11, 13):
@@ -39,8 +41,7 @@ def test_omega_pairs_trivial_under_oracle():
     omega = ctx.omega
     assert tame_symbol(omega, omega) == 0
     assert norm_residue_trivial(omega, omega, 3)
-    order = OrderRm(ctx, 2)
-    for g in order.principal_unit_span(2):
+    for g in principal_unit_span(ctx, 2, 2):
         assert tame_symbol(omega, g) == 0
         assert norm_residue_trivial(omega, g, 3)
         assert norm_residue_trivial(g, omega, 3)
@@ -78,8 +79,7 @@ def test_inverse_stays_in_order():
         order = OrderRm(ctx, m)
         for _ in range(30):
             x = ctx.from_int(rng.randrange(3 ** 5))
-            z = order.principal_unit_span(2)[rng.randrange(
-                len(order.principal_unit_span(2)))]
+            z = rng.choice(principal_unit_span(ctx, m, 2))
             u = z if rng.random() < 0.5 else z * ctx.teichmuller_power(
                 rng.randrange(ctx.q - 1))
             assert order.is_unit(u)

@@ -13,6 +13,8 @@ from tamewild.localfield import (
 from tamewild.orders import OrderRm, estimate_m0, m0_bound
 from tamewild.errors import PRECISION_EXHAUSTED
 
+from conftest import principal_unit_span
+
 
 def _random_integral(ctx, rng, digits=5):
     while True:
@@ -174,7 +176,8 @@ def test_estimate_budget():
 
 def _reference_estimate(ctx, symbol_oracle, sample_budget):
     """The sweep that asks the oracle every pair of every window, both
-    orders included, as estimate_m0 did before it kept the answers."""
+    orders included, as estimate_m0 did before it kept the answers and
+    before its windows became slices of one generator list."""
     from tamewild.errors import BudgetExceeded
     from tamewild.orders import OptimalOrderReport
     bound = m0_bound(ctx)
@@ -183,7 +186,7 @@ def _reference_estimate(ctx, symbol_oracle, sample_budget):
     estimated = None
     omega = ctx.omega
     for m in range(0, bound + 1):
-        span = OrderRm(ctx, m).principal_unit_span(2)
+        span = principal_unit_span(ctx, m, 2)
         pairs = [(omega, omega)]
         pairs += [(omega, g) for g in span]
         pairs += [(g, h) for g in span for h in span]
