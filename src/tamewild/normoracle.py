@@ -101,8 +101,7 @@ class _Reducer:
             if p != 2 and ctx.k < 1:
                 raise BadInput("mu_p is not contained in F")
             self.H = ctx.wild_level
-            self.critical = (int(p * ctx.e1)
-                             if ctx.e1.denominator == 1 else None)
+            self.critical = p * ctx.e // (p - 1)  # mu_p in F: (p-1) | e
         else:
             self.H = 1  # principal units are 2-divisible for odd p
 

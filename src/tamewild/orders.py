@@ -109,8 +109,10 @@ def m0_bound(ctx):
 class OptimalOrderReport:
     """Sampled evidence for the stabilisation index of the unit-pair sweeps.
 
-    Experimental upper/lower evidence only: vanishing is certified on a
-    spanning set up to the stated depth, not on the full unit group.
+    A witness is a proof, and one at m rules out every smaller m, so the
+    witnesses come first and estimated_m0 is the first m without one.
+    Vanishing is certified on a spanning set up to the stated depth, not
+    on the full unit group.
     """
     bound: int
     estimated_m0: int | None
@@ -134,8 +136,9 @@ class OptimalOrderReport:
 
 
 def estimate_m0(ctx, symbol_oracle=None, sample_budget=500, depth=2):
-    """Least m <= B whose spanning generator pairs of R_m^x all have trivial
-    symbol, with a recorded non-vanishing witness for each smaller m.
+    """Least m <= B whose spanning generator pairs of R_m^x, and those of
+    every larger m, all have trivial symbol, with a recorded non-vanishing
+    witness for each smaller m.
 
     The oracle is a callable (x, y) -> bool deciding triviality of the full
     symbol; bimultiplicativity makes spanning-pair vanishing certify the
@@ -143,9 +146,11 @@ def estimate_m0(ctx, symbol_oracle=None, sample_budget=500, depth=2):
     triviality_oracle(ctx), which raises OracleUnavailable for the fields
     it does not cover.
 
-    The windows of consecutive m overlap, and (y, x) is trivial exactly
-    when (x, y) is, since (y, x) = (x, y)^-1; so the oracle is asked once
-    per unordered pair and the answer is kept for the rest of the call.
+    One generator list serves every m: omega, the layer 1 + p omega^a and
+    1 + omega^a pi^s for 1 <= s < B + depth.  R_m's window is the layer
+    (for m >= 1) and the levels max(m,1) .. max(m,1) + depth - 1.  The
+    windows overlap, and (y, x) is trivial exactly when (x, y) is, since
+    (y, x) = (x, y)^-1; so the oracle is asked once per unordered pair.
     The budget still counts every pair of every sweep, so a sweep fails
     with BudgetExceeded at the same m however its pairs are answered.
     """
@@ -165,8 +170,7 @@ def estimate_m0(ctx, symbol_oracle=None, sample_budget=500, depth=2):
         symbol_oracle = triviality_oracle(ctx)
     budget = sample_budget
     answers = {}  # frozenset of the two flats -> the oracle's bool
-    certificates = []
-    estimated = None
+    sweeps = []  # per m: the first nontrivial pair or None, and #pairs
     omega, d = ctx.omega, ctx.d
     p_elt = ctx.from_int(ctx.p)
     layer = [ctx.one + ctx.teichmuller_power(a) * p_elt for a in range(d)]
@@ -190,14 +194,20 @@ def estimate_m0(ctx, symbol_oracle=None, sample_budget=500, depth=2):
             if not trivial:
                 witness = (x, y)
                 break
+        sweeps.append((witness, len(pairs)))
+    # R_{m+1} is inside R_m: a witness at m is one at every smaller m too
+    certificates, witness, estimated = [], None, None
+    for m in reversed(range(bound + 1)):
+        found, count = sweeps[m]
+        witness = found or witness
         if witness is None:
-            certificates.append((m, "vanishing-sweep", {"pairs": len(pairs)}))
-            if estimated is None:
-                estimated = m
+            estimated = m
+            certificates.append((m, "vanishing-sweep", {"pairs": count}))
         else:
             certificates.append(
                 (m, "witness",
                  {"x": witness[0].to_json(), "y": witness[1].to_json()}))
+    certificates.reverse()
     return OptimalOrderReport(bound=bound, estimated_m0=estimated,
                               certificates=certificates, depth=depth,
                               precision=ctx.M)

@@ -216,11 +216,11 @@ def k2_transform(u):
     """For u = 1 - z in U^2 return (a, b) in U^1 x U^1 with {pi, u} = {a, b}:
     with g = 1 + z/pi - z, take a = g^{-1} and b = 1 - pi*g."""
     ctx = u.ctx
-    lv = unit_level(u) if u != ctx.one else PRECISION_EXHAUSTED
+    lv = unit_level(u)
     if lv is not PRECISION_EXHAUSTED and lv < 2:
         raise NotDeepEnough(f"unit level {lv} < 2")
     z = ctx.one - u
-    g = ctx.one + z.div_pi_pow(1) - z if not z.is_zero() else ctx.one
+    g = ctx.one + z.div_pi_pow(1) - z
     a = g.invert_unit()
     b = ctx.one - ctx.pi * g
     return a, b

@@ -489,8 +489,9 @@ _LOCAL_GOLDEN = [
      '"certified_precision": 64, "depth": 2, "estimated_m0": 0}, "schema": '
      '"v1"}'),
     # m0 at depth 3, recorded before the sweep's windows became slices of
-    # one generator list: every other m0 golden is at depth 2
-    (["m0", "--preset", "qp-zeta-3", "-N", "32", "--depth", "3"],
+    # one generator list: every other m0 golden is at depth 2 (--depth
+    # comes first so that these ids do not collide with the depth-2 ones)
+    (["m0", "--depth", "3", "--preset", "qp-zeta-3", "-N", "32"],
      '{"certified_precision": 64, "command": "m0", "config": {"budget": 500, '
      '"precision": 32, "seed": 0}, "result": {"bound": 4, "certificates": '
      '[{"data": {"x": [["1"], ["1"]], "y": [["1853020188851839"], '
@@ -500,7 +501,7 @@ _LOCAL_GOLDEN = [
      '{"pairs": 21}, "kind": "vanishing-sweep", "m": 3}, {"data": {"pairs": '
      '21}, "kind": "vanishing-sweep", "m": 4}], "certified_precision": 64, '
      '"depth": 3, "estimated_m0": 2}, "schema": "v1"}'),
-    (["m0", "--preset", "qp-zeta-5", "-N", "32", "--depth", "3"],
+    (["m0", "--depth", "3", "--preset", "qp-zeta-5", "-N", "32"],
      '{"certified_precision": 128, "command": "m0", "config": {"budget": '
      '500, "precision": 32, "seed": 0}, "result": {"bound": 6, '
      '"certificates": [{"data": {"x": [["1"], ["1"], ["0"], ["0"]], "y": '
@@ -513,7 +514,7 @@ _LOCAL_GOLDEN = [
      '{"pairs": 21}, "kind": "vanishing-sweep", "m": 5}, {"data": {"pairs": '
      '21}, "kind": "vanishing-sweep", "m": 6}], "certified_precision": 128, '
      '"depth": 3, "estimated_m0": 3}, "schema": "v1"}'),
-    (["m0", "--preset", "qp-zeta-7", "-N", "16", "--depth", "3"],
+    (["m0", "--depth", "3", "--preset", "qp-zeta-7", "-N", "16"],
      '{"certified_precision": 96, "command": "m0", "config": {"budget": 500, '
      '"precision": 16, "seed": 0}, "result": {"bound": 8, "certificates": '
      '[{"data": {"x": [["1"], ["1"], ["0"], ["0"], ["0"], ["0"]], "y": '

@@ -1,12 +1,13 @@
-"""A public function or class of the package that no code of the package
-and no file of the benchmark refers to is reached only by the tests, and
-such a second path lives in the tests.  This is the lint gate for that
-rule, beside the one for unused private definitions: a public
-module-level `def` or `class` in src/tamewild counts as reached if a module
-of the package (not __init__.py, which only re-exports) or a file under
-perfbench/ loads the name, imports it, reads an attribute of that name, or
-spells it in a string constant (as `getattr` would), at a place outside
-the definition itself."""
+"""A public function, class or method of the package that no code of the
+package and no file of the benchmark refers to is reached only by the
+tests, and such a second path lives in the tests.  This is the lint gate
+for that rule, beside the one for unused private definitions: a public
+module-level `def` or `class` in src/tamewild, or a public method of a
+class defined there, counts as reached if a module of the package (not
+__init__.py, which only re-exports) or a file under perfbench/ loads the
+name, imports it, reads an attribute of that name, or spells it in a
+string constant (as `getattr` would), at a place outside the definition
+itself.  A method is matched by its bare name, whatever the class."""
 
 import ast
 from pathlib import Path
@@ -31,24 +32,31 @@ def _references(node):
 
 
 def unreached_public(sources, users):
-    """(file, line, name) of each public module-level def or class in the
-    {filename: source} `sources` that nothing outside its own body refers
-    to, in `sources` or in the {filename: source} `users`."""
+    """(file, line, name) of each public module-level def or class, and
+    each public method (named Class.method), in the {filename: source}
+    `sources` that nothing outside its own body refers to, in `sources` or
+    in the {filename: source} `users`."""
     defs, refs = [], {}
     for filename, text in {**sources, **users}.items():
         tree = ast.parse(text, filename)
         if filename in sources:
-            defs += [(filename, node) for node in tree.body
-                     if isinstance(node, _DEFS)
-                     and not node.name.startswith("_")]
+            for node in tree.body:
+                if isinstance(node, _DEFS):
+                    defs.append((filename, "", node))
+                if isinstance(node, ast.ClassDef):
+                    defs += [(filename, node.name + ".", item)
+                             for item in node.body
+                             if isinstance(item, _DEFS)]
         for node in ast.walk(tree):
             for name in _references(node):
                 refs.setdefault(name, []).append(node)
     found = []
-    for filename, node in defs:
+    for filename, owner, node in defs:
+        if node.name.startswith("_"):
+            continue
         inside = {id(n) for n in ast.walk(node)}
         if all(id(ref) in inside for ref in refs.get(node.name, [])):
-            found.append((filename, node.lineno, node.name))
+            found.append((filename, node.lineno, owner + node.name))
     return sorted(found)
 
 
@@ -63,6 +71,12 @@ def test_test_only_public_definitions_are_found():
                  "class Box:\n"
                  "    def method(self):\n"
                  "        return self\n"
+                 "    def walk(self, n):\n"
+                 "        return self.walk(n - 1) if n else self.reached()\n"
+                 "    def reached(self):\n"
+                 "        return 1\n"
+                 "    def _hidden(self):\n"
+                 "        pass\n"
                  "def by_bench():\n"
                  "    pass\n"
                  "def by_string():\n"
@@ -77,6 +91,8 @@ def test_test_only_public_definitions_are_found():
     }
     users = {"bench.py": "import a\na.by_bench()\n"}
     assert unreached_public(sources, users) == [("a.py", 1, "alone"),
+                                                ("a.py", 8, "Box.method"),
+                                                ("a.py", 10, "Box.walk"),
                                                 ("b.py", 4, "orphan")]
 
 
@@ -89,6 +105,8 @@ def test_no_test_only_public_definitions_in_the_package():
     allowed = {
         # the principal divisor of f, documented API of the function field
         ("funcfield.py", "divisor"),
+        # the JSON descriptor of a field, documented beside from_descriptor
+        ("localfield.py", "LocalFieldCtx.descriptor"),
     }
     found = [f"{name}:{line} {func}"
              for name, line, func in unreached_public(sources, users)

@@ -4,6 +4,7 @@ import pytest
 
 from tamewild.errors import PIsTwo
 from tamewild.localfield import (
+    LocalFieldCtx,
     eisenstein_root,
     qp,
     qp_zeta,
@@ -170,6 +171,33 @@ def test_estimate_budget():
     ctx = qp_zeta(3, 32)
     with pytest.raises(BudgetExceeded):
         estimate_m0(ctx, triviality_oracle(ctx), sample_budget=3)
+
+
+@pytest.mark.parametrize("field,depth,m0", [
+    ((3, 32), 1, 2), ((5, 32), 1, 2), ((7, 16), 1, 2), ((11, 16), 2, 6),
+    ({"p": 3, "N": 24, "f": [3, 0, 0, 0, 0, 0, 1]}, 2, 5),  # T^6 + 3
+])
+def test_a_witness_rules_out_every_smaller_m(field, depth, m0):
+    # R_{m+1} is inside R_m, so a witness at m is one at every smaller m;
+    # each of these sweeps found a vanishing m below a witness (at depth 1
+    # R_0's window lacks the 1 + p layer that R_1's has), and reported it
+    # as the estimate before witnesses were copied down.  (p, N) is
+    # Q_p(zeta_p) at precision N
+    from tamewild.symbols import triviality_oracle
+    ctx = (LocalFieldCtx.from_descriptor(field) if isinstance(field, dict)
+           else qp_zeta(*field))
+    oracle = triviality_oracle(ctx)
+    rep = estimate_m0(ctx, oracle, depth=depth)
+    assert rep.estimated_m0 == m0
+    kinds = [kind for _, kind, _ in rep.certificates]
+    assert kinds == (["witness"] * m0
+                     + ["vanishing-sweep"] * (rep.bound + 1 - m0))
+    for m, _, data in rep.certificates[:m0]:
+        x, y = (ctx.elem([[int(c) for c in block] for block in data[k]])
+                for k in ("x", "y"))
+        order = OrderRm(ctx, m)
+        assert order.is_unit(x) and order.is_unit(y)
+        assert not oracle(x, y) and not oracle(y, x)
 
 
 # -- one oracle query per unordered pair ------------------------------------------
