@@ -15,7 +15,10 @@ distinct mod e, so the valuation of an element is their minimum and is
 attained at a unique index.
 
 Working pi-precision is M = e*N.  An element whose canonical form is the
-zero vector is indistinguishable from 0 at that precision.
+zero vector is indistinguishable from 0 at that precision.  A unit is
+inverted by Newton on flat tuples from its inverse mod p, a truncated series
+in O/pO = kappa[pi]/(pi^e), so in ceil(log2 N) steps for every e
+(FElem.invert_unit).
 
 Since pi^e = p*w with w a unit, pi^(e*k+r) divides x iff p^k divides its
 blocks i >= r and p^(k+1) its blocks i < r (FElem.div_pi_pow), and the
@@ -646,21 +649,32 @@ class FElem:
         return y * ctx.w_inv ** k if k else y
 
     def invert_unit(self):
-        """Inverse of a unit (valuation 0), by Newton from the lifted inverse
-        of the residue; each step doubles the pi-adic precision."""
-        v = valuation(self)
-        if v is PRECISION_EXHAUSTED or v != 0:
+        """Inverse of a unit (valuation 0, a nonzero residue).
+
+        O/pO is kappa[pi]/(pi^e), so the inverse mod p is the truncated
+        series b_0 = a_0^-1, b_k = -b_0 * sum_{i=1..k} a_i b_{k-i} in the
+        residues a_i of the blocks (about e^2/2 residue-field operations).
+        Its digit lift is the inverse mod pi^e, and Newton
+        y <- y(2 - xy) on flat tuples doubles that precision up to M:
+        ceil(log2 N) steps of two kernel products each, whatever e is."""
+        ctx, x = self.ctx, self.flat
+        kappa, d = ctx.base.kappa, ctx.d
+        a = [kappa.pack(x[i:i + d]) for i in range(0, len(x), d)]
+        if not a[0]:
             raise BadInput("invert_unit needs a unit (valuation 0)")
-        ctx = self.ctx
-        kappa = ctx.base.kappa
-        r = kappa.digits(kappa.inv(self.residue()))
-        y = FElem(ctx, tuple(r) + (0,) * (len(self.flat) - ctx.d))
-        two = ctx.from_int(2)
-        k = 1
+        b = [kappa.inv(a[0])]
+        for k in range(1, ctx.e):
+            s = 0
+            for i in range(1, k + 1):
+                s = kappa.add(s, kappa.mul(a[i], b[k - i]))
+            b.append(kappa.neg(kappa.mul(b[0], s)))
+        y = tuple(c for bk in b for c in kappa.digits(bk))
+        two, mul, sub = (2,) + (0,) * (len(x) - 1), ctx._mul, ctx._sub
+        k = ctx.e
         while k < ctx.M:
-            y = y * (two - self * y)
+            y = mul(y, sub(two, mul(x, y)))
             k *= 2
-        return y
+        return FElem(ctx, y)
 
     def to_json(self):
         d = self.ctx.d
