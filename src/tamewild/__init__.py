@@ -47,7 +47,6 @@ from .symbols import (
 from .normoracle import norm_residue_trivial
 from . import padic  # noqa: F401  (perfbench/tracing.py looks it up)
 from .globalrecip import (
-    Place,
     GlobalOrderLattice,
     moore_product_q,
     global_optimal_lattice,
@@ -71,7 +70,7 @@ __all__ = [
     "tame_symbol", "hilbert_quadratic_q", "wild_symbol_zeta", "norm_to_base",
     "k1_decompose", "k2_transform", "triviality_oracle",
     "norm_residue_trivial",
-    "Place", "GlobalOrderLattice", "moore_product_q", "global_optimal_lattice",
+    "GlobalOrderLattice", "moore_product_q", "global_optimal_lattice",
     "GF", "FiniteField", "FqPoly", "FqRational", "FFPlace", "divisor", "ff_tame_symbol",
     "weil_reciprocity_check", "ff_hilbert_check", "residue_theorem_check",
 ]

@@ -111,7 +111,7 @@ def criterion_1(cfg):
         qr_pairs += 1
         lhs = _euler_legendre(p, q) * _euler_legendre(q, p)
         rhs = -1 if ((p - 1) // 2) * ((q - 1) // 2) % 2 else 1
-        tab = {pl.label(): v for pl, v in moore_product_q(p, q).table}
+        tab = {str(pl): v for pl, v in moore_product_q(p, q).table}
         # the table must reproduce both Legendre symbols and the sign rule
         if tab[str(q)] != _euler_legendre(p, q) \
                 or tab[str(p)] != _euler_legendre(q, p) \

@@ -185,10 +185,6 @@ class FFPlace:
     def infinity(cls):
         return cls(None)
 
-    @classmethod
-    def finite(cls, poly):
-        return cls(poly.monic())
-
     def is_infinite(self):
         return self.poly is None
 

@@ -3,10 +3,13 @@
 The product formula multiplies, over the finitely many places in the
 support, the m_v/m-th powers of the local symbols; for Q (m = 2) every
 factor is the classical quadratic Hilbert symbol, so the product being +1
-for all inputs is the quadratic reciprocity law.  The global singular order
-is realised as an explicit integer lattice in column Hermite normal form,
-with the index given by the local coefficient constraints at the unique
-ramified place.
+for all inputs is the quadratic reciprocity law.  A place of Q is a prime
+int or the string "inf", as hilbert_quadratic_q takes it.  The global
+singular order is realised as an explicit integer lattice in column Hermite
+normal form, with the index given by the local coefficient constraints at
+the unique ramified place; its generators p^depth(j) (zeta - 1)^j are
+already triangular on the zeta-power basis, so the normal form is a
+reduction of the entries above the diagonal.
 """
 
 from __future__ import annotations
@@ -15,50 +18,22 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BadInput, InvariantFailed, UnsupportedField, ZeroInput
+from .errors import InvariantFailed, UnsupportedField, ZeroInput
 from .localfield import qp_zeta
-from .ntheory import factorint, hnf, isprime
+from .ntheory import factorint, isprime
 from .orders import OrderRm, m0_bound
 from .symbols import hilbert_quadratic_q
-
-
-@dataclass(frozen=True)
-class Place:
-    """A place of Q: finite(p) or real."""
-    kind: str  # "finite" | "real"
-    p: int | None = None
-
-    def __post_init__(self):
-        if self.kind == "finite" and (self.p is None
-                                      or not isprime(self.p)):
-            raise BadInput("finite places carry a prime")
-        if self.kind not in ("finite", "real"):
-            raise BadInput(f"unknown place kind {self.kind!r}")
-
-    @classmethod
-    def finite(cls, p):
-        return cls("finite", p)
-
-    @classmethod
-    def real(cls):
-        return cls("real")
-
-    def label(self):
-        return str(self.p) if self.kind == "finite" else "inf"
-
-    def sort_key(self):
-        return (0, 0) if self.kind != "finite" else (1, self.p)
 
 
 @dataclass
 class MooreResult:
     product: int
-    table: list  # [(Place, +-1)] sorted: real place first, primes ascending
+    table: list  # [(place, +-1)]: "inf" first, then the primes ascending
 
     def to_json(self):
         return {
             "product": self.product,
-            "table": {pl.label(): val for pl, val in self.table},
+            "table": {str(pl): val for pl, val in self.table},
         }
 
 
@@ -68,7 +43,7 @@ def _support_places(a, b):
     for r in (a, b):
         primes |= set(factorint(abs(r.numerator))) | set(
             factorint(r.denominator))
-    return [Place.real()] + [Place.finite(p) for p in sorted(primes)]
+    return ["inf"] + sorted(primes)
 
 
 def moore_product_q(a, b) -> MooreResult:
@@ -85,8 +60,7 @@ def moore_product_q(a, b) -> MooreResult:
     table = []
     prod = 1
     for pl in _support_places(a, b):
-        val = hilbert_quadratic_q(a, b, pl.p if pl.kind == "finite"
-                                  else "inf")
+        val = hilbert_quadratic_q(a, b, pl)
         table.append((pl, val))
         prod *= val
     return MooreResult(prod, table)
@@ -112,17 +86,6 @@ def _cyclotomic_mul(p, a, b):
                 conv[i - n + j] -= c
             conv[i] = 0
     return conv[:n]
-
-
-def _pi_power_basis(p):
-    """Columns: (zeta - 1)^i on the zeta-power basis, i = 0..p-2."""
-    n = p - 1
-    cols = []
-    cur = [1] + [0] * (n - 1)
-    for _ in range(n):
-        cols.append(list(cur))
-        cur = _cyclotomic_mul(p, cur, [-1, 1] + [0] * (n - 2))
-    return cols
 
 
 @dataclass
@@ -185,15 +148,22 @@ def global_optimal_lattice(p, m=None, N=32):
         m = m0_bound(ctx)
     n = p - 1
     order = OrderRm(ctx, m)
-    # local membership constrains the pi-power coordinate i >= 1 to lie in
-    # p^depth(i) Z
-    cols = _pi_power_basis(p)
-    scaled = []
-    for i, col in enumerate(cols):
-        depth = order.depth(i) if i >= 1 else 0
-        scaled.append([c * p ** depth for c in col])
-    H = hnf([[scaled[j][i] for j in range(n)] for i in range(n)])
-    index = math.prod(H[i][i] for i in range(n))  # H is upper triangular
+    # column j is p^depth(j) (zeta - 1)^j on the zeta-power basis, since
+    # local membership constrains the pi-power coordinate j >= 1 to
+    # p^depth(j) Z; its entries are (-1)^(j-i) C(j, i) p^depth(j), so the
+    # matrix is upper triangular with a positive diagonal
+    scale = [1] + [p ** order.depth(j) for j in range(1, n)]
+    H = [[(-1) ** (j - i) * math.comb(j, i) * scale[j] if i <= j else 0
+          for j in range(n)] for i in range(n)]
+    # its column HNF: from the bottom row up, reduce the entries right of
+    # each pivot into [0, pivot) by subtracting multiples of the pivot's
+    # column, which is zero below the pivot and so leaves lower rows alone
+    for i in range(n - 1, -1, -1):
+        for j in range(i + 1, n):
+            q = H[i][j] // H[i][i]
+            for r in range(i + 1):
+                H[r][j] -= q * H[r][i]
+    index = math.prod(H[i][i] for i in range(n))
     if index != order.index_in_of():
         raise InvariantFailed("lattice index != local closed form")
     basis = tuple(tuple(r) for r in H)

@@ -1,5 +1,5 @@
 """Elementary number theory on Python integers, from the standard library:
-primality, factoring, a prime sieve and the column Hermite normal form.
+primality, factoring, a prime sieve and the Jacobi symbol.
 
 isprime is trial division by the primes below 1000, then Miller-Rabin on
 the first 13 prime bases, which is a proof below MR_BOUND (J. Sorenson and
@@ -191,56 +191,3 @@ def factorint(n):
             g = _rho_divisor(m)
             pending += [g, m // g]
     return dict(sorted(out.items()))
-
-
-def _gcdex(a, b):
-    """(x, y, g) with x a + y b = g = gcd(a, b) >= 0, and y = 0 when a
-    divides b (as Cohen's Algorithm 2.4.5 wants)."""
-    if a and b % a == 0:
-        return (-1 if a < 0 else 1), 0, abs(a)
-    x0, y0, x1, y1 = 1, 0, 0, 1
-    while b:
-        t, r = divmod(a, b)
-        a, b = b, r
-        x0, x1 = x1, x0 - t * x1
-        y0, y1 = y1, y0 - t * y1
-    if a < 0:
-        return -x0, -y0, -a
-    return x0, y0, a
-
-
-def hnf(rows):
-    """The column Hermite normal form of an integer matrix given by its
-    rows (H. Cohen, A Course in Computational Algebraic Number Theory,
-    GTM 138, Algorithm 2.4.5): H = A U for unimodular U, pivots in the
-    rightmost columns, each pivot positive and the entries to its right
-    reduced into [0, pivot).  The zero columns left of the pivots are
-    dropped, so a full-rank square A gives an upper-triangular H."""
-    A = [list(r) for r in rows]
-    n = len(A[0]) if A else 0
-
-    def combine(i, j, a, b, c, d):
-        # column i <- a col_i + b col_j, column j <- c col_i + d col_j
-        for row in A:
-            e = row[i]
-            row[i], row[j] = a * e + b * row[j], c * e + d * row[j]
-
-    k = n
-    for i in range(len(A) - 1, -1, -1):
-        if k == 0:
-            break
-        k -= 1
-        for j in range(k - 1, -1, -1):
-            if A[i][j]:
-                u, v, d = _gcdex(A[i][k], A[i][j])
-                combine(k, j, u, v, -(A[i][j] // d), A[i][k] // d)
-        b = A[i][k]
-        if b < 0:
-            combine(k, k, -1, 0, -1, 0)
-            b = -b
-        if b == 0:
-            k += 1
-        else:
-            for j in range(k + 1, n):
-                combine(j, k, 1, -(A[i][j] // b), 0, 1)
-    return [row[k:] for row in A]

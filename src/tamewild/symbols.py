@@ -94,13 +94,13 @@ def hilbert_quadratic_q(a, b, place):
     """The quadratic Hilbert symbol (a, b)_v over Q by the classical closed
     forms; contract-checked against the norm-residue oracle.
 
-    place is a prime number or the string "inf" (math.inf also accepted);
-    anything else raises BadInput.
+    place is a prime number or the string "inf"; anything else raises
+    BadInput.
     """
     a, b = Fraction(a), Fraction(b)
     if a == 0 or b == 0:
         raise ZeroInput("Hilbert symbol of zero")
-    if place in ("inf", "oo", float("inf")):
+    if place == "inf":
         return -1 if a < 0 and b < 0 else 1
     if not isinstance(place, int) or not isprime(place):
         raise BadInput(f"place must be a prime or 'inf', got {place!r}")

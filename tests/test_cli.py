@@ -73,7 +73,7 @@ def test_hilbert2_subcommand(capsys):
     assert code == 0
 
 
-@pytest.mark.parametrize("place", [-3, 4, 1, -1, 0])
+@pytest.mark.parametrize("place", [-3, 4, 1, -1, 0, "oo"])
 def test_hilbert2_rejects_places_that_are_not_primes(capsys, place):
     with pytest.raises(BadInput):
         hilbert_quadratic_q(3, 5, place)
@@ -120,6 +120,31 @@ def test_m0_subcommand(capsys):
     assert code == 0
     assert doc["result"]["bound"] == 4
     assert doc["result"]["estimated_m0"] <= 4
+
+
+def test_m0_plain_text_golden(capsys):
+    # without --json a list prints one item after another at its key's
+    # indent, and a list of lists flattens to one scalar a line
+    code, out = _run(capsys, ["m0", "--preset", "qp-zeta-3", "-N", "32"])
+    assert code == 0
+    certificate = "  data:\n    pairs: 13\n  kind: vanishing-sweep\n  m: %d\n"
+    assert out == (
+        "bound: 4\n"
+        "certificates:\n"
+        "  data:\n"
+        "    x:\n      1\n      1\n"
+        "    y:\n      1853020188851839\n      1853020188851838\n"
+        "  kind: witness\n"
+        "  m: 0\n"
+        "  data:\n"
+        "    x:\n      4\n      0\n"
+        "    y:\n      1\n      1\n"
+        "  kind: witness\n"
+        "  m: 1\n"
+        + certificate % 2 + certificate % 3 + certificate % 4
+        + "certified_precision: 64\n"
+        "depth: 2\n"
+        "estimated_m0: 2\n")
 
 
 def test_hasse_subcommand(capsys):

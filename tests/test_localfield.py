@@ -181,13 +181,20 @@ def test_pth_root_trivial_and_roundtrip(z3, z5):
 
 
 def _field(name):
-    if name == "sqrt-3-unram2":
-        return eisenstein_root(3, 2, 16, d=2)
+    unram = {"sqrt-3-unram2": (3, 2, 2), "sqrt-3-unram3": (3, 2, 3),
+             "root4-2-unram3": (2, 4, 3)}
+    if name in unram:
+        p, e, d = unram[name]
+        return eisenstein_root(p, e, 16, d=d)
     return preset(name, 16)
 
 
+# in the two d = 3 fields, over F_27 and F_8, the critical level's span of
+# a -> a^p + rho*a reduces later rows against earlier ones and their
+# preimages
 @pytest.mark.parametrize("name", ["qp-zeta-3", "qp-zeta-5", "cbrt-3",
-                                  "root4-3", "sqrt-3-unram2"])
+                                  "root4-3", "sqrt-3-unram2",
+                                  "sqrt-3-unram3", "root4-2-unram3"])
 def test_graded_pth_root(name):
     ctx = _field(name)
     kappa, p, top = ctx.base.kappa, ctx.p, 3 * ctx.e + 4

@@ -1,6 +1,7 @@
 """Differential tests of tamewild.ntheory against sympy as the independent
-oracle: primality, factoring, the sieve, the column Hermite normal form and
-the exact back-substitution that decides lattice membership."""
+oracle: primality, factoring and the sieve; and of the global lattices'
+column Hermite normal forms and the exact back-substitution that decides
+lattice membership."""
 
 import random
 
@@ -11,13 +12,9 @@ from sympy.ntheory.primetest import is_strong_lucas_prp
 
 from tamewild import ntheory
 from tamewild.errors import FactoringCapExceeded
-from tamewild.globalrecip import (
-    _pi_power_basis,
-    _solve_integer,
-    global_optimal_lattice,
-)
+from tamewild.globalrecip import _solve_integer, global_optimal_lattice
 from tamewild.localfield import qp_zeta
-from tamewild.ntheory import factorint, hnf, isprime, primerange
+from tamewild.ntheory import factorint, isprime, primerange
 from tamewild.orders import m0_bound
 
 # -- isprime -----------------------------------------------------------------
@@ -102,37 +99,28 @@ def test_primerange(a, b):
     assert primerange(a, b) == list(sympy.primerange(a, b))
 
 
-# -- hnf and back-substitution ---------------------------------------------------
+# -- lattice bases and back-substitution ------------------------------------------
 
 def _sympy_hnf(rows):
     H = hermite_normal_form(sympy.Matrix(rows))
     return [[int(H[i, j]) for j in range(H.cols)] for i in range(H.rows)]
 
 
-def test_hnf_random_full_rank():
-    rng = random.Random(6)
-    done = 0
-    while done < 200:
-        n = rng.randint(1, 6)
-        rows = [[rng.randint(-40, 40) for _ in range(n)] for _ in range(n)]
-        if sympy.Matrix(rows).det() == 0:
-            continue
-        done += 1
-        assert hnf(rows) == _sympy_hnf(rows), rows
-
-
-def test_hnf_rank_deficient():
-    rows = [[2, 4, 6], [1, 2, 3], [0, 0, 5]]
-    assert hnf(rows) == _sympy_hnf(rows)
-
-
 def _lattice_matrix(p, m):
-    """The matrix global_optimal_lattice reduces, rebuilt from its parts."""
+    """The generators of the lattice global_optimal_lattice(p, m) reduces,
+    by sympy: column j is p^depth(j) (z - 1)^j mod the p-th cyclotomic
+    polynomial on the basis 1, z, ..., z^(p-2), depth(j) = ceil((m - j)/
+    (p - 1)) clamped at 0 for j >= 1 and depth(0) = 0."""
     n = p - 1
-    cols = _pi_power_basis(p)
-    scaled = [[c * p ** (max(0, -((i - m) // n)) if i >= 1 else 0)
-               for c in col] for i, col in enumerate(cols)]
-    return [[scaled[j][i] for j in range(n)] for i in range(n)]
+    z = sympy.symbols("z")
+    cols = []
+    for j in range(n):
+        r = sympy.Poly(sympy.rem((z - 1) ** j, sympy.cyclotomic_poly(p, z)),
+                       z)
+        depth = max(0, -((j - m) // n)) if j >= 1 else 0
+        cols.append([int(r.coeff_monomial(z ** i)) * p ** depth
+                     for i in range(n)])
+    return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])

@@ -194,7 +194,7 @@ def _compare(q, max_deg, rng):
     gf = GF(q)
     t = FqRational(FqPoly.x(gf))
     places = [FFPlace.infinity()] + [
-        FFPlace.finite(pi) for d in range(1, max_deg + 1)
+        FFPlace(pi.monic()) for d in range(1, max_deg + 1)
         for pi in _monic_irreducibles(gf, d)]
     mismatches, count = [], 0
     for place in places:
