@@ -4,9 +4,10 @@ Subpackages:
 
 - finitefield: F_q (residue and constant fields), F_q[x], its distinct-degree
   split shared by factor and is_irreducible
-- localfield: totally-ramified-over-unramified extensions F = F0(pi), the
-  unramified ring O0 being block 0 of their elements; their unit
-  filtration, the one p-th-root solver and the roots of unity
+- localfield: totally-ramified-over-unramified extensions F = F0(pi), each
+  one LocalFieldCtx holding p, N, the residue field and f, the unramified
+  ring O0 being block 0 of their elements; valuations capped at M = e*N,
+  the unit filtration, the one p-th-root solver and the roots of unity
 - padic: old names of localfield and finitefield classes, kept for
   perfbench/tracing.py
 - orders: the singular subrings O0 + m^m O_F and the optimal-order bound
@@ -17,10 +18,8 @@ Subpackages:
 - cli: command-line entry points
 """
 
-from .errors import PRECISION_EXHAUSTED
 from .finitefield import GF, FiniteField, FqPoly
 from .localfield import (
-    PadicCtx,
     LocalFieldCtx,
     FElem,
     UnitDecomposition,
@@ -62,8 +61,7 @@ from .funcfield import (
 )
 
 __all__ = [
-    "PRECISION_EXHAUSTED",
-    "PadicCtx", "LocalFieldCtx", "FElem", "UnitDecomposition", "valuation",
+    "LocalFieldCtx", "FElem", "UnitDecomposition", "valuation",
     "unit_decompose", "unit_level", "hasse_forward", "pth_root_in_filtration",
     "qp", "qp_zeta", "eisenstein_root", "preset",
     "OrderRm", "OptimalOrderReport", "m0_bound", "estimate_m0",

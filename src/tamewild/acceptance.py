@@ -165,7 +165,7 @@ def _rational_in(ctx, r):
     while den % p == 0:
         den //= p
         v -= 1
-    lift = num * pow(den, -1, ctx.base.mod) % ctx.base.mod
+    lift = num * pow(den, -1, ctx.mod) % ctx.mod
     return ctx.from_int(lift) * ctx.pi ** (v % 2)
 
 
@@ -219,7 +219,7 @@ def criterion_4(cfg):
             order = OrderRm(ctx, m)
             # residue surjectivity from the unramified part alone
             residues = set()
-            for c in ctx.base.kappa.elements():
+            for c in ctx.kappa.elements():
                 x = ctx.lift_residue(c)
                 if not order.contains(x):
                     failures.append(f"{ctx.name} m={m}: O0 not in R_m")

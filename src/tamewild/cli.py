@@ -40,13 +40,12 @@ from .symbols import (
 )
 
 SCHEMA = "v1"
-DEFAULT_PRECISION = 64
 
 
 @dataclass
 class RunConfig:
     """Run parameters; the seed fully determines all sampled tests."""
-    precision: int = 64
+    precision: int = localfield.DEFAULT_N
     budget: int = 500
     seed: int = 0
     json_mode: bool = False
@@ -103,8 +102,14 @@ def _print_plain(result, indent=""):
 
 
 def _fraction(text):
+    """A rational argument; a zero denominator is a usage error, which
+    argparse makes of ArgumentTypeError but not of ZeroDivisionError."""
     from fractions import Fraction
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} has denominator 0") from None
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +255,7 @@ def _build_parser():
     def common(p, field=False):
         p.add_argument("--json", action="store_true", dest="json_mode")
         p.add_argument("--precision", "-N", type=int,
-                       default=DEFAULT_PRECISION)
+                       default=localfield.DEFAULT_N)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--budget", type=int, default=500)
         if field:

@@ -1,29 +1,10 @@
-"""Shared error types and the precision sentinel.
+"""Shared error types.
 
-Valuation-style queries return the PRECISION_EXHAUSTED sentinel when an
-element is indistinguishable from zero at working precision; callers must
-branch on it.  Operations whose return type cannot carry the sentinel raise
-PrecisionExhausted instead.
+Precision is capped absolutely: an element indistinguishable from zero at
+working precision has valuation N (val_p_coeffs) or M = e*N (valuation,
+unit_level), so valuation-style queries return ints that callers compare.
+Operations that need a nonzero element raise PrecisionExhausted instead.
 """
-
-
-class _PrecisionExhausted:
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "PRECISION_EXHAUSTED"
-
-    def __bool__(self):
-        return False
-
-
-#: Sentinel: the queried quantity cannot be certified at working precision.
-PRECISION_EXHAUSTED = _PrecisionExhausted()
 
 
 class PrecisionExhausted(ArithmeticError):

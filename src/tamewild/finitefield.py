@@ -1,8 +1,8 @@
 """Finite fields F_q, q = p^s, their extensions, and dense polynomials.
 
 This is the one F_q of the package: the residue fields of the local side
-(localfield.PadicCtx.kappa), the constant fields of F_q(t) and the residue
-fields kappa(v) = F_q[t]/pi_v of its places (funcfield) are all
+(localfield.LocalFieldCtx.kappa), the constant fields of F_q(t) and the
+residue fields kappa(v) = F_q[t]/pi_v of its places (funcfield) are all
 FiniteField instances.  A FiniteField is base[x]/(modulus) for a monic
 irreducible modulus, and an element is an int in [0, q) whose base-Q digit
 j, Q the size of the base, is the coefficient of x^j; so the base is the

@@ -2,9 +2,9 @@
 
 O0 is the unramified extension of Z_p of degree d (the Witt vectors of
 F_q), realised as Z[x]/(g, p^N) for g the digit lift of a monic
-irreducible gbar over F_p; PadicCtx holds its parameters.  The residue field
-kappa = F_p[x]/(gbar) is a finitefield.FiniteField, so residues are ints in
-[0, q) whose base-p digit j is the coefficient of x^j.
+irreducible gbar over F_p; LocalFieldCtx holds its parameters beside f.  The
+residue field kappa = F_p[x]/(gbar) is a finitefield.FiniteField, so
+residues are ints in [0, q) whose base-p digit j is the coefficient of x^j.
 
 An element is one flat tuple of e*d integers in [0, p^N): the coefficient
 of x^j pi^i sits at index i*d + j, where x is the root of the unramified
@@ -15,7 +15,10 @@ distinct mod e, so the valuation of an element is their minimum and is
 attained at a unique index.
 
 Working pi-precision is M = e*N.  An element whose canonical form is the
-zero vector is indistinguishable from 0 at that precision.  A unit is
+zero vector is indistinguishable from 0 at that precision, and its
+valuation is M, that of an inexact zero in the capped-absolute model
+(Caruso-Roe-Vaccon, "Tracking p-adic precision", arXiv:1402.5938); every
+other element has valuation below M.  A unit is
 inverted by Newton on flat tuples from its inverse mod p, a truncated series
 in O/pO = kappa[pi]/(pi^e), so in ceil(log2 N) steps for every e
 (FElem.invert_unit).
@@ -36,7 +39,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
-    PRECISION_EXHAUSTED,
     BadInput,
     BelowThreshold,
     InvariantFailed,
@@ -49,7 +51,11 @@ from .errors import (
 from .finitefield import MAX_Q, DigitSpan, FiniteField, default_modulus
 from .ntheory import isprime
 
-#: Largest precision N a PadicCtx carries, so that no -N, preset or field
+#: The precision N of a field when none is given: of presets, field
+#: descriptors and the command line.
+DEFAULT_N = 64
+
+#: Largest precision N a LocalFieldCtx carries, so that no -N, preset or field
 #: descriptor stalls a command; at N = 1024 one norm-oracle query on
 #: Q_3(zeta_3) costs 0.06 s of CPU and the m0 experiment on Q_5(zeta_5)
 #: 2 s (CPython 3.11, Intel Xeon).
@@ -73,52 +79,21 @@ def _check_ed(e, d):
         raise UnsupportedField(f"e*d = {e * d} exceeds MAX_ED = {MAX_ED}")
 
 
-class PadicCtx:
-    """The parameters of O0, the unramified extension of Z_p of degree d,
-    truncated mod p^N.  An element of O0 is an FElem whose blocks above
-    block 0 are zero.
-
-    p must be prime, 8 <= N <= MAX_N is the number of carried p-digits,
-    gbar the residue modulus (the first irreducible in lexicographic
-    coefficient order by default, so residue fields are reproducible across
-    runs and shared with the function-field presets); its digit lift g, the
-    same coefficients read in Z, is the modulus of O0.
-    The default is searched for only up to p^d = MAX_Q: a larger residue
-    field could not build the tables its products need, and the search
-    alone can run for minutes.
-    """
-
-    def __init__(self, p, N=64, d=1, gbar=None):
-        if not isprime(p):
-            raise ValueError(f"p = {p} is not prime")
-        if N < 8:
-            raise ValueError("precision N must be at least 8")
-        if N > MAX_N:
-            raise ValueError(f"precision N must be at most MAX_N = {MAX_N}")
-        if d < 1:
-            raise ValueError("residue degree d must be >= 1")
-        self.p, self.N, self.d = p, N, d
-        self.mod = p ** N
-        if gbar is None:
-            if p ** d > MAX_Q:
-                raise BadInput(f"no default residue modulus for q = {p}^{d} "
-                               f"> MAX_Q = {MAX_Q}; give gbar")
-            gbar = default_modulus(p, d)
-        gbar = tuple(c % p for c in gbar)
-        if len(gbar) != d + 1:
-            raise ValueError("gbar must have degree d")
-        self.kappa = FiniteField(p, gbar)  # BadInput unless monic irreducible
-        self.q = p ** d
-        self.g = gbar
-
-    def __repr__(self):
-        return f"PadicCtx(p={self.p}, N={self.N}, d={self.d})"
+def _check_pN(p, N):
+    """ValueError unless p is prime and 8 <= N <= MAX_N, checked before any
+    polynomial of the field is built."""
+    if not isprime(p):
+        raise ValueError(f"p = {p} is not prime")
+    if N < 8:
+        raise ValueError("precision N must be at least 8")
+    if N > MAX_N:
+        raise ValueError(f"precision N must be at most MAX_N = {MAX_N}")
 
 
-def val_p_coeffs(coeffs, p):
-    """min over the ints coeffs of their p-adic valuations, or
-    PRECISION_EXHAUSTED when every one vanishes mod p^N."""
-    best = None
+def val_p_coeffs(coeffs, p, N):
+    """min over the ints coeffs, each in [0, p^N), of their p-adic
+    valuations: N, the valuation of an inexact zero, when every one is 0."""
+    best = N
     for c in coeffs:
         if c == 0:
             continue
@@ -126,11 +101,11 @@ def val_p_coeffs(coeffs, p):
         while c % p == 0:
             c //= p
             v += 1
-        if best is None or v < best:
+        if v < best:
             best = v
             if best == 0:
                 return 0
-    return PRECISION_EXHAUSTED if best is None else best
+    return best
 
 
 class _lazy:
@@ -158,7 +133,19 @@ class _lazy:
 
 
 class LocalFieldCtx:
-    """F = F0(pi) with pi a root of the Eisenstein polynomial f.
+    """F = F0(pi) with pi a root of the Eisenstein polynomial f over O0, the
+    unramified extension of Z_p of degree d, truncated mod p^N.  An element
+    of O0 is an FElem whose blocks above block 0 are zero.
+
+    p must be prime, 8 <= N <= MAX_N is the number of carried p-digits,
+    gbar the residue modulus (the first irreducible in lexicographic
+    coefficient order by default, so residue fields are reproducible across
+    runs and shared with the function-field presets); its digit lift g, the
+    same coefficients read in Z, is the modulus of O0, and kappa =
+    F_p[x]/(gbar) is the residue field.
+    The default is searched for only up to p^d = MAX_Q: a larger residue
+    field could not build the tables its products need, and the search
+    alone can run for minutes.
 
     Derived data: ramification index e = deg f, q = p^d, e1 = e/(p-1) kept
     as an exact Fraction, pi-precision M = e*N, and, computed lazily, the
@@ -166,20 +153,31 @@ class LocalFieldCtx:
     f is kept as a flat tuple of (e+1)*d ints in the element layout.
     """
 
-    def __init__(self, base: PadicCtx, f, name=None):
-        self.base = base
-        self.p, self.N, self.d, self.q = base.p, base.N, base.d, base.q
-        self.mod = base.mod
+    def __init__(self, p, f, N=DEFAULT_N, d=1, gbar=None, name=None):
+        _check_pN(p, N)
+        if d < 1:
+            raise ValueError("residue degree d must be >= 1")
+        self.p, self.N, self.d = p, N, d
+        self.mod = p ** N
+        if gbar is None:
+            if p ** d > MAX_Q:
+                raise BadInput(f"no default residue modulus for q = {p}^{d} "
+                               f"> MAX_Q = {MAX_Q}; give gbar")
+            gbar = default_modulus(p, d)
+        gbar = tuple(c % p for c in gbar)
+        if len(gbar) != d + 1:
+            raise ValueError("gbar must have degree d")
+        self.kappa = FiniteField(p, gbar)  # BadInput unless monic irreducible
+        self.q = p ** d
         e = len(f) - 1
-        _check_ed(e, self.d)
+        _check_ed(e, d)
         f = tuple(x for c in f for x in self._block(c))
-        d = self.d
         if f[e * d:] != self._block(1):
             raise ValueError("f must be monic")
         if any(c % self.p for c in f[:e * d]):
             raise ValueError("f is not Eisenstein: a lower coefficient "
                              "is a unit")
-        if val_p_coeffs(f[:d], self.p) != 1:
+        if val_p_coeffs(f[:d], p, N) != 1:
             raise ValueError("f is not Eisenstein: constant term must have "
                              "valuation exactly 1")
         self.f = f
@@ -218,7 +216,7 @@ class LocalFieldCtx:
         stay small ints; every output slot is reduced mod p^N once.  Only
         ints of this context go into the source, and MAX_ED bounds its
         length."""
-        e, d, m, g, f = self.e, self.d, self.mod, self.base.g, self.f
+        e, d, m, g, f = self.e, self.d, self.mod, self.kappa.modulus, self.f
         n, w = e * d, 2 * d - 1
         forms = {}
         for k in range(2 * e - 1):
@@ -281,7 +279,7 @@ class LocalFieldCtx:
 
     def lift_residue(self, c):
         """The plain digit lift to O0 of a residue-field element."""
-        return self.monomial(0, self.base.kappa.digits(c))
+        return self.monomial(0, self.kappa.digits(c))
 
     def pi_pow(self, s):
         """pi^s for s >= 0, cached per exponent asked for."""
@@ -303,7 +301,7 @@ class LocalFieldCtx:
         c^(1/p)), level t > e1 to t + e by multiplication by rho (a =
         c/rho), and the critical level t = e1 to p*t by phi (phi_span); no
         p-th power lands on a level s < p*e1 prime to p."""
-        kappa, p = self.base.kappa, self.p
+        kappa, p = self.kappa, self.p
         above = s * (p - 1) - p * self.e  # the sign of s - p*e1
         if above > 0:
             return kappa.mul(c, kappa.inv(self.rho)), s - self.e, 0
@@ -378,7 +376,7 @@ class LocalFieldCtx:
         """The image of phi(a) = a^p + rho*a, the graded p-power map at the
         critical level, as a DigitSpan over kappa whose rows carry their
         preimages."""
-        kappa = self.base.kappa
+        kappa = self.kappa
         span = DigitSpan(kappa)
         gen = kappa.generator() if self.d > 1 else kappa.one
         for j in range(self.d):
@@ -394,7 +392,7 @@ class LocalFieldCtx:
     @_lazy
     def omega(self):
         """Teichmuller lift of the fixed residue-field generator."""
-        return self.teichmuller(self.base.kappa.generator())
+        return self.teichmuller(self.kappa.generator())
 
     @_lazy
     def k(self):
@@ -409,7 +407,7 @@ class LocalFieldCtx:
         digits up to level p*e1, so PrecisionExhausted is raised once
         M - j*e <= p*e1.
         """
-        p, e, kappa = self.p, self.e, self.base.kappa
+        p, e, kappa = self.p, self.e, self.kappa
         if e % (p - 1):
             return 0
         n, r = divmod(kappa.dlog(kappa.neg(self.rho)), p - 1)
@@ -450,7 +448,7 @@ class LocalFieldCtx:
             "p": self.p,
             "d": d,
             "N": self.N,
-            "gbar": list(self.base.kappa.modulus),
+            "gbar": list(self.kappa.modulus),
             "f": [list(self.f[i:i + d]) for i in range(0, len(self.f), d)],
             "name": self.name,
         }
@@ -464,7 +462,7 @@ class LocalFieldCtx:
         missing = [key for key in ("p", "f") if key not in desc]
         if missing:
             raise BadInput(f"the field descriptor has no {missing[0]!r}")
-        p, N, d = desc["p"], desc.get("N", 64), desc.get("d", 1)
+        p, N, d = desc["p"], desc.get("N", DEFAULT_N), desc.get("d", 1)
         if not all(type(v) is int for v in (p, N, d)):
             raise BadInput("p, N and d of a field descriptor must be ints")
         gbar, f = desc.get("gbar"), desc["f"]
@@ -474,7 +472,7 @@ class LocalFieldCtx:
                            "ints")
         if not isinstance(f, list):
             raise BadInput("f of a field descriptor must be a list")
-        return cls(PadicCtx(p, N, d, gbar=gbar), f, name=desc.get("name"))
+        return cls(p, f, N, d, gbar=gbar, name=desc.get("name"))
 
     @classmethod
     def from_json(cls, text):
@@ -485,10 +483,9 @@ class LocalFieldCtx:
 # shipped presets
 # ---------------------------------------------------------------------------
 
-def qp(p, N=64):
+def qp(p, N=DEFAULT_N):
     """Q_p itself (e = 1, f = T - p)."""
-    base = PadicCtx(p, N, 1)
-    return LocalFieldCtx(base, [-p, 1], name=f"qp-{p}")
+    return LocalFieldCtx(p, [-p, 1], N, name=f"qp-{p}")
 
 
 def cyclotomic_eisenstein(p):
@@ -496,29 +493,29 @@ def cyclotomic_eisenstein(p):
     return [math.comb(p, j + 1) for j in range(p)]
 
 
-def qp_zeta(p, N=64):
+def qp_zeta(p, N=DEFAULT_N):
     """Q_p(zeta_p) with f = ((T+1)^p - 1)/T; pi = zeta_p - 1."""
-    base = PadicCtx(p, N, 1)
+    _check_pN(p, N)
     _check_ed(p - 1, 1)
-    return LocalFieldCtx(base, cyclotomic_eisenstein(p), name=f"qp-zeta-{p}")
+    return LocalFieldCtx(p, cyclotomic_eisenstein(p), N,
+                         name=f"qp-zeta-{p}")
 
 
-def eisenstein_root(p, e, N=64, d=1):
+def eisenstein_root(p, e, N=DEFAULT_N, d=1):
     """Q_p-extension with f = T^e - p (the e-th root of p), optionally over
     an unramified base of degree d."""
     _check_ed(e, d)
-    base = PadicCtx(p, N, d)
     f = [-p] + [0] * (e - 1) + [1]
     name = {2: f"sqrt-{p}", 3: f"cbrt-{p}"}.get(e, f"root{e}-{p}")
     if d > 1:
         name += f"-unram{d}"
-    return LocalFieldCtx(base, f, name=name)
+    return LocalFieldCtx(p, f, N, d, name=name)
 
 
 _PRESET = re.compile(r"(qp|qp-zeta|sqrt|cbrt|root(\d+))-(\d+)")
 
 
-def preset(name, N=64):
+def preset(name, N=DEFAULT_N):
     """Resolve a preset name: qp-P, qp-zeta-P, sqrt-P, cbrt-P, rootE-P.
 
     A name of another shape is an unknown preset; a field that cannot be
@@ -626,7 +623,7 @@ class FElem:
 
     def residue(self):
         """Image in the residue field (the constant coefficient's residue)."""
-        return self.ctx.base.kappa.pack(self.flat[:self.ctx.d])
+        return self.ctx.kappa.pack(self.flat[:self.ctx.d])
 
     def div_pi_pow(self, n):
         """Exact division by pi^n, n >= 0, by the block rule of the module
@@ -658,7 +655,7 @@ class FElem:
         y <- y(2 - xy) on flat tuples doubles that precision up to M:
         ceil(log2 N) steps of two kernel products each, whatever e is."""
         ctx, x = self.ctx, self.flat
-        kappa, d = ctx.base.kappa, ctx.d
+        kappa, d = ctx.kappa, ctx.d
         a = [kappa.pack(x[i:i + d]) for i in range(0, len(x), d)]
         if not a[0]:
             raise BadInput("invert_unit needs a unit (valuation 0)")
@@ -687,23 +684,21 @@ class FElem:
 # ---------------------------------------------------------------------------
 
 def valuation(x):
-    """pi-adic valuation min_i (e*val_p(block i) + i), PRECISION_EXHAUSTED
-    if the canonical form is the zero vector.  Block i's candidate is at
-    least i, so the scan stops once the best candidate is <= i."""
+    """pi-adic valuation min_i (e*val_p(block i) + i), M if the canonical
+    form is the zero vector.  A zero block's candidate e*N + i is at least
+    M and any other one below M.  Block i's candidate is at least i, so the
+    scan stops once the best candidate is <= i."""
     ctx = x.ctx
-    e, d, p = ctx.e, ctx.d, ctx.p
+    e, d, p, N = ctx.e, ctx.d, ctx.p, ctx.N
     flat = x.flat
-    best = None
+    best = ctx.M
     for i in range(e):
-        if best is not None and best <= i:
+        if best <= i:
             break
-        v = val_p_coeffs(flat[i * d:(i + 1) * d], p)
-        if v is PRECISION_EXHAUSTED:
-            continue
-        cand = e * v + i
-        if best is None or cand < best:
+        cand = e * val_p_coeffs(flat[i * d:(i + 1) * d], p, N) + i
+        if cand < best:
             best = cand
-    return PRECISION_EXHAUSTED if best is None else best
+    return best
 
 
 @dataclass(frozen=True)
@@ -719,7 +714,7 @@ class UnitDecomposition:
 
 def _nonzero_valuation(x):
     v = valuation(x)
-    if v is PRECISION_EXHAUSTED:
+    if v == x.ctx.M:
         raise PrecisionExhausted("cannot decompose an element that is "
                                  "indistinguishable from 0")
     return v
@@ -731,7 +726,7 @@ def lead(x):
     docstring).  PrecisionExhausted when x is indistinguishable from 0."""
     v = _nonzero_valuation(x)
     ctx = x.ctx
-    kappa, d = ctx.base.kappa, ctx.d
+    kappa, d = ctx.kappa, ctx.d
     k, i = divmod(v, ctx.e)
     pk = ctx.p ** k
     c = kappa.pack([b // pk for b in x.flat[i * d:(i + 1) * d]])
@@ -749,10 +744,10 @@ def unit_decompose(x):
     """Split x (nonzero at precision) as pi^n * omega^i * u, u in U^1."""
     n, y = split_unit(x)
     ctx = x.ctx
-    i = ctx.base.kappa.dlog(y.residue())
+    i = ctx.kappa.dlog(y.residue())
     u = y * ctx.teichmuller_power(-i)
     lv = valuation(u - ctx.one)
-    if lv is not PRECISION_EXHAUSTED and lv < 1:
+    if lv < 1:
         raise InvariantFailed("x * pi^-n * omega^-i is not a principal unit")
     return UnitDecomposition(n, i, u)
 
@@ -760,12 +755,10 @@ def unit_decompose(x):
 def unit_level(u):
     """Largest r with u in U^r = 1 + m^r, i.e. v(u - 1).
 
-    Returns PRECISION_EXHAUSTED when u is indistinguishable from 1.
+    Returns M when u is indistinguishable from 1.
     Raises NotPrincipalUnit when v(u - 1) <= 0.
     """
     lv = valuation(u - u.ctx.one)
-    if lv is PRECISION_EXHAUSTED:
-        return PRECISION_EXHAUSTED
     if lv <= 0:
         raise NotPrincipalUnit("v(u-1) <= 0")
     return lv
@@ -833,8 +826,7 @@ def hasse_forward(ctx, t, depth=None):
     entries = []
     for idx, g in enumerate(spanning_units(ctx, t, t + depth)):
         s, a = divmod(idx, ctx.d)
-        lv = unit_level(g ** ctx.p)
-        entries.append((t + s, a, ctx.M if lv is PRECISION_EXHAUSTED else lv))
+        entries.append((t + s, a, unit_level(g ** ctx.p)))
     min_landing = min(en[2] for en in entries)
     return HasseForwardReport(
         t=t,
@@ -855,7 +847,7 @@ def strip_pth_powers(u, stop):
     pi^t)^p, (a, t, m) = graded_pth_root(s, -c), which leaves -m; no
     inverse is taken, and each cleared level raises the level of u*x^p."""
     ctx = u.ctx
-    one, p, neg = ctx.one, ctx.p, ctx.base.kappa.neg
+    one, p, neg = ctx.one, ctx.p, ctx.kappa.neg
     x = one
     while True:
         y = u - one
@@ -886,12 +878,13 @@ def pth_root_in_filtration(w, t):
 
     Above e1 the induced map on each graded piece is multiplication by the
     residue of p*pi^{-e}, a bijection, so pth_root finds u digit by digit.
-    The answer is unique up to mu_p(F).
+    The answer is unique up to mu_p(F).  A w indistinguishable from 1 (level
+    M) passes however far t + e lies above M.
     """
     ctx = w.ctx
     if t * (ctx.p - 1) <= ctx.e:
         raise BelowThreshold(f"t = {t} is not above e1 = {ctx.e1}")
     lv = unit_level(w)
-    if lv is not PRECISION_EXHAUSTED and lv < t + ctx.e:
+    if lv < min(t + ctx.e, ctx.M):
         raise NotInIdeal(f"w has level {lv} < t + e = {t + ctx.e}")
     return pth_root(w)

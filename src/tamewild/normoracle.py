@@ -93,7 +93,7 @@ class _Reducer:
     def __init__(self, ctx: LocalFieldCtx, m: int):
         self.ctx = ctx
         self.m = m
-        self.kappa = ctx.base.kappa
+        self.kappa = ctx.kappa
         self.exponents = GF(m)  # the digits at ("pi",) and ("omega",)
         p = ctx.p
         self.wild = m == p  # otherwise m = 2 and p is odd

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import (
-    PRECISION_EXHAUSTED,
     BadInput,
     BudgetExceeded,
     PIsTwo,
@@ -46,11 +45,10 @@ class OrderRm:
         of pi^i in x."""
         if depth <= 0:
             return True
-        d = self.ctx.d
-        v = val_p_coeffs(x.flat[i * d:(i + 1) * d], self.ctx.p)
-        if v is PRECISION_EXHAUSTED:
-            if self.ctx.N >= depth:
-                return True
+        ctx = self.ctx
+        d, N = ctx.d, ctx.N
+        v = val_p_coeffs(x.flat[i * d:(i + 1) * d], ctx.p, N)
+        if v == N and N < depth:
             raise PrecisionExhausted(
                 "coefficient valuation cannot be certified against m")
         return v >= depth
@@ -64,8 +62,7 @@ class OrderRm:
         """z in the maximal ideal: p O0 + pi^m O_F for m >= 1, pi O_F for
         m = 0."""
         if self.m == 0:
-            v = valuation(z)
-            return v is PRECISION_EXHAUSTED or v >= 1
+            return valuation(z) >= 1
         # val_p(a_0) >= 1, and the R_m constraints on the higher blocks
         return self._coeff_ok(z, 0, 1) and self.contains(z)
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import (
-    PRECISION_EXHAUSTED,
     BadInput,
     InvariantFailed,
     NotDeepEnough,
@@ -47,7 +46,7 @@ def tame_symbol_residue(x, y):
     ctx = x.ctx
     a, rx = lead(x)
     b, ry = lead(y)
-    kappa = ctx.base.kappa
+    kappa = ctx.kappa
     val = kappa.mul(kappa.pow(rx, b), kappa.pow(kappa.inv(ry), a))
     if (a * b) % 2 and ctx.p != 2:
         val = kappa.neg(val)
@@ -56,7 +55,7 @@ def tame_symbol_residue(x, y):
 
 def tame_symbol(x, y):
     """Tame symbol as an exponent of the fixed residue generator."""
-    return x.ctx.base.kappa.dlog(tame_symbol_residue(x, y))
+    return x.ctx.kappa.dlog(tame_symbol_residue(x, y))
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +216,7 @@ def k2_transform(u):
     with g = 1 + z/pi - z, take a = g^{-1} and b = 1 - pi*g."""
     ctx = u.ctx
     lv = unit_level(u)
-    if lv is not PRECISION_EXHAUSTED and lv < 2:
+    if lv < 2:
         raise NotDeepEnough(f"unit level {lv} < 2")
     z = ctx.one - u
     g = ctx.one + z.div_pi_pow(1) - z

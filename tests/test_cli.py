@@ -202,6 +202,11 @@ def test_usage_errors(capsys):
     capsys.readouterr()
     assert dispatch(["lattice", "--p", "11"]) == 2
     capsys.readouterr()
+    # Fraction("1/0") raises ZeroDivisionError, which argparse passes on
+    for argv in (["hilbert2", "--place", "3", "--a", "1/0", "--b", "2"],
+                 ["moore", "--a", "1/0", "--b", "2"]):
+        assert dispatch(argv) == 2
+        assert "'1/0' has denominator 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("error", [InvariantFailed])
@@ -319,7 +324,7 @@ def test_residue_degree_above_the_cap_builds_with_gbar():
     ctx = localfield.LocalFieldCtx.from_descriptor(
         {"p": 2, "d": 17, "N": 8, "f": [2, 1], "gbar": gbar})
     assert ctx.q == 2 ** 17
-    assert ctx.base.kappa.modulus == tuple(gbar)
+    assert ctx.kappa.modulus == tuple(gbar)
     assert localfield.valuation(ctx.pi * ctx.pi) == 2
 
 

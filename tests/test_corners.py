@@ -7,7 +7,7 @@ from test_division import ref_div_p, ref_div_pi
 
 from tamewild.cli import dispatch
 from tamewild.errors import BadInput, PrecisionExhausted
-from tamewild.localfield import MAX_N, LocalFieldCtx, PadicCtx, qp, valuation
+from tamewild.localfield import MAX_N, LocalFieldCtx, qp, valuation
 from tamewild.symbols import tame_symbol
 
 
@@ -28,8 +28,7 @@ def test_frobenius_elimination_branch():
     # Q_3(zeta_9): e1 = 3, so levels 3 and 6 are eliminated by the
     # Frobenius-twist branch of the graded p-power map
     from tamewild.normoracle import NormResidueOracle
-    base = PadicCtx(3, 16, 1)
-    F = LocalFieldCtx(base, [3, 9, 18, 21, 15, 6, 1], name="qp-zeta9-3")
+    F = LocalFieldCtx(3, [3, 9, 18, 21, 15, 6, 1], 16, name="qp-zeta9-3")
     oracle = NormResidueOracle(F, 3)
     # (1 + a pi)^3 = 1 + a^3 pi^3 + ... : level-3 leading digits of cubes
     # must reduce to triviality through that branch
@@ -76,7 +75,7 @@ def test_plain_text_output(capsys):
 
 
 def test_padic_validation_corners():
-    ctx = LocalFieldCtx(PadicCtx(3, 16, 2), [3, 1])
+    ctx = LocalFieldCtx(3, [3, 1], 16, 2)
     with pytest.raises(ValueError):
         ctx.elem([[1, 2, 3]])  # wrong length
     with pytest.raises(ValueError):
@@ -86,9 +85,9 @@ def test_padic_validation_corners():
 
 
 def test_precision_cap():
-    assert PadicCtx(3, MAX_N).N == MAX_N == 1024
+    assert qp(3, MAX_N).N == MAX_N == 1024
     with pytest.raises(ValueError, match="MAX_N"):
-        PadicCtx(3, MAX_N + 1)
+        qp(3, MAX_N + 1)
 
 
 def test_fq_rational_guards():

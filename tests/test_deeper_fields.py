@@ -6,7 +6,6 @@ import pytest
 from tamewild.errors import BadInput, OracleUnavailable, PrecisionExhausted
 from tamewild.localfield import (
     LocalFieldCtx,
-    PadicCtx,
     hasse_forward,
     pth_root_in_filtration,
     spanning_units,
@@ -19,8 +18,7 @@ from tamewild.symbols import tame_symbol, triviality_oracle, wild_symbol_zeta
 @pytest.fixture(scope="module")
 def zeta9():
     """Q_3(zeta_9): f = ((T+1)^9 - 1)/((T+1)^3 - 1), e = 6, k = 2."""
-    base = PadicCtx(3, 16, 1)
-    return LocalFieldCtx(base, [3, 9, 18, 21, 15, 6, 1], name="qp-zeta9-3")
+    return LocalFieldCtx(3, [3, 9, 18, 21, 15, 6, 1], 16, name="qp-zeta9-3")
 
 
 def test_zeta9_wild_exponent(zeta9):
@@ -65,7 +63,7 @@ def test_zeta9_order_membership(zeta9):
 
 def test_large_residue_field_smoke():
     # p = 13, d = 3: q = 2197; dlog tables and tame symbols stay exact
-    ctx = LocalFieldCtx(PadicCtx(13, 8, 3), [-13, 1], name="q13-3")
+    ctx = LocalFieldCtx(13, [-13, 1], 8, 3, name="q13-3")
     omega = ctx.omega
     assert omega ** (ctx.q - 1) == ctx.one
     assert tame_symbol(ctx.pi, omega) == ctx.q - 2  # residue(omega)^{-1}

@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from tamewild.errors import PRECISION_EXHAUSTED, PrecisionExhausted
+from tamewild.errors import PrecisionExhausted
 from tamewild.localfield import (
     FElem,
     LocalFieldCtx,
@@ -95,7 +95,7 @@ def test_div_pi_pow_matches_the_chain(ctx):
                 continue
             diff = x.div_pi_pow(n) - ref_div_pi_pow(x, n)
             dv = valuation(diff)
-            assert dv is PRECISION_EXHAUSTED or dv >= ctx.M - n, (x, n)
+            assert dv >= ctx.M - n, (x, n)
         with pytest.raises(ValueError):
             x.div_pi_pow(v + 1)
         with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ import pytest
 import sympy
 
 from tamewild.errors import OracleUnavailable
-from tamewild.localfield import LocalFieldCtx, PadicCtx, qp_zeta
+from tamewild.localfield import LocalFieldCtx, qp_zeta
 from tamewild.normoracle import norm_residue_trivial
 from tamewild.orders import OrderRm, estimate_m0
 from tamewild.finitefield import GF, FqPoly, default_modulus, is_irreducible
@@ -27,7 +27,7 @@ def test_default_moduli_cover_small_fields():
 
 def test_residue_generator_has_full_order():
     for p, d in ((3, 2), (5, 2), (7, 1), (2, 3)):
-        ctx = PadicCtx(p, 12, d)
+        ctx = LocalFieldCtx(p, [-p, 1], 12, d)
         g = ctx.kappa.generator()
         order = ctx.q - 1
         for f in sympy.factorint(order):

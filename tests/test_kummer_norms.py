@@ -13,9 +13,8 @@ import random
 import pytest
 
 from tamewild.cli import element_from_string
-from tamewild.errors import PRECISION_EXHAUSTED
 from tamewild.finitefield import FiniteField
-from tamewild.localfield import preset, valuation
+from tamewild.localfield import preset
 from tamewild.normoracle import NormResidueOracle
 from test_oracle_golden import _extension_kind
 
@@ -89,7 +88,7 @@ def _extensions(name, N, m, ys):
 def _random_elem(ctx, rng):
     while True:
         x = ctx.elem([rng.randrange(ctx.p ** 4) for _ in range(ctx.e)])
-        if not x.is_zero() and valuation(x) is not PRECISION_EXHAUSTED:
+        if not x.is_zero():
             return x * ctx.pi ** rng.randrange(3)
 
 

@@ -15,7 +15,6 @@ from tamewild.localfield import (
     spanning_units,
     valuation,
 )
-from tamewild.errors import PRECISION_EXHAUSTED
 from tamewild import normoracle
 from tamewild.normoracle import (
     NormResidueOracle,
@@ -45,14 +44,14 @@ def _rational_in(ctx, r):
     while den % p == 0:
         den //= p
         v -= 1
-    lift = num * pow(den, -1, ctx.base.mod) % ctx.base.mod
+    lift = num * pow(den, -1, ctx.mod) % ctx.mod
     return ctx.from_int(lift) * ctx.pi ** (v % 2)
 
 
 def _random_nonzero(ctx, rng, digits=5):
     while True:
         x = ctx.elem([rng.randrange(ctx.p ** digits) for _ in range(ctx.e)])
-        if not x.is_zero() and valuation(x) is not PRECISION_EXHAUSTED:
+        if not x.is_zero():
             return x
 
 
@@ -109,7 +108,7 @@ def test_oracle_vs_closed_form_sweep(p):
 
 def test_minus_one_minus_one_at_two(q2):
     # the frozen wild example: -1 is not a sum of two squares in Q_2
-    x = q2.from_int(q2.base.mod - 1)
+    x = q2.from_int(q2.mod - 1)
     assert not norm_residue_trivial(x, x, 2)
 
 
@@ -120,7 +119,7 @@ def test_wild_oracle_matches_wild_symbol(z3):
     rng = random.Random(3)
     for _ in range(40):
         x = _random_nonzero(z3, rng) * z3.pi ** rng.randrange(2)
-        if valuation(x) is PRECISION_EXHAUSTED:
+        if x.is_zero():
             continue
         assert (wild_symbol_zeta(x, z3) == 0) == \
             norm_residue_trivial(x, zeta, 3)
@@ -167,7 +166,7 @@ def test_steinberg_through_oracle(z3):
     while count < 10:
         x = _random_nonzero(z3, rng)
         y = z3.one - x
-        if y.is_zero() or valuation(y) is PRECISION_EXHAUSTED:
+        if y.is_zero():
             continue
         count += 1
         assert tame_symbol(x, y) == 0 and norm_residue_trivial(x, y, 3)
@@ -219,14 +218,13 @@ def test_unramified_splitting_needs_prime_residue_field():
 
 def test_wild_oracle_on_k2_field():
     # Q_3(zeta_9): k = 2 >= 1, so the m = 3 oracle applies
-    from tamewild.localfield import LocalFieldCtx, PadicCtx
-    base = PadicCtx(3, 16, 1)
-    F = LocalFieldCtx(base, [3, 9, 18, 21, 15, 6, 1], name="qp-zeta9-3")
+    from tamewild.localfield import LocalFieldCtx
+    F = LocalFieldCtx(3, [3, 9, 18, 21, 15, 6, 1], 16, name="qp-zeta9-3")
     y = F.one + F.pi
     rng = random.Random(11)
     for _ in range(10):
         t = F.elem([rng.randrange(3 ** 4) for _ in range(6)])
-        if t.is_zero() or valuation(t) is PRECISION_EXHAUSTED:
+        if t.is_zero():
             continue
         assert norm_residue_trivial(t ** 3, y, 3)  # cubes are norms
     # pi is not a cube class; against the unramified-type y it cannot be a
@@ -254,8 +252,7 @@ def test_symmetry_quadratic(q5, q2):
         for _ in range(15):
             x = _random_nonzero(ctx, rng) * ctx.pi ** rng.randrange(2)
             y = _random_nonzero(ctx, rng) * ctx.pi ** rng.randrange(2)
-            if valuation(x) is PRECISION_EXHAUSTED \
-                    or valuation(y) is PRECISION_EXHAUSTED:
+            if x.is_zero() or y.is_zero():
                 continue
             assert norm_residue_trivial(x, y, 2) == \
                 norm_residue_trivial(y, x, 2)
@@ -278,7 +275,7 @@ def test_ramified_quadratic_over_bigger_field(cbrt3):
     rng = random.Random(10)
     for _ in range(20):
         t = _random_nonzero(cbrt3, rng) * cbrt3.pi ** rng.randrange(2)
-        if valuation(t) is PRECISION_EXHAUSTED:
+        if t.is_zero():
             continue
         # squares are norms from every quadratic extension
         assert norm_residue_trivial(t * t, cbrt3.pi, 2)

@@ -12,7 +12,6 @@ import itertools
 from test_division import ref_div_pi_pow
 
 from tamewild.localfield import qp, qp_zeta, unit_level
-from tamewild.errors import PRECISION_EXHAUSTED
 from tamewild.normoracle import NormResidueOracle
 
 
@@ -27,7 +26,7 @@ def _unit_class_digits(ctx, u, depth):
     digits = {}
     while True:
         lv = unit_level(u)
-        if lv is PRECISION_EXHAUSTED or lv >= depth:
+        if lv >= depth:
             return tuple(sorted(digits.items()))
         d = ref_div_pi_pow(u - ctx.one, lv).residue()
         digits[lv] = d
@@ -37,7 +36,7 @@ def _unit_class_digits(ctx, u, depth):
 
 def _unit_reps(ctx, depth):
     """Representatives 1 + sum digit*pi^s of U^1 / U^depth."""
-    kappa = ctx.base.kappa
+    kappa = ctx.kappa
     reps = []
     for combo in itertools.product(list(kappa.elements()),
                                    repeat=depth - 1):

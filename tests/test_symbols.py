@@ -7,8 +7,6 @@ from tamewild.errors import (
     NotDeepEnough,
     ZeroInput,
 )
-from tamewild.localfield import valuation
-from tamewild.errors import PRECISION_EXHAUSTED
 from tamewild.symbols import (
     hilbert_quadratic_padic,
     hilbert_quadratic_q,
@@ -24,7 +22,7 @@ from tamewild.symbols import (
 def _random_nonzero(ctx, rng, digits=6):
     while True:
         x = ctx.elem([rng.randrange(ctx.p ** digits) for _ in range(ctx.e)])
-        if not x.is_zero() and valuation(x) is not PRECISION_EXHAUSTED:
+        if not x.is_zero():
             return x
 
 
@@ -32,7 +30,7 @@ def _random_nonzero(ctx, rng, digits=6):
 
 def test_tame_trivials(q5):
     pi = q5.pi
-    kappa = q5.base.kappa
+    kappa = q5.kappa
     assert tame_symbol_residue(pi, pi) == kappa.neg(kappa.one)
     u = q5.from_int(3)
     assert tame_symbol_residue(pi, u) == kappa.inv(u.residue())
@@ -60,7 +58,7 @@ def test_steinberg(q5, z3):
         while count < 100:
             x = _random_nonzero(ctx, rng)
             y = ctx.one - x
-            if y.is_zero() or valuation(y) is PRECISION_EXHAUSTED:
+            if y.is_zero():
                 continue
             count += 1
             assert tame_symbol(x, y) == 0
@@ -143,7 +141,7 @@ def test_tame_part_matches_quadratic(q5):
 def test_norm_scalars(z3):
     n = z3.e * z3.d
     for c in (2, 7, 10):
-        assert norm_to_base(z3.from_int(c)) == pow(c, n, z3.base.mod)
+        assert norm_to_base(z3.from_int(c)) == pow(c, n, z3.mod)
 
 
 def test_norm_of_uniformizer(z3, z5):
@@ -158,7 +156,7 @@ def test_norm_multiplicative(z3):
         x = _random_nonzero(z3, rng)
         y = _random_nonzero(z3, rng)
         lhs = norm_to_base(x * y)
-        rhs = norm_to_base(x) * norm_to_base(y) % z3.base.mod
+        rhs = norm_to_base(x) * norm_to_base(y) % z3.mod
         assert lhs == rhs
 
 
@@ -234,8 +232,7 @@ def test_k1_preserves_tame(z3, q5):
         for _ in range(200):
             x = _random_nonzero(ctx, rng) * ctx.pi ** rng.randrange(3)
             y = _random_nonzero(ctx, rng) * ctx.pi ** rng.randrange(3)
-            if valuation(x) is PRECISION_EXHAUSTED \
-                    or valuation(y) is PRECISION_EXHAUSTED:
+            if x.is_zero() or y.is_zero():
                 continue
             pairs = k1_decompose(x, y)
             assert tame_symbol(x, y) == \
