@@ -14,13 +14,7 @@ import sys
 from dataclasses import dataclass
 
 from . import localfield
-from .errors import (
-    BadInput,
-    BudgetExceeded,
-    InvariantFailed,
-    OracleUnavailable,
-    UnsupportedSplitting,
-)
+from .errors import BadInput, BudgetExceeded, InvariantFailed
 from .finitefield import GF
 from .funcfield import (
     ff_hilbert_check,
@@ -82,34 +76,40 @@ def _emit(cfg, command, result, certified=None):
             doc["certified_precision"] = certified
         print(json.dumps(doc, sort_keys=True))
     else:
-        _print_plain(result)
+        # built whole before the first write, so a value that cannot be
+        # printed (an int past CPython's str limit) leaves stdout empty
+        sys.stdout.write("".join(_plain_lines(result)))
 
 
-def _print_plain(result, indent=""):
+def _plain_lines(result, indent=""):
     if isinstance(result, dict):
         for k in sorted(result):
             v = result[k]
             if isinstance(v, (dict, list)):
-                print(f"{indent}{k}:")
-                _print_plain(v, indent + "  ")
+                yield f"{indent}{k}:\n"
+                yield from _plain_lines(v, indent + "  ")
             else:
-                print(f"{indent}{k}: {v}")
+                yield f"{indent}{k}: {v}\n"
     elif isinstance(result, list):
         for v in result:
-            _print_plain(v, indent)
+            yield from _plain_lines(v, indent)
     else:
-        print(f"{indent}{result}")
+        yield f"{indent}{result}\n"
 
 
 def _fraction(text):
-    """A rational argument; a zero denominator is a usage error, which
-    argparse makes of ArgumentTypeError but not of ZeroDivisionError."""
+    """A rational argument.  argparse reports its own ArgumentTypeError
+    message, but names only the converter for a ValueError and passes a
+    ZeroDivisionError on, so both become ArgumentTypeError."""
     from fractions import Fraction
     try:
         return Fraction(text)
     except ZeroDivisionError:
         raise argparse.ArgumentTypeError(
             f"{text!r} has denominator 0") from None
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a rational number") from None
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +358,8 @@ def dispatch(argv) -> int:
                     seed=args.seed, json_mode=args.json_mode)
     try:
         return args.func(args, cfg)
-    except (ValueError, ArithmeticError, OSError, OracleUnavailable,
-            BudgetExceeded, UnsupportedSplitting, InvariantFailed) as exc:
+    except (ValueError, ArithmeticError, OSError, BudgetExceeded,
+            InvariantFailed) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

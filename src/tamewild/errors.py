@@ -1,4 +1,19 @@
-"""Shared error types.
+"""Shared error types, one per thing a caller can do about the refusal.
+
+- BadInput: an argument violates a documented precondition (a zero where a
+  nonzero element is needed, a unit outside the asked-for filtration
+  level, a malformed expression or descriptor); fix the argument.
+- Unsupported: the arguments are well formed but the case is not covered
+  (p = 2 where only odd p is, a field outside the presets or the caps, a
+  Kummer splitting or symbol evaluator that does not exist here).
+- PrecisionExhausted, BudgetExceeded, FactoringCapExceeded: a cap was
+  reached; raise -N or --budget, or give a smaller integer.
+- InvariantFailed: a result contradicts an identity that holds by theory;
+  a bug.
+
+Arithmetic on zero (an inverse, a dlog) raises ZeroDivisionError.  Every
+message names the precondition that failed, so the type says what to do and
+the text says why.  The command line maps all of them to exit code 2.
 
 Precision is capped absolutely: an element indistinguishable from zero at
 working precision has valuation N (val_p_coeffs) or M = e*N (valuation,
@@ -7,57 +22,25 @@ Operations that need a nonzero element raise PrecisionExhausted instead.
 """
 
 
+class BadInput(ValueError):
+    """An argument violates a documented precondition."""
+
+
+class Unsupported(ValueError):
+    """The case is well formed but outside what the program covers."""
+
+
 class PrecisionExhausted(ArithmeticError):
     """A computation could not be certified at the working precision."""
-
-
-class ZeroInput(ValueError):
-    """A nonzero argument was required."""
-
-
-class NotPrincipalUnit(ValueError):
-    """An element of 1 + m was required."""
-
-
-class NotInIdeal(ValueError):
-    """The element does not lie in the selected ideal."""
-
-
-class BelowThreshold(ValueError):
-    """The filtration level is at or below the critical ramification bound."""
-
-
-class NotDeepEnough(ValueError):
-    """The unit does not lie deep enough in the unit filtration."""
-
-
-class BadInput(ValueError):
-    """Arguments violate a documented precondition."""
-
-
-class UnsupportedField(ValueError):
-    """The requested field is outside the shipped presets."""
-
-
-class UnsupportedSplitting(RuntimeError):
-    """The structure of the Kummer extension cannot be certified or handled."""
-
-
-class OracleUnavailable(RuntimeError):
-    """No total symbol evaluator exists for this field."""
 
 
 class BudgetExceeded(RuntimeError):
     """The sampling budget ran out before the sweep finished."""
 
 
-class InvariantFailed(RuntimeError):
-    """A result contradicts an identity that holds by theory; a bug."""
-
-
-class PIsTwo(ValueError):
-    """Order-theoretic bounds are defined for odd residue characteristic only."""
-
-
 class FactoringCapExceeded(ArithmeticError):
     """An integer has no factor that rho finds within ntheory.RHO_STEPS."""
+
+
+class InvariantFailed(RuntimeError):
+    """A result contradicts an identity that holds by theory; a bug."""

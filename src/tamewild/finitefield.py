@@ -370,7 +370,7 @@ class DigitSpan:
     def insert(self, vec, witness):
         """Insert a row whose vector is already reduced against this span."""
         if not vec:
-            raise ValueError("cannot insert a zero row")
+            raise BadInput("cannot insert a zero row")
         piv, lead = next((i, c) for i, c in enumerate(self.field.digits(vec))
                          if c)
         self.rows.append((vec, piv, pow(lead, -1, self.p), witness))

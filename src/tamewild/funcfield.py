@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass
 from functools import reduce
 
-from .errors import BadInput, InvariantFailed, ZeroInput
+from .errors import BadInput, InvariantFailed
 from .finitefield import (  # noqa: F401 - GF and is_irreducible re-exported
     GF,
     FiniteField,
@@ -237,7 +237,7 @@ def divisor(f: FqRational):
     """[(FFPlace, order)] over all places, sorted; the degree-weighted sum
     vanishes (a principal divisor)."""
     if f.is_zero():
-        raise ZeroInput("divisor of zero")
+        raise BadInput("divisor of zero")
     items = sorted(_order_table(f).items(), key=lambda kv: kv[0].sort_key())
     return [(pl, n) for pl, (n,) in items if n]
 
@@ -261,7 +261,7 @@ def ff_tame_symbol(f, g, place, orders=None):
     off _order_table.  Only the units of f and g whose exponent is nonzero
     are read, and the value is one quotient top / bot."""
     if f.is_zero() or g.is_zero():
-        raise ZeroInput("tame symbol of zero")
+        raise BadInput("tame symbol of zero")
     if orders is None:
         orders = _order_table(f, g).get(place, (0, 0))
     a, b = orders
@@ -293,7 +293,7 @@ def _symbol_norms(f, g, power):
     orders at every place come from one factorization of each of f.num,
     f.den, g.num and g.den."""
     if f.is_zero() or g.is_zero():
-        raise ZeroInput("reciprocity check of zero")
+        raise BadInput("reciprocity check of zero")
     gf = f.gf()
     orders = _order_table(f, g)
     table = []
@@ -387,7 +387,7 @@ def residue_theorem_check(f, g):
     """Sum of Tr_{kappa(v)/F_q} res_v(f dg) over the polar support; returns
     (ok, [(place, trace)], flagged) where flagged marks dg = 0."""
     if f.is_zero() or g.is_zero():
-        raise ZeroInput("residue check of zero")
+        raise BadInput("residue check of zero")
     gf = f.gf()
     dg = g.derivative()
     if dg.is_zero():

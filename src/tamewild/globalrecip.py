@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvariantFailed, UnsupportedField, ZeroInput
+from .errors import BadInput, InvariantFailed, Unsupported
 from .localfield import qp_zeta
 from .ntheory import factorint, isprime
 from .orders import OrderRm, m0_bound
@@ -56,7 +56,7 @@ def moore_product_q(a, b) -> MooreResult:
     """
     a, b = Fraction(a), Fraction(b)
     if a == 0 or b == 0:
-        raise ZeroInput("Moore product of zero")
+        raise BadInput("Moore product of zero")
     table = []
     prod = 1
     for pl in _support_places(a, b):
@@ -142,7 +142,7 @@ def global_optimal_lattice(p, m=None, N=32):
     m defaults to the explicit local vanishing bound.
     """
     if p == 2 or not isprime(p) or p > 7:
-        raise UnsupportedField("presets cover odd primes p <= 7")
+        raise Unsupported("presets cover odd primes p <= 7")
     ctx = qp_zeta(p, N)
     if m is None:
         m = m0_bound(ctx)

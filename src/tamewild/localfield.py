@@ -38,16 +38,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    BadInput,
-    BelowThreshold,
-    InvariantFailed,
-    NotInIdeal,
-    NotPrincipalUnit,
-    PrecisionExhausted,
-    UnsupportedField,
-    ZeroInput,
-)
+from .errors import BadInput, InvariantFailed, PrecisionExhausted, Unsupported
 from .finitefield import MAX_Q, DigitSpan, FiniteField, default_modulus
 from .ntheory import isprime
 
@@ -70,24 +61,23 @@ MAX_ED = 64
 
 
 def _check_ed(e, d):
-    """UnsupportedField unless 1 <= e and e*d <= MAX_ED, checked before any
+    """Unsupported unless 1 <= e and e*d <= MAX_ED, checked before any
     polynomial or table of the field is built."""
     if e < 1:
-        raise UnsupportedField(f"ramification index e = {e} must be at "
-                               f"least 1")
+        raise Unsupported(f"ramification index e = {e} must be at least 1")
     if e * d > MAX_ED:
-        raise UnsupportedField(f"e*d = {e * d} exceeds MAX_ED = {MAX_ED}")
+        raise Unsupported(f"e*d = {e * d} exceeds MAX_ED = {MAX_ED}")
 
 
 def _check_pN(p, N):
-    """ValueError unless p is prime and 8 <= N <= MAX_N, checked before any
+    """BadInput unless p is prime and 8 <= N <= MAX_N, checked before any
     polynomial of the field is built."""
     if not isprime(p):
-        raise ValueError(f"p = {p} is not prime")
+        raise BadInput(f"p = {p} is not prime")
     if N < 8:
-        raise ValueError("precision N must be at least 8")
+        raise BadInput("precision N must be at least 8")
     if N > MAX_N:
-        raise ValueError(f"precision N must be at most MAX_N = {MAX_N}")
+        raise BadInput(f"precision N must be at most MAX_N = {MAX_N}")
 
 
 def val_p_coeffs(coeffs, p, N):
@@ -156,7 +146,7 @@ class LocalFieldCtx:
     def __init__(self, p, f, N=DEFAULT_N, d=1, gbar=None, name=None):
         _check_pN(p, N)
         if d < 1:
-            raise ValueError("residue degree d must be >= 1")
+            raise BadInput("residue degree d must be >= 1")
         self.p, self.N, self.d = p, N, d
         self.mod = p ** N
         if gbar is None:
@@ -166,19 +156,19 @@ class LocalFieldCtx:
             gbar = default_modulus(p, d)
         gbar = tuple(c % p for c in gbar)
         if len(gbar) != d + 1:
-            raise ValueError("gbar must have degree d")
+            raise BadInput("gbar must have degree d")
         self.kappa = FiniteField(p, gbar)  # BadInput unless monic irreducible
         self.q = p ** d
         e = len(f) - 1
         _check_ed(e, d)
         f = tuple(x for c in f for x in self._block(c))
         if f[e * d:] != self._block(1):
-            raise ValueError("f must be monic")
+            raise BadInput("f must be monic")
         if any(c % self.p for c in f[:e * d]):
-            raise ValueError("f is not Eisenstein: a lower coefficient "
+            raise BadInput("f is not Eisenstein: a lower coefficient "
                              "is a unit")
         if val_p_coeffs(f[:d], p, N) != 1:
-            raise ValueError("f is not Eisenstein: constant term must have "
+            raise BadInput("f is not Eisenstein: constant term must have "
                              "valuation exactly 1")
         self.f = f
         self.e = e
@@ -271,7 +261,7 @@ class LocalFieldCtx:
         """The element sum_i coeffs[i] pi^i, each coefficient an int or a
         list of d ints."""
         if len(coeffs) != self.e:
-            raise ValueError("coefficient vector has wrong length")
+            raise BadInput("coefficient vector has wrong length")
         return FElem(self, tuple(x for c in coeffs for x in self._block(c)))
 
     def from_int(self, n):
@@ -314,22 +304,6 @@ class LocalFieldCtx:
         if s % p:
             return 0, s // p, c
         return kappa.pow(c, self.q // p), s // p, 0
-
-    def teichmuller(self, c):
-        """The unique (q-1)-st root of unity congruent to c mod p.
-
-        Computed by iterating x -> x^q to its fixed point; every step gains
-        at least one p-digit, so N steps certify the full precision.
-        """
-        if not c:
-            raise ZeroInput("Teichmuller lift of zero")
-        key = ("teichmuller", c)
-        if key not in self._cache:
-            x = self.lift_residue(c)
-            for _ in range(self.N):
-                x = x ** self.q
-            self._cache[key] = x
-        return self._cache[key]
 
     @_lazy
     def zero(self):
@@ -391,8 +365,13 @@ class LocalFieldCtx:
 
     @_lazy
     def omega(self):
-        """Teichmuller lift of the fixed residue-field generator."""
-        return self.teichmuller(self.kappa.generator())
+        """Teichmuller lift of the fixed residue-field generator: the fixed
+        point of x -> x^q from its digit lift; every step gains at least one
+        p-digit, so N steps certify the full precision."""
+        x = self.lift_residue(self.kappa.generator())
+        for _ in range(self.N):
+            x = x ** self.q
+        return x
 
     @_lazy
     def k(self):
@@ -519,11 +498,11 @@ def preset(name, N=DEFAULT_N):
     """Resolve a preset name: qp-P, qp-zeta-P, sqrt-P, cbrt-P, rootE-P.
 
     A name of another shape is an unknown preset; a field that cannot be
-    built (P not prime, N < 8) raises UnsupportedField naming the cause.
+    built (P not prime, N < 8) raises Unsupported naming the cause.
     """
     match = _PRESET.fullmatch(name)
     if match is None:
-        raise UnsupportedField(f"unknown field preset {name!r}")
+        raise Unsupported(f"unknown field preset {name!r}")
     kind, p = match.group(1), int(match.group(3))
     try:
         if kind == "qp":
@@ -533,7 +512,7 @@ def preset(name, N=DEFAULT_N):
         e = {"sqrt": 2, "cbrt": 3}.get(kind) or int(match.group(2))
         return eisenstein_root(p, e, N)
     except ValueError as exc:
-        raise UnsupportedField(f"field preset {name!r}: {exc}") from exc
+        raise Unsupported(f"field preset {name!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +546,7 @@ class FElem:
     def _coerce(self, other):
         if isinstance(other, FElem):
             if other.ctx is not self.ctx:
-                raise ValueError("mixed contexts")
+                raise BadInput("mixed contexts")
             return other
         if isinstance(other, int):
             return self.ctx.from_int(other)
@@ -629,7 +608,7 @@ class FElem:
         """Exact division by pi^n, n >= 0, by the block rule of the module
         docstring: for n = e*k + r, blocks i >= r over p^k move down r
         places, blocks i < r over p^(k+1) move up e - r places times w^-1,
-        and the sum is multiplied by w^-k.  ValueError unless v(x) >= n;
+        and the sum is multiplied by w^-k.  BadInput unless v(x) >= n;
         the quotient is certified only mod pi^{M-n}."""
         if not n:
             return self
@@ -638,7 +617,7 @@ class FElem:
         cut, hi, lo = r * ctx.d, ctx.p ** k, ctx.p ** (k + 1)
         if (any(c % hi for c in flat[cut:])
                 or any(c % lo for c in flat[:cut])):
-            raise ValueError(f"element not divisible by pi^{n}")
+            raise BadInput(f"element not divisible by pi^{n}")
         y = FElem(ctx, tuple(c // hi for c in flat[cut:]) + (0,) * cut)
         low = tuple(c // lo for c in flat[:cut])
         if any(low):
@@ -756,11 +735,11 @@ def unit_level(u):
     """Largest r with u in U^r = 1 + m^r, i.e. v(u - 1).
 
     Returns M when u is indistinguishable from 1.
-    Raises NotPrincipalUnit when v(u - 1) <= 0.
+    Raises BadInput when v(u - 1) <= 0.
     """
     lv = valuation(u - u.ctx.one)
     if lv <= 0:
-        raise NotPrincipalUnit("v(u-1) <= 0")
+        raise BadInput("v(u-1) <= 0")
     return lv
 
 
@@ -855,7 +834,7 @@ def strip_pth_powers(u, stop):
         if s >= stop:
             return u, x, None
         if s < 1:
-            raise NotPrincipalUnit("strip_pth_powers needs a principal unit")
+            raise BadInput("strip_pth_powers needs a principal unit")
         a, t, missed = ctx.graded_pth_root(s, neg(c))
         if a:
             corr = ctx.level_unit(a, t)
@@ -883,8 +862,8 @@ def pth_root_in_filtration(w, t):
     """
     ctx = w.ctx
     if t * (ctx.p - 1) <= ctx.e:
-        raise BelowThreshold(f"t = {t} is not above e1 = {ctx.e1}")
+        raise BadInput(f"t = {t} is not above e1 = {ctx.e1}")
     lv = unit_level(w)
     if lv < min(t + ctx.e, ctx.M):
-        raise NotInIdeal(f"w has level {lv} < t + e = {t + ctx.e}")
+        raise BadInput(f"w has level {lv} < t + e = {t + ctx.e}")
     return pth_root(w)

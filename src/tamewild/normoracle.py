@@ -47,13 +47,7 @@ omega are read, so unit parts are not multiplied at all.
 
 from __future__ import annotations
 
-from .errors import (
-    BadInput,
-    InvariantFailed,
-    PrecisionExhausted,
-    UnsupportedSplitting,
-    ZeroInput,
-)
+from .errors import BadInput, InvariantFailed, PrecisionExhausted, Unsupported
 from .finitefield import GF, DigitSpan, FiniteField, default_modulus
 from .localfield import (
     LocalFieldCtx,
@@ -139,7 +133,7 @@ class _Reducer:
 
     def decompose(self, x):
         if x.is_zero():
-            raise ZeroInput("zero element has no class")
+            raise BadInput("zero element has no class")
         v = valuation(x)
         if self.ctx.M - v <= self.H:
             # dividing by pi^v leaves fewer certified digits than the
@@ -358,7 +352,7 @@ def _unramified_kummer(ctx, m):
     Artin-Schreier relation G^p = G + 1, for m = 2 the default modulus of
     F_{p^2}."""
     if ctx.d != 1:
-        raise UnsupportedSplitting(
+        raise Unsupported(
             "unramified splitting is implemented over prime residue "
             "fields only")
     if m == ctx.p:
@@ -412,8 +406,7 @@ class NormResidueOracle:
             y_red = y_red * ctx.level_unit(dig, s)
         lam = lead_pos[1]
         if lam % ctx.p == 0:
-            raise UnsupportedSplitting(f"fundamental level {lam} is "
-                                       f"divisible by p")
+            raise Unsupported(f"fundamental level {lam} is divisible by p")
         # relation (1+G)^p = y_red: (1+G)^p - 1 is G times the Eisenstein
         # polynomial of Q_p(zeta_p), whose lead is 1
         rhs = [y_red - ctx.one] + [ctx.from_int(-c) for c in
@@ -449,7 +442,7 @@ class NormResidueOracle:
 
     def trivial(self, x, y):
         if x.is_zero() or y.is_zero():
-            raise ZeroInput("norm-residue oracle needs nonzero inputs")
+            raise BadInput("norm-residue oracle needs nonzero inputs")
         pivots = self._pivots_for(y)
         if pivots is None:
             return True

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import FactoringCapExceeded
+from .errors import BadInput, FactoringCapExceeded
 
 #: The first 13 primes: as Miller-Rabin bases they decide primality of every
 #: n < MR_BOUND.
@@ -174,7 +174,7 @@ def factorint(n):
     """The factorisation of the integer n >= 1 as {prime: exponent}, primes
     ascending; FactoringCapExceeded if rho cannot split a cofactor."""
     if n < 1:
-        raise ValueError(f"factorint needs n >= 1, got {n}")
+        raise BadInput(f"factorint needs n >= 1, got {n}")
     out = {}
     for p in _SMALL_PRIMES:
         if p * p > n:

@@ -9,14 +9,10 @@ ideal is p O0 + m^m O_F for m >= 1 and m O_F for m = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, product
 
-from .errors import (
-    BadInput,
-    BudgetExceeded,
-    PIsTwo,
-    PrecisionExhausted,
-)
-from .localfield import spanning_units, val_p_coeffs, valuation
+from .errors import BadInput, BudgetExceeded, PrecisionExhausted, Unsupported
+from .localfield import MAX_N, spanning_units, val_p_coeffs, valuation
 from .symbols import triviality_oracle
 
 
@@ -24,11 +20,17 @@ class OrderRm:
     """R_m = O0 + m^m O_F as a membership predicate with derived structure.
 
     R_0 is the full valuation ring; membership is monotone decreasing in m.
+    No field carries more than MAX_N p-digits, so past m = e*MAX_N R_m is
+    O0 at every precision, and such an m is refused before its index, a
+    power of q with about m digits, is computed.
     """
 
     def __init__(self, ctx, m):
         if m < 0:
-            raise ValueError("m must be nonnegative")
+            raise BadInput("m must be nonnegative")
+        if m > ctx.e * MAX_N:
+            raise BadInput(f"m = {m} exceeds e*MAX_N = {ctx.e * MAX_N}, "
+                           f"past which R_m is O0 at every precision")
         self.ctx = ctx
         self.m = m
 
@@ -94,7 +96,8 @@ def m0_bound(ctx):
     defined for odd p.
     """
     if ctx.p == 2:
-        raise PIsTwo("the optimal order at p = 2 is the full valuation ring")
+        raise Unsupported(
+            "the optimal order at p = 2 is the full valuation ring")
     if ctx.e == 1:
         return 0
     if ctx.k == 0:
@@ -140,8 +143,8 @@ def estimate_m0(ctx, symbol_oracle=None, sample_budget=500, depth=2):
     The oracle is a callable (x, y) -> bool deciding triviality of the full
     symbol; bimultiplicativity makes spanning-pair vanishing certify the
     subgroup generated at the tested depth.  Without an oracle it uses
-    triviality_oracle(ctx), which raises OracleUnavailable for the fields
-    it does not cover.
+    triviality_oracle(ctx), which raises Unsupported for the fields it
+    does not cover.
 
     One generator list serves every m: omega, the layer 1 + p omega^a and
     1 + omega^a pi^s for 1 <= s < B + depth.  R_m's window is the layer
@@ -154,7 +157,7 @@ def estimate_m0(ctx, symbol_oracle=None, sample_budget=500, depth=2):
     if depth < 1:
         raise BadInput(f"depth = {depth} must be at least 1")
     if ctx.p == 2:
-        raise PIsTwo("no bound computation at p = 2")
+        raise Unsupported("no bound computation at p = 2")
     if ctx.e == 1:
         return OptimalOrderReport(
             bound=0, estimated_m0=0,
@@ -175,9 +178,10 @@ def estimate_m0(ctx, symbol_oracle=None, sample_budget=500, depth=2):
     for m in range(0, bound + 1):
         start = (max(m, 1) - 1) * d
         span = (layer if m else []) + levels[start:start + depth * d]
-        pairs = [(omega, omega)]
-        pairs += [(omega, g) for g in span]
-        pairs += [(g, h) for g in span for h in span]
+        # drawn one at a time, so a budget that runs out early never builds
+        # the window's len(span)^2 pairs
+        pairs = chain([(omega, omega)], ((omega, g) for g in span),
+                      product(span, repeat=2))
         witness = None
         for x, y in pairs:
             if budget <= 0:
@@ -191,7 +195,7 @@ def estimate_m0(ctx, symbol_oracle=None, sample_budget=500, depth=2):
             if not trivial:
                 witness = (x, y)
                 break
-        sweeps.append((witness, len(pairs)))
+        sweeps.append((witness, 1 + len(span) + len(span) ** 2))
     # R_{m+1} is inside R_m: a witness at m is one at every smaller m too
     certificates, witness, estimated = [], None, None
     for m in reversed(range(bound + 1)):

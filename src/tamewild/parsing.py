@@ -6,7 +6,10 @@ atom := uint | name | '(' expr ')'.  Whitespace is ignored.  The `ops` table
 supplies "int", the named constants ("var") and optionally "div", and may
 override the Python operators behind "add", "sub", "mul", "neg" and "pow",
 so the same parser serves F_q[t], F_q(t) and local fields; without "div",
-'/' is rejected with BadInput.
+'/' is rejected with BadInput.  So is nesting of '(' and unary '-' deeper
+than _MAX_NESTING: each level of parentheses costs the parser five Python
+frames, and unguarded, 250 levels reached the interpreter's default
+recursion limit of 1000 frames.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import re
 from .errors import BadInput
 
 _TOKEN = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|\*\*|[()+\-*^/])")
+_MAX_NESTING = 100
 
 
 def _tokenize(text):
@@ -36,6 +40,7 @@ class _Parser:
     def __init__(self, tokens, ops):
         self.toks = tokens
         self.i = 0
+        self.depth = 0
         self.ops = {"add": operator.add, "sub": operator.sub,
                     "mul": operator.mul, "neg": operator.neg,
                     "pow": operator.pow, **ops}
@@ -45,10 +50,23 @@ class _Parser:
 
     def take(self, expect=None):
         tok = self.peek()
-        if tok is None or (expect is not None and tok != expect):
+        if tok is None:
+            raise BadInput("unexpected end of input" if expect is None
+                           else f"expected {expect!r} at the end of input")
+        if expect is not None and tok != expect:
             raise BadInput(f"expected {expect!r}, found {tok!r}")
         self.i += 1
         return tok
+
+    def nested(self, parse):
+        """parse() one level of '(' or unary '-' deeper."""
+        if self.depth == _MAX_NESTING:
+            raise BadInput(f"expression nests deeper than {_MAX_NESTING} "
+                           f"levels")
+        self.depth += 1
+        value = parse()
+        self.depth -= 1
+        return value
 
     def expr(self):
         acc = self.term()
@@ -82,7 +100,7 @@ class _Parser:
     def factor(self):
         if self.peek() == "-":
             self.take()
-            return self.ops["neg"](self.factor())
+            return self.ops["neg"](self.nested(self.factor))
         base = self.atom()
         if self.peek() == "^":
             self.take()
@@ -95,7 +113,7 @@ class _Parser:
     def atom(self):
         tok = self.take()
         if tok == "(":
-            inner = self.expr()
+            inner = self.nested(self.expr)
             self.take(")")
             return inner
         if tok.isdigit():

@@ -19,14 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import (
-    BadInput,
-    InvariantFailed,
-    NotDeepEnough,
-    OracleUnavailable,
-    PrecisionExhausted,
-    ZeroInput,
-)
+from .errors import BadInput, InvariantFailed, PrecisionExhausted, Unsupported
 from .localfield import (
     FElem,
     cyclotomic_eisenstein,
@@ -98,7 +91,7 @@ def hilbert_quadratic_q(a, b, place):
     """
     a, b = Fraction(a), Fraction(b)
     if a == 0 or b == 0:
-        raise ZeroInput("Hilbert symbol of zero")
+        raise BadInput("Hilbert symbol of zero")
     if place == "inf":
         return -1 if a < 0 and b < 0 else 1
     if not isinstance(place, int) or not isprime(place):
@@ -177,7 +170,7 @@ def wild_symbol_zeta(x, ctx):
     if not is_cyclotomic_ctx(ctx):
         raise BadInput("ctx must be the Q_p(zeta_p) preset")
     if x.is_zero():
-        raise ZeroInput("wild symbol of zero")
+        raise BadInput("wild symbol of zero")
     p = ctx.p
     # N(pi) = p pairs trivially with zeta_p, so only the unit part of x
     # contributes; stripping pi first keeps the norm a unit and its mod-p^2
@@ -217,7 +210,7 @@ def k2_transform(u):
     ctx = u.ctx
     lv = unit_level(u)
     if lv < 2:
-        raise NotDeepEnough(f"unit level {lv} < 2")
+        raise BadInput(f"unit level {lv} < 2")
     z = ctx.one - u
     g = ctx.one + z.div_pi_pow(1) - z
     a = g.invert_unit()
@@ -246,5 +239,5 @@ def triviality_oracle(ctx):
             return (tame_symbol(x, y) == 0
                     and norm_residue_trivial(x, y, m=ctx.p))
         return oracle
-    raise OracleUnavailable(
+    raise Unsupported(
         f"no total symbol evaluator for k={ctx.k}, d={ctx.d}")

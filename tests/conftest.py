@@ -18,6 +18,18 @@ def principal_unit_span(ctx, m, depth):
     return out
 
 
+def teichmuller_reference(ctx, c):
+    """The unique (q-1)-st root of unity congruent to the residue c != 0,
+    by iterating x -> x^q from the digit lift of c to its fixed point:
+    every step gains at least one p-digit, so N steps certify the full
+    precision.  The field computes only omega this way and every other
+    lift as a power of it (LocalFieldCtx.teichmuller_power)."""
+    x = ctx.lift_residue(c)
+    for _ in range(ctx.N):
+        x = x ** ctx.q
+    return x
+
+
 @pytest.fixture(scope="session")
 def q5():
     return qp(5, 16)

@@ -207,6 +207,71 @@ def test_usage_errors(capsys):
                  ["moore", "--a", "1/0", "--b", "2"]):
         assert dispatch(argv) == 2
         assert "'1/0' has denominator 0" in capsys.readouterr().err
+    # argparse named the converter: "invalid _fraction value: 'abc'"
+    assert dispatch(["moore", "--a", "abc", "--b", "2"]) == 2
+    assert capsys.readouterr().err.endswith(
+        "error: argument --a: 'abc' is not a rational number\n")
+
+
+_NESTED = "(" * 250 + "1" + ")" * 250
+
+
+@pytest.mark.parametrize("argv,err", [
+    # each level of parentheses costs the parser four frames, and 250 of
+    # them overflowed the stack with a traceback
+    (["tame", "--preset", "qp-5", "--x", _NESTED, "--y", "2"],
+     "error: expression nests deeper than 100 levels\n"),
+    (["weil", "--q", "3", "--f=" + "-" * 1000 + "t", "--g", "t+1"],
+     "error: expression nests deeper than 100 levels\n"),
+    # this said "expected None, found None"
+    (["tame", "--preset", "qp-5", "--x", "2^", "--y", "2"],
+     "error: unexpected end of input\n"),
+    (["tame", "--preset", "qp-5", "--x", "(1", "--y", "2"],
+     "error: expected ')' at the end of input\n"),
+    # R_m is O0 at every precision past e*MAX_N; these took 54 s and 8.5 s
+    (["lattice", "--p", "7", "--m", "1000000", "--json"],
+     "error: m = 1000000 exceeds e*MAX_N = 6144, past which R_m is O0 at "
+     "every precision\n"),
+    (["order", "--preset", "qp-zeta-7", "--m", "10000000"],
+     "error: m = 10000000 exceeds e*MAX_N = 6144, past which R_m is O0 at "
+     "every precision\n"),
+    # the unit-pair sweep of Q_17(zeta_17) meets a pair it cannot classify
+    (["m0", "--preset", "qp-zeta-17", "-N", "16"],
+     "error: zero element has no class\n"),
+], ids=["nested-parens", "nested-minus", "dangling-power", "open-paren",
+        "lattice-m", "order-m", "m0-zero-class"])
+def test_refusals_exit_2(capsys, argv, err):
+    assert dispatch(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", err)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this interpreter prints ints of any length")
+def test_plain_output_is_all_or_nothing(capsys):
+    # the index 7^5120 has 4327 digits, past CPython's default str limit;
+    # the 38 lines before it used to be printed before the refusal
+    assert dispatch(["lattice", "--p", "7", "--m", "6144", "-N", "1024"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: Exceeds the limit (4300 digits)")
+
+
+def test_m0_budget_refusal_builds_no_pair_lists(capsys):
+    # every pair list of the sweep was built before the first budget check:
+    # 10^6 pairs at depth 1000, 70 MB of them, to refuse after 500
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        code = dispatch(["m0", "--preset", "qp-zeta-3", "-N", "32",
+                         "--depth", "1000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert capsys.readouterr().err == \
+        "error: sample budget exhausted at m = 0\n"
+    assert peak < 10 * 2 ** 20
 
 
 @pytest.mark.parametrize("error", [InvariantFailed])

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from tamewild.errors import UnsupportedField, ZeroInput
+from tamewild.errors import BadInput, Unsupported
 from tamewild.globalrecip import global_optimal_lattice, moore_product_q
 
 
@@ -40,7 +40,7 @@ def test_moore_frozen_tables():
 
 
 def test_moore_zero_input():
-    with pytest.raises(ZeroInput):
+    with pytest.raises(BadInput, match="Moore product of zero"):
         moore_product_q(0, 5)
 
 
@@ -132,7 +132,7 @@ def test_lattice_defaults_to_bound():
 
 
 def test_lattice_unsupported():
-    with pytest.raises(UnsupportedField):
+    with pytest.raises(Unsupported, match="odd primes p <= 7"):
         global_optimal_lattice(11)
-    with pytest.raises(UnsupportedField):
+    with pytest.raises(Unsupported, match="odd primes p <= 7"):
         global_optimal_lattice(2)

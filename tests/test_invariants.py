@@ -7,7 +7,7 @@ import pytest
 
 import sympy
 
-from tamewild.errors import OracleUnavailable
+from tamewild.errors import Unsupported
 from tamewild.localfield import LocalFieldCtx, qp_zeta
 from tamewild.normoracle import norm_residue_trivial
 from tamewild.orders import OrderRm, estimate_m0
@@ -67,7 +67,8 @@ def test_estimate_requires_wild_oracle():
     k1_d2 = LocalFieldCtx.from_json(
         json.dumps({"p": 3, "d": 2, "N": 16, "f": [-3, 0, 1]}))
     assert (k1_d2.k, k1_d2.d) == (1, 2)
-    with pytest.raises(OracleUnavailable):
+    with pytest.raises(Unsupported, match="no total symbol evaluator for "
+                       "k=1, d=2"):
         estimate_m0(k1_d2)
 
 

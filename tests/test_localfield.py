@@ -6,11 +6,7 @@ from fractions import Fraction
 import pytest
 from test_padic import HenselHypothesisFailed, _hensel
 
-from tamewild.errors import (
-    BelowThreshold,
-    NotPrincipalUnit,
-    PrecisionExhausted,
-)
+from tamewild.errors import BadInput, PrecisionExhausted
 from tamewild.localfield import (
     LocalFieldCtx,
     eisenstein_root,
@@ -96,7 +92,7 @@ def test_unit_level(z3):
     assert unit_level(z3.one + z3.pi) == 1
     assert unit_level(z3.one + z3.from_int(3)) == z3.e
     assert unit_level(z3.one) == z3.M
-    with pytest.raises(NotPrincipalUnit):
+    with pytest.raises(BadInput, match=r"v\(u-1\) <= 0"):
         unit_level(z3.from_int(2))
 
 
@@ -141,6 +137,15 @@ def test_hasse_forward_regimes(q5, z3):
     assert rep.regime == "below" and rep.required == 3 and rep.ok
     rep = hasse_forward(z3, 2)
     assert rep.regime == "above" and rep.required == 4 and rep.ok
+
+
+def test_hasse_forward_refusals(z3):
+    with pytest.raises(BadInput, match="t must be >= 1"):
+        hasse_forward(z3, 0)
+    # M = 32 at N = 16, and t*p = 18 is not below M // 2
+    with pytest.raises(BadInput,
+                       match=r"no room at working precision for t\*p"):
+        hasse_forward(z3, 6)
 
 
 def test_hasse_report_against_bound(z5):
@@ -233,13 +238,19 @@ def test_pth_root_decides_pth_powers(z3, z5):
             assert pth_root(w) ** ctx.p == w
         # 1 + pi sits at level 1 < p*e1, prime to p: no p-th power
         assert pth_root(ctx.one + ctx.pi) is None
-    with pytest.raises(NotPrincipalUnit):
+    with pytest.raises(BadInput, match="needs a principal unit"):
         pth_root(z3.from_int(2))
 
 
 def test_pth_root_threshold(z3):
-    with pytest.raises(BelowThreshold):
+    with pytest.raises(BadInput, match="t = 1 is not above e1 = 1"):
         pth_root_in_filtration(z3.one + z3.pi ** 4, 1)  # t = 1 = e1
+
+
+def test_pth_root_needs_w_in_the_ideal(z3):
+    # t = 2 is above e1 = 1, but 1 + pi^2 lies in U^2, not in U^{t+e}
+    with pytest.raises(BadInput, match=r"w has level 2 < t \+ e = 4"):
+        pth_root_in_filtration(z3.one + z3.pi ** 2, 2)
 
 
 def test_pth_root_frozen_example(z3):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from tamewild.cli import dispatch, element_from_string
-from tamewild.errors import BadInput, InvariantFailed, ZeroInput
+from tamewild.errors import BadInput, InvariantFailed, Unsupported
 from tamewild.finitefield import FiniteField
 from tamewild.localfield import (
     FElem,
@@ -186,7 +186,8 @@ def test_k2_transform_through_oracle(z3):
 # -- guards ---------------------------------------------------------------------
 
 def test_oracle_guards(q5, cbrt3):
-    with pytest.raises(ZeroInput):
+    with pytest.raises(BadInput, match="norm-residue oracle needs nonzero "
+                       "inputs"):
         norm_residue_trivial(q5.zero, q5.one, 2)
     with pytest.raises(BadInput):
         NormResidueOracle(q5, 3)  # m must be 2 or p
@@ -205,14 +206,14 @@ def test_deep_valuation_precision_guard():
 
 
 def test_unramified_splitting_needs_prime_residue_field():
-    from tamewild.errors import UnsupportedSplitting
     from tamewild.localfield import eisenstein_root
     ctx = eisenstein_root(5, 2, 16, d=2)  # q = 25
     # ramified y still works for m = 2
     assert not norm_residue_trivial(ctx.omega, ctx.pi, 2)
     assert norm_residue_trivial(ctx.pi ** 2, ctx.pi, 2) in (True, False)
     # a nonsquare unit forces the unramified case, unsupported at d = 2
-    with pytest.raises(UnsupportedSplitting):
+    with pytest.raises(Unsupported, match="unramified splitting is "
+                       "implemented over prime residue fields only"):
         norm_residue_trivial(ctx.pi, ctx.omega, 2)
 
 

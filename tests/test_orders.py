@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from tamewild.errors import PIsTwo
+from tamewild.errors import BadInput, Unsupported
 from tamewild.localfield import (
+    MAX_N,
     LocalFieldCtx,
     eisenstein_root,
     qp,
@@ -114,6 +115,18 @@ def test_index_examples(sqrt3, z3):
     assert OrderRm(z3, 2).index_in_of() == 3
 
 
+def test_m_outside_the_range_is_refused(z3):
+    with pytest.raises(BadInput, match="m must be nonnegative"):
+        OrderRm(z3, -1)
+    # past e*MAX_N, R_m is O0 at every precision; the index is refused
+    # before q^s, with s about m, is computed
+    cap = z3.e * MAX_N
+    assert OrderRm(z3, cap).index_exponent() == MAX_N
+    with pytest.raises(BadInput, match=f"m = {cap + 1} exceeds e\\*MAX_N "
+                       f"= {cap}, past which R_m is O0 at every precision"):
+        OrderRm(z3, cap + 1)
+
+
 def test_index_brute_force_small():
     from tamewild.acceptance import brute_force_index
     for p in (3, 5):
@@ -131,7 +144,8 @@ def test_m0_bound_values():
     assert m0_bound(qp_zeta(3, 16)) == 4   # p + 1
     assert m0_bound(qp_zeta(5, 16)) == 6
     assert m0_bound(eisenstein_root(3, 3, 16)) == 1  # k = 0
-    with pytest.raises(PIsTwo):
+    with pytest.raises(Unsupported, match="optimal order at p = 2 is the "
+                       "full valuation ring"):
         m0_bound(qp(2, 16))
 
 

@@ -2,11 +2,8 @@ import random
 
 import pytest
 
-from tamewild.errors import (
-    BadInput,
-    NotDeepEnough,
-    ZeroInput,
-)
+from tamewild.errors import BadInput, PrecisionExhausted
+from tamewild.localfield import qp_zeta
 from tamewild.symbols import (
     hilbert_quadratic_padic,
     hilbert_quadratic_q,
@@ -80,7 +77,7 @@ def test_hilbert_q_examples():
     assert hilbert_quadratic_q(5, 2, 5) == -1  # Legendre(2,5) = -1
     assert hilbert_quadratic_q(-1, -1, 2) == -1
     assert hilbert_quadratic_q(2, 7, 7) == 1   # Legendre(2,7) = +1
-    with pytest.raises(ZeroInput):
+    with pytest.raises(BadInput, match="Hilbert symbol of zero"):
         hilbert_quadratic_q(0, 3, 5)
 
 
@@ -168,6 +165,23 @@ def test_wild_zeta_values(z3, z5):
         assert wild_symbol_zeta(zeta, ctx) == 0
         assert wild_symbol_zeta(ctx.pi, ctx) == 0  # N(pi) = p, unit part 1
         assert wild_symbol_zeta(ctx.from_int(1 + ctx.p), ctx) != 0
+
+
+def test_wild_zeta_refusals(z3):
+    with pytest.raises(BadInput, match="wild pairing implemented for odd p"):
+        wild_symbol_zeta(qp_zeta(2, 16).one, qp_zeta(2, 16))
+    with pytest.raises(BadInput, match="wild symbol of zero"):
+        wild_symbol_zeta(z3.zero, z3)
+    # v = 27 leaves the unit part M - v = 5 < 3e certified pi-digits
+    with pytest.raises(PrecisionExhausted, match="norm unit part is "
+                       "uncertified mod p\\^2 at this precision"):
+        wild_symbol_zeta(z3.pi ** 27, z3)
+
+
+def test_hilbert_quadratic_padic_needs_q_p(z3):
+    with pytest.raises(BadInput, match="p-adic quadratic reading needs a "
+                       "Q_p context"):
+        hilbert_quadratic_padic(z3.pi, z3.one, z3)
 
 
 def test_wild_zeta_convention_pinned(z3):
@@ -288,5 +302,5 @@ def test_k2_transform_value_preserving(q5, z3):
 
 
 def test_k2_transform_depth_requirement(q5):
-    with pytest.raises(NotDeepEnough):
+    with pytest.raises(BadInput, match="unit level 1 < 2"):
         k2_transform(q5.one + q5.pi)
