@@ -40,11 +40,12 @@ them directly, with no FqPoly per step.  Every Frobenius power h^(p^r) mod
 m is the kernel _frobenius instead: r rounds of h -> sum_i h_i^p x^(p i)
 on the rows x^(p i) mod m of _frobenius_rows, each the last shifted by p
 places and reduced unless p is large (J. von zur Gathen and V. Shoup,
-Comput. Complexity 2 (1992)).  It serves distinct_degree (the Frobenius
-walk of factoring, also the irreducibility test: it stops at the first
-factor it finds), funcfield's equal-degree splitting and power_norm.  No
-FqPoly is built over a tower, whose digit polynomials are multiplied over
-its base, so a product over a tower with s > 1 fails in _build_tables.
+Comput. Complexity 2 (1992)), read in the log form of _log_rows, which
+each caller builds once per set of rows.  It serves distinct_degree (the
+Frobenius walk of factoring, also the irreducibility test: it stops at the
+first factor it finds), funcfield's equal-degree splitting and power_norm.
+No FqPoly is built over a tower, whose digit polynomials are multiplied
+over its base, so a product over a tower with s > 1 fails in _build_tables.
 """
 
 from __future__ import annotations
@@ -292,10 +293,10 @@ class FiniteField:
         of the conjugates a^(Q^i), i < deg, each the Q-th power of the last
         by the _frobenius kernel."""
         base, m = self.base or GF(self.p), self.modulus
-        rows = _frobenius_rows(base, m)
+        lrows = _log_rows(base, _frobenius_rows(base, m))
         conj = acc = self.digits(a)
         for _ in range(self.deg - 1):
-            conj = _frobenius(base, conj, rows, base.s)
+            conj = _frobenius(base, conj, lrows, base.s)
             acc = _divmod(base, _mul(base, acc, conj), m)[1]
         a = self.pack(acc)
         if a >= self.radix:
@@ -578,18 +579,29 @@ def _frobenius_rows(gf, m):
     return rows
 
 
-def _frobenius(gf, h, rows, r):
-    """h^(p^r) mod m for the list h reduced mod m and rows =
-    _frobenius_rows(gf, m): r rounds of h <- sum_i phi(h_i) R_i, since
-    (sum_i h_i x^i)^p = sum_i h_i^p x^(p i) in characteristic p.  phi(c) =
-    c^p is the identity on F_p and exp[p log c] on a table field; a q-th
-    power is s rounds (von zur Gathen and Shoup, "Computing Frobenius maps
-    and factoring polynomials")."""
-    n = len(rows)
+def _log_rows(gf, rows):
+    """The rows in the form _frobenius reads: unchanged over F_p, the
+    (index, log) pairs of each row's nonzero entries over a table field.
+    Built once per set of rows and passed to every _frobenius call on
+    them."""
+    if gf.s == 1:
+        return rows
+    log = (gf._tables or gf._build_tables())[1]
+    return [[(j, log[y]) for j, y in enumerate(row) if y] for row in rows]
+
+
+def _frobenius(gf, h, lrows, r):
+    """h^(p^r) mod m for the list h reduced mod m and lrows =
+    _log_rows(gf, _frobenius_rows(gf, m)): r rounds of h <- sum_i phi(h_i)
+    R_i, since (sum_i h_i x^i)^p = sum_i h_i^p x^(p i) in characteristic p.
+    phi(c) = c^p is the identity on F_p and exp[p log c] on a table field;
+    a q-th power is s rounds (von zur Gathen and Shoup, "Computing
+    Frobenius maps and factoring polynomials")."""
+    n = len(lrows)
     if gf.s == 1:  # plain ints, reduced once per round
         for _ in range(r):
             out = [0] * n
-            for c, row in zip(h, rows):
+            for c, row in zip(h, lrows):
                 if c:
                     for j, y in enumerate(row):
                         out[j] += c * y
@@ -597,7 +609,6 @@ def _frobenius(gf, h, rows, r):
         return h
     exp, log, zech = gf._tables or gf._build_tables()
     m = gf.q - 1
-    lrows = [[(j, log[y]) for j, y in enumerate(row) if y] for row in rows]
     for _ in range(r):
         out = [0] * n
         for c, lrow in zip(h, lrows):
@@ -622,21 +633,25 @@ def distinct_degree(f):
     Step d raises h = x^(q^(d-1)) to the q-th power mod what is left of f,
     v, by the _frobenius kernel on the rows of v, and splits off the gcd of
     v with h - x.  When a piece g splits off, the rows are reduced mod
-    v/g, since x^(p i) mod v/g = (x^(p i) mod v) mod v/g.  What is left
-    once it cannot hold two factors of degree above d is one piece of its
-    own degree."""
+    v/g, since x^(p i) mod v/g = (x^(p i) mod v) mod v/g, and their log
+    form is rebuilt at the next step, if there is one.  What is left once
+    it cannot hold two factors of degree above d is one piece of its own
+    degree."""
     gf, x = f.gf, FqPoly.x(f.gf)
     h, v, d = x, f, 0
-    rows = _frobenius_rows(gf, f.c)
+    rows, lrows = _frobenius_rows(gf, f.c), None
     while v.degree() > 2 * (d + 1) - 1:
         d += 1
-        h = FqPoly(gf, _frobenius(gf, h.c, rows, gf.s))
+        if lrows is None:
+            lrows = _log_rows(gf, rows)
+        h = FqPoly(gf, _frobenius(gf, h.c, lrows, gf.s))
         g = (h - x).gcd(v)
         if g.degree() > 0:
             yield g, d
             v = v // g
             h = h % v
             rows = [_divmod(gf, row, v.c)[1] for row in rows[:v.degree()]]
+            lrows = None
     if v.degree() > 0:
         yield v, v.degree()
 

@@ -11,13 +11,15 @@ infinity.  The residue field kappa(v) of a place is a FiniteField tower over
 F_q (F_q[t]/pi_v, or F_q[x]/(x) at infinity), so tame symbols and residues
 are ints of kappa(v) and F_q sits in it as the ints below q.  The orders of
 a function at its places are the multiplicities in the factorizations of
-its numerator and denominator (degree differences at infinity), so the
-Weil/Hilbert pass factors each of f.num, f.den, g.num and g.den once and
-strips nothing: a tame symbol reads only the units whose exponent is
-nonzero and inverts at most one element of kappa(v).  Residues are read
-after a Taylor shift to the class theta of t in kappa(v) (of 1/t at
-infinity), truncated at the one coefficient that the residue needs; the
-pole order there comes from the same factorization of the denominator.
+its numerator and denominator (degree differences at infinity), kept with
+the function the first time they are read.  So the Weil and Hilbert
+checks, divisor and ff_tame_symbol factor each of f.num, f.den, g.num and
+g.den once per function, however many checks read it, and strip nothing:
+a tame symbol reads only the units whose exponent is nonzero and inverts
+at most one element of kappa(v).  Residues are read after a Taylor shift
+to the class theta of t in kappa(v) (of 1/t at infinity), truncated at the
+one coefficient that the residue needs; the pole order there comes from
+one factorization of the form's denominator.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .finitefield import (  # noqa: F401 - GF and is_irreducible re-exported
     FqPoly,
     _frobenius,
     _frobenius_rows,
+    _log_rows,
     distinct_degree,
     is_irreducible,
 )
@@ -79,7 +82,8 @@ def _edf(f, d, rng):
     gf = f.gf
     if f.degree() == d:
         return [f.monic()]
-    rows = _frobenius_rows(gf, f.c) if gf.p == 2 or d > 1 else None
+    lrows = (_log_rows(gf, _frobenius_rows(gf, f.c)) if gf.p == 2 or d > 1
+             else None)
     while True:
         r = FqPoly(gf, [rng.randrange(gf.q) for _ in range(f.degree())])
         if r.degree() < 1:
@@ -87,7 +91,7 @@ def _edf(f, d, rng):
         if gf.p == 2:
             t = w = r
             for _ in range(d * gf.s - 1):
-                w = FqPoly(gf, _frobenius(gf, w.c, rows, 1))
+                w = FqPoly(gf, _frobenius(gf, w.c, lrows, 1))
                 t = t + w
             g = t.gcd(f)
         else:
@@ -96,7 +100,7 @@ def _edf(f, d, rng):
                 return _edf(g, d, rng) + _edf(f // g, d, rng)
             w = conj = r.pow_mod((gf.q - 1) // 2, f)
             for _ in range(d - 1):
-                conj = FqPoly(gf, _frobenius(gf, conj.c, rows, gf.s))
+                conj = FqPoly(gf, _frobenius(gf, conj.c, lrows, gf.s))
                 w = w * conj % f
             g = (w - FqPoly(gf, [1])).gcd(f)
         if 0 < g.degree() < f.degree():
@@ -122,9 +126,10 @@ def factor(f):
 # ---------------------------------------------------------------------------
 
 class FqRational:
-    """Reduced fraction num/den with monic denominator."""
+    """Reduced fraction num/den with monic denominator.  _orders holds
+    {FFPlace: ord_v} once _orders_of has read it."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "_orders")
 
     def __init__(self, num, den=None):
         if den is None:
@@ -137,6 +142,7 @@ class FqRational:
         lead_inv = num.gf.inv(den.lead())
         self.num = num * lead_inv
         self.den = den * lead_inv
+        self._orders = None
 
     def __repr__(self):
         return f"FqRational({self.num.c}/{self.den.c})"
@@ -220,16 +226,26 @@ def _chart(f, place):
             _reverse_poly(f.den, dd), dd - dn)
 
 
-def _order_table(*fs):
-    """{place: [ord_v f for f in fs]} over infinity, where the orders are
-    degree differences, and every place dividing a numerator or a
-    denominator, where they are the multiplicities in its factorization."""
-    table = {FFPlace.infinity(): [f.den.degree() - f.num.degree()
-                                  for f in fs]}
-    for i, f in enumerate(fs):
+def _orders_of(f):
+    """{place: ord_v f} over infinity, always present, where the order is a
+    degree difference, and every place dividing f.num or f.den, where it is
+    the signed multiplicity in one factorization of each, kept on f."""
+    if f._orders is None:
+        orders = {FFPlace.infinity(): f.den.degree() - f.num.degree()}
         for poly, sign in ((f.num, 1), (f.den, -1)):
             for pi, mult in factor(poly):
-                table.setdefault(FFPlace(pi), [0] * len(fs))[i] += sign * mult
+                orders[FFPlace(pi)] = sign * mult
+        f._orders = orders
+    return f._orders
+
+
+def _order_table(*fs):
+    """{place: [ord_v f for f in fs]} over the union of the places of
+    _orders_of, as fresh lists."""
+    table = {}
+    for i, f in enumerate(fs):
+        for pl, n in _orders_of(f).items():
+            table.setdefault(pl, [0] * len(fs))[i] = n
     return table
 
 
@@ -238,8 +254,8 @@ def divisor(f: FqRational):
     vanishes (a principal divisor)."""
     if f.is_zero():
         raise BadInput("divisor of zero")
-    items = sorted(_order_table(f).items(), key=lambda kv: kv[0].sort_key())
-    return [(pl, n) for pl, (n,) in items if n]
+    items = sorted(_orders_of(f).items(), key=lambda kv: kv[0].sort_key())
+    return [(pl, n) for pl, n in items if n]
 
 
 # ---------------------------------------------------------------------------
@@ -257,13 +273,15 @@ def _unit_at(poly, pi, k):
 def ff_tame_symbol(f, g, place, orders=None):
     """(-1)^{ab} f^b g^{-a} reduced at the place, a = v(f) and b = v(g): a
     nonzero int of kappa(v) = place.residue_field(F_q).  `orders` is (a, b)
-    when the caller has them from its factorizations, and is otherwise read
-    off _order_table.  Only the units of f and g whose exponent is nonzero
-    are read, and the value is one quotient top / bot."""
+    when the caller has them, as _symbol_norms does from _order_table, and
+    is otherwise read off the orders kept on f and g (one factorization of
+    each numerator and denominator per function).  Only the units of f and
+    g whose exponent is nonzero are read, and the value is one quotient
+    top / bot."""
     if f.is_zero() or g.is_zero():
         raise BadInput("tame symbol of zero")
     if orders is None:
-        orders = _order_table(f, g).get(place, (0, 0))
+        orders = _orders_of(f).get(place, 0), _orders_of(g).get(place, 0)
     a, b = orders
     kappa = place.residue_field(f.gf())
     tops, bots = [], []
@@ -290,8 +308,9 @@ def _symbol_norms(f, g, power):
     """The pass shared by both checks: the norm of the tame symbol at each
     place of the support (the Frobenius-orbit product; with `power`, also
     the power map, which must agree) and whether their product is 1.  The
-    orders at every place come from one factorization of each of f.num,
-    f.den, g.num and g.den."""
+    orders at every place come from the orders kept on f and g, so both
+    checks on one pair share one factorization of each of f.num, f.den,
+    g.num and g.den."""
     if f.is_zero() or g.is_zero():
         raise BadInput("reciprocity check of zero")
     gf = f.gf()

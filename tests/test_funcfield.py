@@ -231,6 +231,67 @@ def test_weil_and_hilbert_agree_random():
                 [(pl.label(), v) for pl, v in t2]
 
 
+def _fresh(f):
+    """A copy of f that has read none of its orders."""
+    return FqRational(f.num, f.den)
+
+
+def _all_reads(f, g):
+    """Every result of the checks that read the orders of f and g: both
+    tables, both divisors and the tame symbol at each place of the support
+    without `orders`."""
+    _, weil = weil_reciprocity_check(f, g)
+    _, hilbert = ff_hilbert_check(f, g)
+    symbols = [ff_tame_symbol(f, g, pl) for pl, _ in weil]
+    return weil, hilbert, divisor(f), divisor(g), symbols
+
+
+@pytest.mark.parametrize("q", [3, 9, 81])
+def test_each_polynomial_is_factored_once(monkeypatch, q):
+    from tamewild import funcfield
+    rng = random.Random(31 + q)
+    gf = GF(q)
+    for _ in range(4):
+        f, g = _rand_rational(gf, rng, 5), _rand_rational(gf, rng, 5)
+        want = _all_reads(_fresh(f), _fresh(g))
+        calls = []
+        factor_ = funcfield.factor
+        monkeypatch.setattr(funcfield, "factor",
+                            lambda poly: calls.append(poly) or factor_(poly))
+        got = _all_reads(f, g)
+        assert _all_reads(f, g) == got  # the second pass factors nothing
+        monkeypatch.undo()
+        assert sorted(map(id, calls)) == sorted(
+            map(id, (f.num, f.den, g.num, g.den)))
+        assert got == want
+
+
+def test_kept_orders_survive_mutated_results():
+    from tamewild.funcfield import _order_table
+    rng = random.Random(7)
+    gf = GF(9)
+    for _ in range(6):
+        f, g = _rand_rational(gf, rng, 4), _rand_rational(gf, rng, 4)
+        want = _all_reads(_fresh(f), _fresh(g))
+        div, (_, table), orders = divisor(f), weil_reciprocity_check(f, g), \
+            _order_table(f, g)
+        div.clear()
+        table.reverse()
+        table.append((FFPlace.infinity(), 0))
+        for column in orders.values():
+            column[0] += 1
+        orders.clear()
+        assert _all_reads(f, g) == want
+        swapped = {pl: [b, a] for pl, (a, b) in _order_table(g, f).items()}
+        assert _order_table(f, g) == swapped
+    # both orders at infinity vanish: the Weil table still lists inf
+    f = rational_from_string(gf, "(t+1)/(t+2)")
+    g = rational_from_string(gf, "(t^2+1)/t^2")
+    assert _order_table(f, g)[FFPlace.infinity()] == [0, 0]
+    ok, table = weil_reciprocity_check(f, g)
+    assert ok and table[0] == (FFPlace.infinity(), 1)
+
+
 def test_char_p_sanity():
     # m_v = q^deg - 1 is prime to the characteristic
     import sympy
