@@ -2,8 +2,8 @@
 
 Subpackages:
 
-- finitefield: F_q (residue and constant fields), F_q[x], its distinct-degree
-  split shared by factor and is_irreducible
+- finitefield: F_q (residue and constant fields), F_q[x] and its factoring,
+  one distinct-degree split shared by factor and is_irreducible
 - localfield: totally-ramified-over-unramified extensions F = F0(pi), each
   one LocalFieldCtx holding p, N, the residue field and f, the unramified
   ring O0 being block 0 of their elements; valuations capped at M = e*N,

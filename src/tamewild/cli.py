@@ -112,6 +112,14 @@ def _fraction(text):
             f"{text!r} is not a rational number") from None
 
 
+def _int_or(text, word, rule):
+    """int(text), or text itself when it is word; else BadInput(rule)."""
+    try:
+        return text if text == word else int(text)
+    except ValueError:
+        raise BadInput(f"{rule}, got {text!r}") from None
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers
 # ---------------------------------------------------------------------------
@@ -128,7 +136,7 @@ def _cmd_tame(args, cfg):
 
 
 def _cmd_hilbert2(args, cfg):
-    place = args.place if args.place == "inf" else int(args.place)
+    place = _int_or(args.place, "inf", "--place must be a prime or 'inf'")
     val = hilbert_quadratic_q(args.a, args.b, place)
     _emit(cfg, "hilbert2", {"value": val}, certified="exact")
     return 0
@@ -147,7 +155,8 @@ def _cmd_norm_oracle(args, cfg):
     ctx = _load_field(args, cfg)
     x = element_from_string(ctx, args.x)
     y = element_from_string(ctx, args.y)
-    m = ctx.p if args.m == "p" else int(args.m)
+    m = _int_or(args.m, "p", "--m must be 2 or 'p'")
+    m = ctx.p if m == "p" else m
     triv = norm_residue_trivial(x, y, m)
     _emit(cfg, "norm-oracle", {"trivial": triv, "m": m}, certified=ctx.M)
     return 0

@@ -27,11 +27,12 @@ builds no tables: it multiplies digit polynomials by the FqPoly kernels
 over the base, raises them to powers by the same _pow_mod kernel as
 FqPoly.pow_mod, inverts by the extended Euclidean algorithm on coefficient
 lists, and takes its modulus as irreducible.  A tower of degree 1 runs on
-its base's operations.  The norm to the base is the resultant Res(modulus,
-a), the trace is sum_j a_j p_j with p_j the power sums of Newton's
-identities (H. Cohen, A Course in Computational Algebraic Number Theory,
-Sec. 3.3 and Ch. 4).  power_norm, the cross-check of the norm, multiplies
-the conjugates a^(Q^i), each the Frobenius image of the last.
+its base's operations, its norm, trace and power_norm the identity.  The
+norm to the base is the resultant Res(modulus, a), the trace is sum_j a_j
+p_j with p_j the power sums of Newton's identities (H. Cohen, A Course in
+Computational Algebraic Number Theory, Sec. 3.3 and Ch. 4).  power_norm,
+the cross-check of the norm, multiplies the conjugates a^(Q^i), each the
+Frobenius image of the last.
 
 The FqPoly kernels _mul and _divmod work on plain ints mod p when s = 1
 and on the logarithms of a table field otherwise.  _pow_mod, square-and-
@@ -43,14 +44,19 @@ places and reduced unless p is large (J. von zur Gathen and V. Shoup,
 Comput. Complexity 2 (1992)), read in the log form of _log_rows, which
 each caller builds once per set of rows.  It serves distinct_degree (the
 Frobenius walk of factoring, also the irreducibility test: it stops at the
-first factor it finds), funcfield's equal-degree splitting and power_norm.
+first factor it finds), the equal-degree splitting _edf and power_norm.
 No FqPoly is built over a tower, whose digit polynomials are multiplied
 over its base, so a product over a tower with s > 1 fails in _build_tables.
+
+factor, the one factorization over F_q, runs squarefree_decomposition,
+distinct_degree and _edf, seeded by the polynomial so that it is
+deterministic; funcfield reads the orders of rational functions off it.
 """
 
 from __future__ import annotations
 
 import operator
+import random
 from functools import lru_cache, reduce
 from itertools import product, zip_longest
 
@@ -100,7 +106,7 @@ class FiniteField:
         if base is not None and self.deg == 1:  # the base on the same ints
             self.add, self.neg, self.sub = base.add, base.neg, base.sub
             self.mul, self.inv, self.pow = base.mul, base.inv, base.pow
-            self.norm = self.trace = operator.pos  # the identity on ints
+            self.norm = self.trace = self.power_norm = operator.pos  # identity
 
     def __repr__(self):
         if self.base is None:
@@ -664,3 +670,77 @@ def is_irreducible(f):
     if d < 1 or (d > 1 and not f.c[0]):  # x | f: 1/p of default_modulus tries
         return False
     return next(distinct_degree(f))[1] == d
+
+
+def squarefree_decomposition(f):
+    """[(g, multiplicity)] with g squarefree pairwise-coprime monic."""
+    gf = f.gf
+    f = f.monic()
+    out = []
+    e = 1
+    while f.degree() > 0:
+        fp = f.derivative()
+        if fp.is_zero():
+            f = f.pth_root()
+            e *= gf.p
+            continue
+        t = f.gcd(fp)
+        v = f // t
+        k = 0
+        while v.degree() > 0:
+            k += 1
+            w = v.gcd(t)
+            piece = v // w
+            if piece.degree() > 0:
+                out.append((piece, e * k))
+            v = w
+            t = t // w
+        f = t
+    return out
+
+
+def _edf(f, d, rng):
+    """Equal-degree splitting (Cantor-Zassenhaus; trace map in char 2).
+    Every Frobenius power is a round of _frobenius on the rows
+    of f: for odd q, r^((q^d - 1)/2) = prod_(i<d) w^(q^i) with w =
+    r^((q - 1)/2); for even q, each squaring in the trace is one round."""
+    gf = f.gf
+    if f.degree() == d:
+        return [f.monic()]
+    lrows = (_log_rows(gf, _frobenius_rows(gf, f.c)) if gf.p == 2 or d > 1
+             else None)
+    while True:
+        r = FqPoly(gf, [rng.randrange(gf.q) for _ in range(f.degree())])
+        if r.degree() < 1:
+            continue
+        if gf.p == 2:
+            t = w = r
+            for _ in range(d * gf.s - 1):
+                w = FqPoly(gf, _frobenius(gf, w.c, lrows, 1))
+                t = t + w
+            g = t.gcd(f)
+        else:
+            g = r.gcd(f)
+            if 0 < g.degree() < f.degree():
+                return _edf(g, d, rng) + _edf(f // g, d, rng)
+            w = conj = r.pow_mod((gf.q - 1) // 2, f)
+            for _ in range(d - 1):
+                conj = FqPoly(gf, _frobenius(gf, conj.c, lrows, gf.s))
+                w = w * conj % f
+            g = (w - FqPoly(gf, [1])).gcd(f)
+        if 0 < g.degree() < f.degree():
+            return _edf(g, d, rng) + _edf(f // g, d, rng)
+
+
+def factor(f):
+    """[(monic irreducible, multiplicity)], deterministic (seeded by f)."""
+    if f.degree() < 1:
+        return []
+    rng = random.Random(hash((f.gf.q, tuple(f.c))) & 0xFFFFFFFF)
+    out = []
+    for g, mult in squarefree_decomposition(f):
+        for h, d in distinct_degree(g):
+            for irr in _edf(h, d, rng):
+                out.append((irr, mult))
+    out.sort(key=lambda t: (t[0].degree(), t[0].c))
+    return out

@@ -1,124 +1,36 @@
 """Places of P^1 over F_q, tame symbols, Weil reciprocity and the residue
 theorem for rational 1-forms.
 
-F_q and F_q[t] are finitefield.GF(q) and finitefield.FqPoly, the same
-layer as the p-adic residue fields: elements are integers in [0, q)
-encoding base-p digit vectors, polynomials dense coefficient lists (low
-degree first).  This module adds factoring over F_q, and rational functions
-as reduced fractions with monic denominator.
-Places are monic irreducible polynomials plus the degree-one place at
-infinity.  The residue field kappa(v) of a place is a FiniteField tower over
-F_q (F_q[t]/pi_v, or F_q[x]/(x) at infinity), so tame symbols and residues
-are ints of kappa(v) and F_q sits in it as the ints below q.  The orders of
-a function at its places are the multiplicities in the factorizations of
-its numerator and denominator (degree differences at infinity), kept with
-the function the first time they are read.  So the Weil and Hilbert
-checks, divisor and ff_tame_symbol factor each of f.num, f.den, g.num and
-g.den once per function, however many checks read it, and strip nothing:
-a tame symbol reads only the units whose exponent is nonzero and inverts
-at most one element of kappa(v).  Residues are read after a Taylor shift
-to the class theta of t in kappa(v) (of 1/t at infinity), truncated at the
-one coefficient that the residue needs; the pole order there comes from
-one factorization of the form's denominator.
+F_q and F_q[t] are finitefield.GF(q) and finitefield.FqPoly, the same layer
+as the p-adic residue fields: elements are integers in [0, q) encoding
+base-p digit vectors, polynomials dense coefficient lists (low degree
+first), and finitefield.factor factors over F_q.  This module adds rational
+functions as reduced fractions with monic denominator.  Places are monic
+irreducible polynomials plus the degree-one place at infinity.  The residue
+field kappa(v) of a place is a FiniteField tower over F_q (F_q[t]/pi_v, or
+F_q[x]/(x) at infinity), so tame symbols and residues are ints of kappa(v)
+and F_q sits in it as the ints below q.  The orders of a function at its
+places are the multiplicities in the factorizations of its numerator and
+denominator (degree differences at infinity), kept with the function the
+first time they are read, and every reader takes them from there.  So the
+Weil and Hilbert checks, divisor and ff_tame_symbol factor each of f.num,
+f.den, g.num and g.den once per function, however many checks read it, and
+strip nothing: a tame symbol reads only the units whose exponent is nonzero
+and inverts at most one element of kappa(v).  Residues are read after a
+Taylor shift to the class theta of t in kappa(v) (of 1/t at infinity),
+truncated at the one coefficient that the residue needs; the pole order
+there comes from one factorization of the form's denominator.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import reduce
 
 from .errors import BadInput, InvariantFailed
-from .finitefield import (  # noqa: F401 - GF and is_irreducible re-exported
-    GF,
-    FiniteField,
-    FqPoly,
-    _frobenius,
-    _frobenius_rows,
-    _log_rows,
-    distinct_degree,
-    is_irreducible,
-)
-# perfbench/tracing.py wraps the F_q methods through this name
+# GF is re-exported; perfbench/tracing.py wraps the F_q methods via _GFq
+from .finitefield import GF, FiniteField, FqPoly, factor  # noqa: F401
 from .finitefield import FiniteField as _GFq  # noqa: F401
-
-
-# ---------------------------------------------------------------------------
-# factorization over F_q
-# ---------------------------------------------------------------------------
-
-def squarefree_decomposition(f):
-    """[(g, multiplicity)] with g squarefree pairwise-coprime monic."""
-    gf = f.gf
-    f = f.monic()
-    out = []
-    e = 1
-    while f.degree() > 0:
-        fp = f.derivative()
-        if fp.is_zero():
-            f = f.pth_root()
-            e *= gf.p
-            continue
-        t = f.gcd(fp)
-        v = f // t
-        k = 0
-        while v.degree() > 0:
-            k += 1
-            w = v.gcd(t)
-            piece = v // w
-            if piece.degree() > 0:
-                out.append((piece, e * k))
-            v = w
-            t = t // w
-        f = t
-    return out
-
-
-def _edf(f, d, rng):
-    """Equal-degree splitting (Cantor-Zassenhaus; trace map in char 2).
-    Every Frobenius power is a round of finitefield._frobenius on the rows
-    of f: for odd q, r^((q^d - 1)/2) = prod_(i<d) w^(q^i) with w =
-    r^((q - 1)/2); for even q, each squaring in the trace is one round."""
-    gf = f.gf
-    if f.degree() == d:
-        return [f.monic()]
-    lrows = (_log_rows(gf, _frobenius_rows(gf, f.c)) if gf.p == 2 or d > 1
-             else None)
-    while True:
-        r = FqPoly(gf, [rng.randrange(gf.q) for _ in range(f.degree())])
-        if r.degree() < 1:
-            continue
-        if gf.p == 2:
-            t = w = r
-            for _ in range(d * gf.s - 1):
-                w = FqPoly(gf, _frobenius(gf, w.c, lrows, 1))
-                t = t + w
-            g = t.gcd(f)
-        else:
-            g = r.gcd(f)
-            if 0 < g.degree() < f.degree():
-                return _edf(g, d, rng) + _edf(f // g, d, rng)
-            w = conj = r.pow_mod((gf.q - 1) // 2, f)
-            for _ in range(d - 1):
-                conj = FqPoly(gf, _frobenius(gf, conj.c, lrows, gf.s))
-                w = w * conj % f
-            g = (w - FqPoly(gf, [1])).gcd(f)
-        if 0 < g.degree() < f.degree():
-            return _edf(g, d, rng) + _edf(f // g, d, rng)
-
-
-def factor(f):
-    """[(monic irreducible, multiplicity)], deterministic (seeded by f)."""
-    if f.degree() < 1:
-        return []
-    rng = random.Random(hash((f.gf.q, tuple(f.c))) & 0xFFFFFFFF)
-    out = []
-    for g, mult in squarefree_decomposition(f):
-        for h, d in distinct_degree(g):
-            for irr in _edf(h, d, rng):
-                out.append((irr, mult))
-    out.sort(key=lambda t: (t[0].degree(), t[0].c))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -239,16 +151,6 @@ def _orders_of(f):
     return f._orders
 
 
-def _order_table(*fs):
-    """{place: [ord_v f for f in fs]} over the union of the places of
-    _orders_of, as fresh lists."""
-    table = {}
-    for i, f in enumerate(fs):
-        for pl, n in _orders_of(f).items():
-            table.setdefault(pl, [0] * len(fs))[i] = n
-    return table
-
-
 def divisor(f: FqRational):
     """[(FFPlace, order)] over all places, sorted; the degree-weighted sum
     vanishes (a principal divisor)."""
@@ -270,19 +172,16 @@ def _unit_at(poly, pi, k):
     return (poly % pi).c
 
 
-def ff_tame_symbol(f, g, place, orders=None):
+def ff_tame_symbol(f, g, place):
     """(-1)^{ab} f^b g^{-a} reduced at the place, a = v(f) and b = v(g): a
-    nonzero int of kappa(v) = place.residue_field(F_q).  `orders` is (a, b)
-    when the caller has them, as _symbol_norms does from _order_table, and
-    is otherwise read off the orders kept on f and g (one factorization of
-    each numerator and denominator per function).  Only the units of f and
-    g whose exponent is nonzero are read, and the value is one quotient
+    nonzero int of kappa(v) = place.residue_field(F_q).  a and b are read
+    off the orders kept on f and g (one factorization of each numerator
+    and denominator per function).  Only the units of f and g whose
+    exponent is nonzero are read, and the value is one quotient
     top / bot."""
     if f.is_zero() or g.is_zero():
         raise BadInput("tame symbol of zero")
-    if orders is None:
-        orders = _orders_of(f).get(place, 0), _orders_of(g).get(place, 0)
-    a, b = orders
+    a, b = _orders_of(f).get(place, 0), _orders_of(g).get(place, 0)
     kappa = place.residue_field(f.gf())
     tops, bots = [], []
     for h, v, e in ((f, a, b), (g, b, -a)):
@@ -308,18 +207,18 @@ def _symbol_norms(f, g, power):
     """The pass shared by both checks: the norm of the tame symbol at each
     place of the support (the Frobenius-orbit product; with `power`, also
     the power map, which must agree) and whether their product is 1.  The
-    orders at every place come from the orders kept on f and g, so both
-    checks on one pair share one factorization of each of f.num, f.den,
-    g.num and g.den."""
+    support is the union of the places in the orders kept on f and g, which
+    ff_tame_symbol reads too, so both checks on one pair share one
+    factorization of each of f.num, f.den, g.num and g.den."""
     if f.is_zero() or g.is_zero():
         raise BadInput("reciprocity check of zero")
     gf = f.gf()
-    orders = _order_table(f, g)
     table = []
     prod = gf.one
-    for pl in sorted(orders, key=FFPlace.sort_key):
+    for pl in sorted(_orders_of(f).keys() | _orders_of(g).keys(),
+                     key=FFPlace.sort_key):
         kappa = pl.residue_field(gf)
-        sym = ff_tame_symbol(f, g, pl, orders[pl])
+        sym = ff_tame_symbol(f, g, pl)
         val = kappa.norm(sym)
         if power and kappa.power_norm(sym) != val:
             raise InvariantFailed("power and Frobenius norms disagree")

@@ -238,8 +238,17 @@ _NESTED = "(" * 250 + "1" + ")" * 250
     # the unit-pair sweep of Q_17(zeta_17) meets a pair it cannot classify
     (["m0", "--preset", "qp-zeta-17", "-N", "16"],
      "error: zero element has no class\n"),
+    # these said "invalid literal for int() with base 10: '2.5'"
+    (["hilbert2", "--place", "2.5", "--a", "3", "--b", "5"],
+     "error: --place must be a prime or 'inf', got '2.5'\n"),
+    (["hilbert2", "--place", "INF", "--a", "3", "--b", "5"],
+     "error: --place must be a prime or 'inf', got 'INF'\n"),
+    (["norm-oracle", "--preset", "qp-zeta-3", "--m", "x", "--x", "2",
+      "--y", "1+pi"],
+     "error: --m must be 2 or 'p', got 'x'\n"),
 ], ids=["nested-parens", "nested-minus", "dangling-power", "open-paren",
-        "lattice-m", "order-m", "m0-zero-class"])
+        "lattice-m", "order-m", "m0-zero-class", "place-decimal",
+        "place-upper-inf", "norm-oracle-m"])
 def test_refusals_exit_2(capsys, argv, err):
     assert dispatch(argv) == 2
     captured = capsys.readouterr()

@@ -425,6 +425,28 @@ def test_power_norm_over_the_prime_is_the_power_map(q):
         assert gf.power_norm(a) == gf.pow(a, (q - 1) // (gf.p - 1))
 
 
+
+@pytest.mark.parametrize("f_text,g_text,rows", [
+    ("t*(t+1)/(t+2)", "(t+3)^2/(t+4)", 0),  # degree-1 places and infinity
+    ("(t^2+2)/t", "(t^3+t+1)*(t+1)", 2),    # and one of degree 2 and 3
+])
+def test_power_norm_builds_rows_only_above_degree_one(monkeypatch, f_text,
+                                                      g_text, rows):
+    # a degree-1 residue field is its base, where power_norm is the identity
+    from tamewild.funcfield import (ff_hilbert_check, rational_from_string,
+                                    weil_reciprocity_check)
+    gf = GF(5)
+    tower = FiniteField(gf, (3, 1))
+    assert [tower.power_norm(a) for a in range(5)] == list(range(5))
+    f, g = rational_from_string(gf, f_text), rational_from_string(gf, g_text)
+    _, weil = weil_reciprocity_check(f, g)  # factors f and g outside the count
+    calls, rows_ = [], finitefield._frobenius_rows
+    monkeypatch.setattr(finitefield, "_frobenius_rows", lambda field, m:
+                        calls.append(m) or rows_(field, m))
+    ok, table = ff_hilbert_check(f, g)
+    assert ok and table == weil
+    assert len(calls) == sum(pl.degree() > 1 for pl, _ in table) == rows
+
 # -- the tower inverse -------------------------------------------------------
 
 def _euclid_inv_reference(tower, a):
@@ -474,16 +496,13 @@ def test_tower_inverse_on_seeded_elements(q):
 # -- kernel counts -----------------------------------------------------------
 
 def _count_kernels(monkeypatch):
-    """Count the calls of _mul, _divmod and _frobenius, wherever bound."""
-    from tamewild import funcfield
+    """Count the calls of _mul, _divmod and _frobenius."""
     seen = Counter()
     for name in ("_mul", "_divmod", "_frobenius"):
         def spy(*args, _name=name, _fn=getattr(finitefield, name)):
             seen[_name] += 1
             return _fn(*args)
-        for module in (finitefield, funcfield):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, spy)
+        monkeypatch.setattr(finitefield, name, spy)
     return seen
 
 
@@ -498,7 +517,7 @@ def test_frobenius_powers_take_no_squarings(monkeypatch):
     # a fallback to square-and-multiply shows in these counts of (_mul,
     # _divmod, _frobenius); the square-and-multiply walk made (66, 114),
     # (64, 209) and (10, 11) calls of the first two
-    from tamewild.funcfield import factor
+    factor = finitefield.factor
     odd, even = _seeded_octic(243, 3), _seeded_octic(16, 3)
     tower = FiniteField(GF(7), finitefield.default_modulus(7, 4))
     a = random.Random(4).randrange(7, tower.q)

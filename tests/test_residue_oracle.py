@@ -11,13 +11,13 @@ at the class of t.
 import itertools
 import random
 
+from tamewild.finitefield import is_irreducible
 from tamewild.funcfield import (
     GF,
     FFPlace,
     FqPoly,
     FqRational,
     _reverse_poly,
-    is_irreducible,
     residue_at,
     residue_theorem_check,
 )

@@ -14,7 +14,7 @@ from collections import Counter
 
 import pytest
 
-from tamewild.finitefield import FiniteField
+from tamewild.finitefield import FiniteField, is_irreducible
 from tamewild.funcfield import (
     GF,
     FFPlace,
@@ -24,7 +24,6 @@ from tamewild.funcfield import (
     factor,
     ff_hilbert_check,
     ff_tame_symbol,
-    is_irreducible,
     weil_reciprocity_check,
 )
 
