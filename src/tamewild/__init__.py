@@ -38,7 +38,6 @@ from .symbols import (
     tame_symbol,
     hilbert_quadratic_q,
     wild_symbol_zeta,
-    norm_to_base,
     k1_decompose,
     k2_transform,
     triviality_oracle,
@@ -65,7 +64,7 @@ __all__ = [
     "unit_decompose", "unit_level", "hasse_forward", "pth_root_in_filtration",
     "qp", "qp_zeta", "eisenstein_root", "preset",
     "OrderRm", "OptimalOrderReport", "m0_bound", "estimate_m0",
-    "tame_symbol", "hilbert_quadratic_q", "wild_symbol_zeta", "norm_to_base",
+    "tame_symbol", "hilbert_quadratic_q", "wild_symbol_zeta",
     "k1_decompose", "k2_transform", "triviality_oracle",
     "norm_residue_trivial",
     "GlobalOrderLattice", "moore_product_q", "global_optimal_lattice",

@@ -132,12 +132,10 @@ class _Reducer:
     # -- class states --------------------------------------------------------
 
     def decompose(self, x):
-        if x.is_zero():
-            raise BadInput("zero element has no class")
         v = valuation(x)
         if self.ctx.M - v <= self.H:
             # dividing by pi^v leaves fewer certified digits than the
-            # reduction needs to read
+            # reduction needs to read; an element that reads zero has v = M
             raise PrecisionExhausted(
                 f"valuation {v} leaves no certified digits below level "
                 f"{self.H}")

@@ -9,6 +9,11 @@ Value conventions:
 - quadratic Hilbert symbols are +-1;
 - the wild pairing against zeta_p is an exponent mod p.
 
+The wild pairing reads the norm of the unit part u of x only mod p^2, as
+the last elementary symmetric function of u's conjugates: Newton's
+identities mod p^2 take it from the traces Tr(u^k), k < p, and over
+Q_p(zeta_p) a trace is read off the flat tuple.  No determinant is taken.
+
 The cyclotomic-character normalisation is fixed: a unit u of Z_p acts on
 p-power roots of unity by u^{-1}, the uniformizer acts trivially on the
 ramified part.  The opposite convention flips the sign of
@@ -21,7 +26,6 @@ from fractions import Fraction
 
 from .errors import BadInput, InvariantFailed, PrecisionExhausted, Unsupported
 from .localfield import (
-    FElem,
     cyclotomic_eisenstein,
     lead,
     split_unit,
@@ -104,50 +108,15 @@ def hilbert_quadratic_padic(x, y, ctx):
     """The quadratic symbol read off truncated elements of Q_p (e = d = 1):
     the same closed form applied to (valuation, unit residue)."""
     if ctx.e != 1 or ctx.d != 1:
-        raise BadInput("p-adic quadratic reading needs a Q_p context")
+        raise Unsupported("p-adic quadratic reading needs a Q_p context")
     a, u = split_unit(x)
     b, v = split_unit(y)
     return _hilbert_closed_form(ctx.p, a, u.flat[0], b, v.flat[0])
 
 
 # ---------------------------------------------------------------------------
-# norms to the base field
+# the wild pairing against zeta_p
 # ---------------------------------------------------------------------------
-
-def _int_det(rows):
-    """Exact integer determinant (fraction-free Bareiss with row pivoting)."""
-    m = [list(r) for r in rows]
-    n = len(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def norm_to_base(x):
-    """N_{F/Q_p}(x) mod p^N: the determinant of multiplication by x in the
-    Z_p-basis {theta^a pi^i} of O_F, whose images are the flat tuples of x
-    times each basis vector (the columns; the determinant of the transpose
-    is the same)."""
-    ctx = x.ctx
-    n = ctx.e * ctx.d
-    cols = [(x * FElem(ctx, tuple(int(s == t) for t in range(n)))).flat
-            for s in range(n)]
-    return _int_det(cols) % ctx.mod
-
 
 def is_cyclotomic_ctx(ctx):
     """True for the shipped Q_p(zeta_p) shape: f = ((T+1)^p - 1)/T over Z_p."""
@@ -166,9 +135,9 @@ def wild_symbol_zeta(x, ctx):
     normalisation (units act by their inverse).
     """
     if ctx.p == 2:
-        raise BadInput("wild pairing implemented for odd p")
+        raise Unsupported("wild pairing implemented for odd p")
     if not is_cyclotomic_ctx(ctx):
-        raise BadInput("ctx must be the Q_p(zeta_p) preset")
+        raise Unsupported("ctx must be the Q_p(zeta_p) preset")
     if x.is_zero():
         raise BadInput("wild symbol of zero")
     p = ctx.p
@@ -179,8 +148,24 @@ def wild_symbol_zeta(x, ctx):
     if ctx.M - v < 3 * ctx.e:
         raise PrecisionExhausted(
             "norm unit part is uncertified mod p^2 at this precision")
+    # only N(x) mod p^2 is read: e_{p-1} of the p - 1 conjugates of x, from
+    # the power sums P_k = Tr(x^k) by Newton's identities k e_k = sum_{i=1}^k
+    # (-1)^(i-1) e_{k-i} P_i, which divide only by k < p.  With pi = zeta_p
+    # - 1, Tr(1) = p - 1 and Tr(pi^i) = (-1)^i p for 0 < i < p - 1, so Tr(y)
+    # = -y_0 + p sum_i (-1)^i y_i is read off y's flat tuple
+    q = p * p
+    powers = [x]
+    for _ in range(p - 2):
+        powers.append(powers[-1] * x)
+    sums = [p - 1] + [(p * (sum(f[::2]) - sum(f[1::2])) - f[0]) % q
+                      for f in (y.flat for y in powers)]
+    e = [1]
+    for k in range(1, p):
+        acc = sum((-1) ** (i - 1) * e[k - i] * sums[i]
+                  for i in range(1, k + 1))
+        e.append(acc * pow(k, -1, q) % q)
     # the norm of a unit is a unit, and here even 1 mod p
-    u = norm_to_base(x)
+    u = e[p - 1]
     if u % p != 1:
         raise InvariantFailed(
             f"unit part of the norm is {u % p} mod p, expected 1")

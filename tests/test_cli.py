@@ -235,9 +235,10 @@ _NESTED = "(" * 250 + "1" + ")" * 250
     (["order", "--preset", "qp-zeta-7", "--m", "10000000"],
      "error: m = 10000000 exceeds e*MAX_N = 6144, past which R_m is O0 at "
      "every precision\n"),
-    # the unit-pair sweep of Q_17(zeta_17) meets a pair it cannot classify
+    # the unit-pair sweep of Q_17(zeta_17) meets a Kummer norm that lost
+    # every digit; this said "zero element has no class"
     (["m0", "--preset", "qp-zeta-17", "-N", "16"],
-     "error: zero element has no class\n"),
+     "error: valuation 256 leaves no certified digits below level 18\n"),
     # these said "invalid literal for int() with base 10: '2.5'"
     (["hilbert2", "--place", "2.5", "--a", "3", "--b", "5"],
      "error: --place must be a prime or 'inf', got '2.5'\n"),

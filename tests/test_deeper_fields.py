@@ -3,7 +3,7 @@ residue fields exercise the general branches of the filtration machinery."""
 
 import pytest
 
-from tamewild.errors import BadInput, PrecisionExhausted, Unsupported
+from tamewild.errors import PrecisionExhausted, Unsupported
 from tamewild.localfield import (
     LocalFieldCtx,
     hasse_forward,
@@ -46,7 +46,8 @@ def test_zeta9_double_root_chain(zeta9):
 
 
 def test_zeta9_not_a_wild_zeta_context(zeta9):
-    with pytest.raises(BadInput):
+    with pytest.raises(Unsupported, match="ctx must be the "
+                       "Q_p\\(zeta_p\\) preset"):
         wild_symbol_zeta(zeta9.one + zeta9.pi, zeta9)
     with pytest.raises(Unsupported, match="no total symbol evaluator for "
                        "k=2, d=1"):

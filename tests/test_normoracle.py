@@ -205,6 +205,27 @@ def test_deep_valuation_precision_guard():
     assert norm_residue_trivial(F.pi ** 7 * 2, zeta, 3) in (True, False)
 
 
+def test_a_norm_that_lost_every_digit_exhausts_precision():
+    # the pivot build for y = 1 + p over Q_17(zeta_17) at N = 16 takes a
+    # Kummer norm of valuation M = 256; this raised BadInput("zero element
+    # has no class"), which blamed the caller's argument
+    from tamewild.errors import PrecisionExhausted
+    from tamewild.localfield import qp_zeta
+    F = qp_zeta(17, 16)
+    with pytest.raises(PrecisionExhausted, match="valuation 256 leaves no "
+                       "certified digits below level 18"):
+        norm_residue_trivial(F.omega, F.from_int(18), 17)
+
+
+def test_a_zero_argument_is_refused_before_any_pivot_build(z3):
+    oracle = NormResidueOracle(z3, 3)
+    for x, y in ((z3.zero, z3.from_int(4)), (z3.from_int(4), z3.zero)):
+        with pytest.raises(BadInput, match="norm-residue oracle needs "
+                           "nonzero inputs"):
+            oracle.trivial(x, y)
+    assert not oracle._pivot_cache
+
+
 def test_unramified_splitting_needs_prime_residue_field():
     from tamewild.localfield import eisenstein_root
     ctx = eisenstein_root(5, 2, 16, d=2)  # q = 25

@@ -1,15 +1,15 @@
+import hashlib
 import random
 
 import pytest
 
-from tamewild.errors import BadInput, PrecisionExhausted
-from tamewild.localfield import qp_zeta
+from tamewild.errors import BadInput, PrecisionExhausted, Unsupported
+from tamewild.localfield import FElem, qp, qp_zeta, split_unit
 from tamewild.symbols import (
     hilbert_quadratic_padic,
     hilbert_quadratic_q,
     k1_decompose,
     k2_transform,
-    norm_to_base,
     tame_symbol,
     tame_symbol_residue,
     wild_symbol_zeta,
@@ -134,6 +134,48 @@ def test_tame_part_matches_quadratic(q5):
 
 
 # -- norms -------------------------------------------------------------------------
+#
+# The reference norm is the definition: the determinant of multiplication by
+# x in the Z_p-basis {theta^a pi^i} of O_F.  wild_symbol_zeta reads N(x) mod
+# p^2 from traces and Newton's identities instead.
+
+def _int_det(rows):
+    """Exact integer determinant (fraction-free Bareiss with row pivoting)."""
+    m = [list(r) for r in rows]
+    n = len(m)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for r in range(k + 1, n):
+                if m[r][k] != 0:
+                    m[k], m[r] = m[r], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def _multiplication_columns(x):
+    """The images of the basis vectors under multiplication by x, as flat
+    tuples: the columns of its matrix."""
+    ctx = x.ctx
+    n = ctx.e * ctx.d
+    return [(x * FElem(ctx, tuple(int(s == t) for t in range(n)))).flat
+            for s in range(n)]
+
+
+def norm_to_base(x):
+    """N_{F/Q_p}(x) mod p^N: the determinant of multiplication by x (the
+    determinant of the transpose is the same)."""
+    return _int_det(_multiplication_columns(x)) % x.ctx.mod
+
 
 def test_norm_scalars(z3):
     n = z3.e * z3.d
@@ -157,6 +199,17 @@ def test_norm_multiplicative(z3):
         assert lhs == rhs
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_cyclotomic_traces_are_read_off_the_flat_tuple(p):
+    # with pi = zeta_p - 1: Tr(1) = p - 1 and Tr(pi^i) = (-1)^i p for
+    # 0 < i < p - 1, the trace being that of the multiplication matrix
+    ctx = qp_zeta(p, 16)
+    for i in range(ctx.e):
+        cols = _multiplication_columns(ctx.pi ** i)
+        trace = sum(cols[s][s] for s in range(ctx.e)) % ctx.mod
+        assert trace == (p - 1 if i == 0 else (-1) ** i * p % ctx.mod), i
+
+
 # -- the wild pairing ---------------------------------------------------------------
 
 def test_wild_zeta_values(z3, z5):
@@ -168,7 +221,8 @@ def test_wild_zeta_values(z3, z5):
 
 
 def test_wild_zeta_refusals(z3):
-    with pytest.raises(BadInput, match="wild pairing implemented for odd p"):
+    with pytest.raises(Unsupported, match="wild pairing implemented for "
+                       "odd p"):
         wild_symbol_zeta(qp_zeta(2, 16).one, qp_zeta(2, 16))
     with pytest.raises(BadInput, match="wild symbol of zero"):
         wild_symbol_zeta(z3.zero, z3)
@@ -179,8 +233,8 @@ def test_wild_zeta_refusals(z3):
 
 
 def test_hilbert_quadratic_padic_needs_q_p(z3):
-    with pytest.raises(BadInput, match="p-adic quadratic reading needs a "
-                       "Q_p context"):
+    with pytest.raises(Unsupported, match="p-adic quadratic reading needs "
+                       "a Q_p context"):
         hilbert_quadratic_padic(z3.pi, z3.one, z3)
 
 
@@ -207,14 +261,54 @@ def test_wild_zeta_torsion(z3):
 
 
 def test_wild_zeta_requires_cyclotomic(q5):
-    with pytest.raises(BadInput):
-        wild_symbol_zeta(q5.one, q5)
+    for ctx in (q5, qp(5)):
+        with pytest.raises(Unsupported, match="ctx must be the "
+                           "Q_p\\(zeta_p\\) preset"):
+            wild_symbol_zeta(ctx.one, ctx)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_wild_zeta_reads_the_determinant_norm(p):
+    # j = (N(u)^-1 mod p^2 - 1)/p mod p for the unit part u of x, with the
+    # norm from the determinant, at valuations up to the refusal edge
+    ctx = qp_zeta(p, 16)
+    rng = random.Random(f"wild-det-{p}")
+    edge = ctx.M - 3 * ctx.e
+    for k in [rng.randrange(edge) for _ in range(59)] + [edge]:
+        _, x = split_unit(_random_nonzero(ctx, rng, digits=16))
+        x = x * ctx.pi ** k
+        _, u = split_unit(x)
+        want = (pow(norm_to_base(u), -1, p * p) - 1) // p % p
+        assert wild_symbol_zeta(x, ctx) == want, k
+
+
+def _wild_digest():
+    h = hashlib.sha256()
+    for p in (3, 5, 7, 11, 13):
+        for N in (16, 64):
+            ctx = qp_zeta(p, N)
+            rng = random.Random(f"wild-{p}-{N}")
+            edge = ctx.M - 3 * ctx.e
+            shifts = [rng.randrange(edge + 1) for _ in range(30)]
+            for i, k in enumerate(shifts + [edge, edge + 1]):
+                x = ctx.elem([rng.randrange(p ** N) for _ in range(ctx.e)])
+                try:
+                    out = str(wild_symbol_zeta(x * ctx.pi ** k, ctx))
+                except Exception as exc:
+                    out = type(exc).__name__
+                h.update(f"{p},{N},{i}:{out}\n".encode())
+    return h.hexdigest()
+
+
+def test_wild_symbol_outputs_match_the_recorded_digest():
+    # recorded with the determinant norm; a refusal hashes its class name
+    assert _wild_digest() == ("f5447adc16237155bda0e4cbd02f2197"
+                              "1da3854fd5867913a94a9c003f8a9be8")
 
 
 def test_wild_zeta_deep_valuation_regression():
     # stripping pi before the norm keeps the unit part certified: the same
     # canonical representative gives the same value at every precision
-    from tamewild.localfield import qp_zeta
     vals = []
     for N in (8, 16, 32):
         ctx = qp_zeta(3, N)
@@ -259,7 +353,7 @@ _LOCAL_SYMBOL_PRESETS = ["qp-5", "qp-zeta-3", "cbrt-3", "qp-zeta-5",
 
 @pytest.mark.parametrize("name", _LOCAL_SYMBOL_PRESETS)
 def test_k1_decompose_inverts_only_for_a_nonunit_y(monkeypatch, name):
-    from tamewild.localfield import FElem, preset, split_unit
+    from tamewild.localfield import preset
     ctx = preset(name, 16)
     calls = []
     invert = FElem.invert_unit
