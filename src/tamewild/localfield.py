@@ -159,6 +159,8 @@ class LocalFieldCtx:
             raise BadInput("gbar must have degree d")
         self.kappa = FiniteField(p, gbar)  # BadInput unless monic irreducible
         self.q = p ** d
+        if len(f) < 2:
+            raise BadInput("f must have degree at least 1")
         e = len(f) - 1
         _check_ed(e, d)
         f = tuple(x for c in f for x in self._block(c))

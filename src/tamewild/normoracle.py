@@ -8,47 +8,54 @@ L^x/(L^x)^m U_L^{e(L/F)(H-1)+1} are pushed down to F in closed form (each
 spanning element is v0 + v1 G^a, whose norm is a form in v0, v1 with the
 elementary symmetric functions of the a-th powers of G's conjugates for
 coefficients, from Newton's identities), and membership is solved by
-filtered Gaussian elimination in the elementary abelian quotient
-F^x/(F^x)^m U_F^H.  Deeper units add nothing, since every conjugate of z
-has v_L(z): v_F(N(1+z) - 1) >= v_L(z)/e(L/F).  The norms are generated one
-at a time and inserted only until their span has rank
-_Reducer.norm_rank, one less than the dimension of the quotient: by local
-class field theory the norm group has index m and contains every m-th
-power, so it is a hyperplane there, and each later norm would reduce to
-nothing.
+Gaussian elimination in the elementary abelian quotient V = F^x/(F^x)^m.
+Deeper units add nothing, since every conjugate of z has v_L(z):
+v_F(N(1+z) - 1) >= v_L(z)/e(L/F).  The norms are generated one at a time
+and inserted only until their span has rank _Reducer.norm_rank, one less
+than dim V: by local class field theory the norm group has index m and
+contains every m-th power, so it is a hyperplane of V, and each later norm
+would reduce to nothing.
 
-The quotient is an F_m-space whose coordinates sit at positions, in the
-order they are read off a class pi^n omega^i u: ("pi",) and ("omega",)
-carry an exponent mod m, a digit of F_m; ("level", s) and ("coker", s)
-carry a digit of the residue field kappa, an F_p-vector (m = p there).
-Reading them multiplies m-th powers in: localfield.strip_pth_powers reads
-each level's digit off one block (pi^e = p*w) and clears with the graded
-p-th root (LocalFieldCtx.graded_pth_root) what p-th powers reach of it:
-all of it above the critical level s = p*e1, the image of a -> a^p +
-rho*a at it, and nothing at a fundamental level; the cokernel is the
-critical level's coordinate.  Two representatives differ by a p-th power
-in U^s, whose digit lies in the graded image, so what survives is
-canonical; U_F^H consists of m-th powers by the p-power landing bounds, so
-a class without coordinates is an m-th power.  A subgroup is held as one
-finitefield.DigitSpan per position, and reduction modulo it is one echelon
-solve per position.
+Every element is read once, as its coordinate vector in a fixed basis of
+V, listed in the order a walk meets it: pi; omega when m = 2 and p is odd
+(principal units are squares there, so that is all); otherwise the level
+units 1 + [x^j] pi^s for each level s < p*e1 prime to p and each j < d
+(x^j the power basis of kappa = F_p[x]/(gbar)), then 1 + [x^j] pi^{p*e1}
+for each digit j that the image of phi (LocalFieldCtx.phi_span) leaves
+free, the cokernel of the critical level.  localfield.strip_pth_powers
+multiplies p-th powers into the unit part up to the first digit that they
+do not reach, which sits at one of those levels: every digit of a level
+divisible by p below p*e1 and of a level above it is reached, none of a
+level below p*e1 prime to p, and the image of phi at p*e1.  The walk
+records each F_p-digit c there as a coordinate and clears it by
+multiplying in the basis unit's (m - c)-th power, kept once built in one
+table per oracle, so nothing is inverted.  The walk ends in U^H, whose
+elements are m-th powers by the p-power landing bounds, so x is the
+product of the basis units raised to its coordinates, times an m-th power.
+The basis has dim V elements (e*d + 2 when mu_p lies in F, 2 in the tame
+case), so the coordinates are unique and additive: coords(xz) = coords(x)
++ coords(z) mod m, and an m-th power reads all zeros.
 
-Since the coordinates depend only on the class, every quantity is kept
-modulo m-th powers, not exactly: a pivot is divided off j times by
-multiplying in its (m - j)-th power, so nothing is inverted; a Kummer
-norm drops the powers of pi that keep its coefficients integral, so a
-level unit 1 + scale G^a pi^b with b >= 0 keeps v0 = 1 and its norm is
-Horner in v1 alone, m products; and no generator whose norm is an m-th
-power (pi^m when pi stays prime, omega^m when kappa_L = kappa, the
-Teichmuller generator of kappa_L^x when L is unramified of degree p) is
-built.  In the tame case (m = 2, odd p) only the exponents of pi and
-omega are read, so unit parts are not multiplied at all.
+The norm group is then a row space: each spanning norm's vector is
+inserted into echelon rows of ints mod m, and x is a norm iff its vector
+reduces to zero.  A reduced vector can be nonzero only at the one column
+that no row leads.  One memo, keyed by the flat tuple, holds the
+coordinates of x and y alike, so a warm query reads neither.
+
+Kummer norms are kept modulo m-th powers too: a norm drops the powers of
+pi that keep its coefficients integral, so a level unit 1 + scale G^a pi^b
+with b >= 0 keeps v0 = 1 and its norm is Horner in v1 alone, m products;
+and no generator whose norm is an m-th power (pi^m when pi stays prime,
+omega^m when kappa_L = kappa, the Teichmuller generator of kappa_L^x when
+L is unramified of degree p) is built.  In the tame case (m = 2, odd p)
+only the exponents of pi and omega are read, so unit parts are not
+multiplied at all.
 """
 
 from __future__ import annotations
 
 from .errors import BadInput, InvariantFailed, PrecisionExhausted, Unsupported
-from .finitefield import GF, DigitSpan, FiniteField, default_modulus
+from .finitefield import FiniteField, default_modulus
 from .localfield import (
     LocalFieldCtx,
     cyclotomic_eisenstein,
@@ -58,162 +65,111 @@ from .localfield import (
     valuation,
 )
 
-#: Most class keys one oracle remembers by y.flat; the memo is cleared
-#: when full, so warm queries on a few y skip class_key and memory stays
-#: bounded however many distinct y a run queries.
+#: Most coordinate vectors one oracle remembers by x.flat or y.flat; the
+#: memo is cleared when full, so warm queries on a few elements skip
+#: class_key and memory stays bounded however many distinct ones a run
+#: queries.
 CLASS_KEY_MEMO = 256
 
 
-class _ClassState:
-    """A running class representative pi^n omega^i u, u a principal unit
-    (None for 1 in the divisors _Reducer._coordinate builds)."""
-
-    __slots__ = ("n", "i", "u")
-
-    def __init__(self, n, i, u):
-        self.n = n
-        self.i = i
-        self.u = u
-
-
 # ---------------------------------------------------------------------------
-# constructive reduction in F^x / (F^x)^m U^H
+# coordinates in F^x / (F^x)^m and elimination on them
 # ---------------------------------------------------------------------------
 
 class _Reducer:
-    """Reduction in the F_m-space F^x/(F^x)^m U^H, which is F^x/(F^x)^m
-    since U^H consists of m-th powers."""
+    """Coordinates in a fixed basis of the F_m-space V = F^x/(F^x)^m
+    (module docstring), and echelon rows of ints mod m over them."""
 
     def __init__(self, ctx: LocalFieldCtx, m: int):
         self.ctx = ctx
         self.m = m
         self.kappa = ctx.kappa
-        self.exponents = GF(m)  # the digits at ("pi",) and ("omega",)
         p = ctx.p
         self.wild = m == p  # otherwise m = 2 and p is odd
-        if self.wild:
-            if p != 2 and ctx.k < 1:
-                raise BadInput("mu_p is not contained in F")
-            self.H = ctx.wild_level
-            self.critical = p * ctx.e // (p - 1)  # mu_p in F: (p-1) | e
-        else:
+        if not self.wild:
             self.H = 1  # principal units are 2-divisible for odd p
+            self.basis = ["pi", "omega"]
+            return
+        if p != 2 and ctx.k < 1:
+            raise Unsupported("mu_p is not contained in F")
+        self.H = ctx.wild_level
+        self.critical = p * ctx.e // (p - 1)  # mu_p in F: (p-1) | e
+        reached = {row[1] for row in ctx.phi_span.rows}
+        self.basis = ["pi"] + [
+            (s, j) for s in range(1, self.critical) if s % p
+            for j in range(ctx.d)] + [
+            (self.critical, j) for j in range(ctx.d) if j not in reached]
+        self._column = {pos: col for col, pos in enumerate(self.basis)}
+        self._powers = {}  # (column, k) -> the column's basis unit ^ k
 
     @property
     def norm_rank(self):
-        """The F_m-rank of N(L^x) in F^x/(F^x)^m for a cyclic L/F of degree
-        m, dim F^x/(F^x)^m - 1.  By local class field theory N(L^x) has
-        index [L:F] = m in F^x and contains (F^x)^m (Fesenko-Vostokov,
-        Local Fields and Their Extensions, Ch. IV), so its image is a
-        hyperplane.  The dimension is [F:Q_p] + 2 when mu_p is in F (m = p,
-        and m = 2 at p = 2) and 2 for m = 2 at odd p (the exponents of pi
-        and omega)."""
-        return self.ctx.e * self.ctx.d + 1 if self.wild else 1
+        """The F_m-rank of N(L^x) in V for a cyclic L/F of degree m, dim V
+        - 1.  By local class field theory N(L^x) has index [L:F] = m in F^x
+        and contains (F^x)^m (Fesenko-Vostokov, Local Fields and Their
+        Extensions, Ch. IV), so its image is a hyperplane.  dim V is
+        [F:Q_p] + 2 when mu_p is in F (m = p, and m = 2 at p = 2) and 2 for
+        m = 2 at odd p, the length of the basis either way."""
+        return len(self.basis) - 1
 
-    def _lead(self, st):
-        """Multiply m-th powers into st up to its first coordinate, returned
-        as (position, digit); None once st lies in (F^x)^m U^H."""
-        st.n %= self.m
-        if st.n:
-            return ("pi",), st.n
-        # wild: gcd(p, q-1) = 1, so omega powers are p-th powers; tame:
-        # q-1 is even for odd p
-        st.i = 0 if self.wild else st.i % 2
-        if st.i:
-            return ("omega",), st.i
-        if not self.wild:
-            return None  # principal units are all squares here
-        st.u, _, stuck = strip_pth_powers(st.u, self.H)
-        if stuck is None:
-            return None
-        s, digit = stuck
-        return ("coker" if s == self.critical else "level", s), digit
+    def power(self, col, k):
+        """The level unit at column col of the basis, raised to k; a higher
+        power is taken of the unit from the table, not rebuilt."""
+        unit = self._powers.get((col, k))
+        if unit is None:
+            if k > 1:
+                unit = self.power(col, 1) ** k
+            else:
+                s, j = self.basis[col]
+                unit = self.ctx.level_unit(self.kappa.pack([0] * j + [1]), s)
+            self._powers[col, k] = unit
+        return unit
 
-    # -- class states --------------------------------------------------------
-
-    def decompose(self, x):
+    def coordinates(self, x):
+        """The coordinate vector of the class of x in the basis, a tuple of
+        ints mod m; all zeros iff x is an m-th power."""
         v = valuation(x)
         if self.ctx.M - v <= self.H:
             # dividing by pi^v leaves fewer certified digits than the
-            # reduction needs to read; an element that reads zero has v = M
+            # walk needs to read; an element that reads zero has v = M
             raise PrecisionExhausted(
                 f"valuation {v} leaves no certified digits below level "
                 f"{self.H}")
         dec = unit_decompose(x)
-        return _ClassState(dec.n, dec.i, dec.u)
-
-    def _divide(self, st, piv, j):
-        """Divide piv^j off st by multiplying in piv^(m-j), which differs
-        from piv^-j by the m-th power piv^m.  Unit parts are multiplied
-        only when they are read (m = p) and not 1 (None)."""
-        j = -j % self.m
-        if j:
-            st.n += j * piv.n
-            st.i += j * piv.i
-            if self.wild and piv.u is not None:
-                st.u = st.u * piv.u ** j
-
-    def _coordinate(self, pos, digit):
-        """The class whose only coordinate is digit at pos: pi^digit,
-        omega^digit (unit part None, standing for 1) or 1 + [digit] pi^s."""
-        if pos == ("pi",):
-            return _ClassState(digit, 0, None)
-        if pos == ("omega",):
-            return _ClassState(0, digit, None)
-        return _ClassState(0, 0, self.ctx.level_unit(digit, pos[1]))
-
-    # -- the normal form -----------------------------------------------------
-
-    def normal_form(self, st, pivots, collect=None):
-        """Reduce a class state modulo (F^x)^m U^H and the subgroup spanned
-        by `pivots` (position -> DigitSpan of class states).
-
-        Returns None when the state reduces to triviality; otherwise the
-        leading irreducible (position, digit, state).  With a `collect`
-        list, surviving digits are recorded and divided off literally,
-        producing the full canonical coordinate list (pivots={} then
-        yields class-intrinsic coordinates).
-        """
+        if not self.wild:
+            return dec.n % 2, dec.i % 2
+        # gcd(p, q-1) = 1: omega is a p-th power and has no column
+        coords = [dec.n % self.m] + [0] * (len(self.basis) - 1)
+        u = dec.u
         while True:
-            lead = self._lead(st)
-            if lead is None:
-                return None
-            pos, digit = lead
-            if pos in pivots:
-                digit = self._solve_digit(st, digit, pivots[pos])
-                if not digit:
-                    continue
-            if collect is None:
-                return pos, digit, st
-            collect.append((pos, digit))
-            self._divide(st, self._coordinate(pos, digit), 1)
+            u, _, stuck = strip_pth_powers(u, self.H)
+            if stuck is None:
+                return tuple(coords)
+            s, digit = stuck
+            for j, c in enumerate(self.kappa.digits(digit)):
+                if c:
+                    col = self._column[s, j]
+                    coords[col] = c
+                    u = u * self.power(col, self.m - c)
 
-    def full_normal_form(self, x):
-        """Canonical coordinates of the class of x; empty iff x is an m-th
-        power (modulo U^H, hence on the nose)."""
-        coords = []
-        self.normal_form(self.decompose(x), {}, collect=coords)
-        return coords
+    def reduce(self, rows, vec):
+        """vec minus the combination of the echelon rows that clears every
+        column a row leads; rows are (lead, row) in the order inserted, with
+        row[lead] = 1 and row zero at the lead of every earlier row."""
+        m = self.m
+        for lead, row in rows:
+            c = vec[lead]
+            if c:
+                vec = [(a - c * b) % m for a, b in zip(vec, row)]
+        return vec
 
-    # -- pivot solving and insertion ------------------------------------------
-
-    def _solve_digit(self, st, digit, span):
-        """Divide off the pivots that clear what they can of digit; returns
-        the residual digit."""
-        residual, combo = span.reduce(digit)
-        for piv, scale in combo:
-            self._divide(st, piv, scale)
-        return residual
-
-    def insert_generator(self, pivots, x):
-        lead = self.normal_form(self.decompose(x), pivots)
+    def insert(self, rows, vec):
+        """Add vec to the span of rows, keeping them in echelon form."""
+        vec = self.reduce(rows, vec)
+        lead = next((col for col, c in enumerate(vec) if c), None)
         if lead is not None:
-            pos, digit, st = lead
-            field = self.exponents if len(pos) == 1 else self.kappa
-            pivots.setdefault(pos, DigitSpan(field)).insert(digit, st)
-
-    def is_member(self, pivots, x):
-        return self.normal_form(self.decompose(x), pivots) is None
+            inv = pow(vec[lead], -1, self.m)
+            rows.append((lead, tuple(c * inv % self.m for c in vec)))
 
 
 # ---------------------------------------------------------------------------
@@ -365,8 +321,8 @@ def _unramified_kummer(ctx, m):
 # ---------------------------------------------------------------------------
 
 class NormResidueOracle:
-    """Per-(F, m) oracle; pivots are cached by the canonical class of y
-    (the extension depends on y only modulo m-th powers)."""
+    """Per-(F, m) oracle; pivots are cached by the coordinates of y (the
+    extension depends on y only modulo m-th powers)."""
 
     def __init__(self, ctx, m):
         self.ctx = ctx
@@ -375,36 +331,44 @@ class NormResidueOracle:
             raise BadInput("m must be 2 or the residue characteristic")
         self.reducer = _Reducer(ctx, self.m)
         self._pivot_cache = {}
-        self._keys = {}  # y.flat -> class_key(y), at most CLASS_KEY_MEMO
+        self._keys = {}  # elem.flat -> class_key(elem), at most CLASS_KEY_MEMO
 
     def class_key(self, y):
-        return tuple(self.reducer.full_normal_form(y))
+        """The coordinate vector of y: all zeros iff y is an m-th power."""
+        return self.reducer.coordinates(y)
 
-    def _build_extension(self, coords, y):
-        ctx, m = self.ctx, self.m
-        npart = dict(coords).get(("pi",), 0)
-        if npart % m:
+    def _coordinates(self, elem):
+        """class_key(elem), read once while elem.flat stays in the memo."""
+        key = self._keys.get(elem.flat)
+        if key is None:
+            if len(self._keys) >= CLASS_KEY_MEMO:
+                self._keys.clear()
+            key = self._keys[elem.flat] = self.class_key(elem)
+        return key
+
+    def _build_extension(self, key, y):
+        ctx, m, red = self.ctx, self.m, self.reducer
+        if key[0]:
             # totally ramified: for y = pi^v u_y and c = v^-1 mod m, y^c is
             # u_y^c pi times an m-th power of pi, a prime element
             v, u_y = split_unit(y)
             rhs = [ctx.zero] * m
             rhs[0] = u_y ** pow(v, -1, m) * ctx.pi
             return _Kummer(ctx, m, rhs, lam=1)
-        if not self.reducer.wild:
+        if not red.wild:
             # odd p, m = 2, unit class: only the omega coordinate survives,
             # so L is the unramified quadratic extension
             return _unramified_kummer(ctx, 2)
-        # wild unit class: rebuild the canonical unit representative
-        unit_coords = [(pos, dig) for pos, dig in coords if pos != ("pi",)]
-        lead_pos, _ = unit_coords[0]
-        if lead_pos[0] == "coker":
+        # wild unit class: the walk stops below p*e1 only at levels prime
+        # to p, and a class leading at the critical level is unramified
+        lead = next(col for col, c in enumerate(key) if c)
+        lam, _ = red.basis[lead]
+        if lam == red.critical:
             return _unramified_kummer(ctx, m)
         y_red = ctx.one
-        for (_, s), dig in unit_coords:
-            y_red = y_red * ctx.level_unit(dig, s)
-        lam = lead_pos[1]
-        if lam % ctx.p == 0:
-            raise Unsupported(f"fundamental level {lam} is divisible by p")
+        for col, c in enumerate(key):
+            if c:
+                y_red = y_red * red.power(col, c)
         # relation (1+G)^p = y_red: (1+G)^p - 1 is G times the Eisenstein
         # polynomial of Q_p(zeta_p), whose lead is 1
         rhs = [y_red - ctx.one] + [ctx.from_int(-c) for c in
@@ -412,39 +376,34 @@ class NormResidueOracle:
         return _Kummer(ctx, m, rhs, lam=lam)
 
     def _pivots_for(self, y):
-        key = self._keys.get(y.flat)
-        if key is None:
-            if len(self._keys) >= CLASS_KEY_MEMO:
-                self._keys.clear()
-            key = self._keys[y.flat] = self.class_key(y)
-        if not key:
+        key = self._coordinates(y)
+        if not any(key):
             return None  # y is an m-th power: L = F, everything is a norm
         if key not in self._pivot_cache:
-            ext = self._build_extension(list(key), y)
+            ext = self._build_extension(key, y)
             red = self.reducer
-            pivots = {}
+            rows = []
             # norms from U_L^high lie in U_F^H (module docstring); once the
-            # span reaches the norm group's rank, no later norm is computed
+            # rows reach the norm group's rank, no later norm is computed
             high = ext.ram_index * (red.H - 1) + 1
-            target, rank = red.norm_rank, 0
             for elem in ext.spanning_norms(high):
-                red.insert_generator(pivots, elem)
-                rank = sum(len(span.rows) for span in pivots.values())
-                if rank == target:
+                red.insert(rows, red.coordinates(elem))
+                if len(rows) == red.norm_rank:
                     break
             else:
-                raise InvariantFailed(f"the spanning norms reach rank {rank}, "
-                                      f"below the norm group's rank {target}")
-            self._pivot_cache[key] = pivots
+                raise InvariantFailed(
+                    f"the spanning norms reach rank {len(rows)}, below the "
+                    f"norm group's rank {red.norm_rank}")
+            self._pivot_cache[key] = rows
         return self._pivot_cache[key]
 
     def trivial(self, x, y):
         if x.is_zero() or y.is_zero():
             raise BadInput("norm-residue oracle needs nonzero inputs")
-        pivots = self._pivots_for(y)
-        if pivots is None:
+        rows = self._pivots_for(y)
+        if rows is None:
             return True
-        return self.reducer.is_member(pivots, x)
+        return not any(self.reducer.reduce(rows, self._coordinates(x)))
 
 
 def norm_residue_trivial(x, y, m):

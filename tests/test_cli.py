@@ -733,6 +733,18 @@ def test_bad_field_descriptors_exit_2(tmp_path, text):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("f", [[], [5]], ids=["f-empty", "f-constant"])
+def test_descriptor_of_degree_below_one_exits_2(tmp_path, capsys, f):
+    # a malformed descriptor, not a field outside the caps
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps({"p": 3, "f": f}))
+    assert dispatch(["tame", "--field-json", str(path),
+                     "--x", "pi", "--y", "pi"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == \
+        ("", "error: f must have degree at least 1\n")
+
+
 def test_precision_above_the_cap_exits_2(tmp_path, capsys):
     # uncapped, this query runs for more than 20 s
     assert dispatch(["norm-oracle", "--preset", "qp-zeta-3", "--m", "p",

@@ -34,9 +34,9 @@ def test_frobenius_elimination_branch():
     # must reduce to triviality through that branch
     for a in (1, 2):
         u = (F.one + F.from_int(a) * F.pi) ** 3
-        assert not oracle.class_key(u)
+        assert not any(oracle.class_key(u))
     # zeta_9 = 1 + pi is not a cube (that would need a 27th root of unity)
-    assert oracle.class_key(F.one + F.pi)
+    assert any(oracle.class_key(F.one + F.pi))
     # level-3 units reduce through the branch and terminate either way
     for a in (1, 2):
         oracle.class_key(F.one + F.from_int(a) * F.pi ** 3)

@@ -10,6 +10,7 @@ from tamewild.errors import BadInput, InvariantFailed, Unsupported
 from tamewild.finitefield import FiniteField
 from tamewild.localfield import (
     FElem,
+    LocalFieldCtx,
     preset,
     qp,
     spanning_units,
@@ -62,9 +63,9 @@ def test_mth_power_detection_quadratic(q5):
     rng = random.Random(0)
     for _ in range(50):
         t = _random_nonzero(q5, rng)
-        assert not oracle.class_key(t * t)
-    assert oracle.class_key(q5.pi)
-    assert oracle.class_key(q5.from_int(2))  # 2 is a nonresidue mod 5
+        assert not any(oracle.class_key(t * t))
+    assert any(oracle.class_key(q5.pi))
+    assert any(oracle.class_key(q5.from_int(2)))  # 2 is a nonresidue mod 5
 
 
 def test_mth_power_detection_wild(z3):
@@ -72,9 +73,9 @@ def test_mth_power_detection_wild(z3):
     rng = random.Random(1)
     for _ in range(30):
         t = _random_nonzero(z3, rng)
-        assert not oracle.class_key(t ** 3)
-    assert oracle.class_key(z3.pi)
-    assert oracle.class_key(z3.one + z3.pi)  # zeta_3 is not a cube
+        assert not any(oracle.class_key(t ** 3))
+    assert any(oracle.class_key(z3.pi))
+    assert any(oracle.class_key(z3.one + z3.pi))  # zeta_3 is not a cube
 
 
 def test_trivial_for_mth_power_y(q5):
@@ -183,6 +184,34 @@ def test_k2_transform_through_oracle(z3):
         assert oracle(z3.pi, u) == oracle(a, b)
 
 
+# -- coordinates ----------------------------------------------------------------
+
+# (field, m): m = p over Q_p(zeta_p), Q_2, Q_2(sqrt 2) and Q_2(i), where
+# x^2 + 2x + 2 has the root i - 1 and #mu = 4; m = 2 at odd p
+_COORDINATE_CASES = [("qp-zeta-3", 3), ("qp-zeta-5", 5), ("qp-zeta-7", 7),
+                     ("qp-2", 2), ("sqrt-2", 2), ("q2-i", 2), ("qp-5", 2),
+                     ("cbrt-3", 2)]
+
+
+@pytest.mark.parametrize("name,m", _COORDINATE_CASES)
+def test_coordinates_are_additive_and_vanish_on_mth_powers(name, m):
+    ctx = (LocalFieldCtx(2, [2, 2, 1], 16, name=name) if name == "q2-i"
+           else preset(name, 16))
+    red = NormResidueOracle(ctx, m).reducer
+    rng = random.Random(f"coordinates-{name}")
+    read = set()
+    for _ in range(15):
+        x, z, t = (_random_nonzero(ctx, rng) * ctx.pi ** rng.randrange(m)
+                   for _ in range(3))
+        cx, cz = red.coordinates(x), red.coordinates(z)
+        assert len(cx) == len(red.basis)
+        assert red.coordinates(x * z) == \
+            tuple((a + b) % m for a, b in zip(cx, cz))
+        assert not any(red.coordinates(t ** m))
+        read.update(col for col, c in enumerate(cx) if c)
+    assert read == set(range(len(red.basis)))
+
+
 # -- guards ---------------------------------------------------------------------
 
 def test_oracle_guards(q5, cbrt3):
@@ -191,7 +220,7 @@ def test_oracle_guards(q5, cbrt3):
         norm_residue_trivial(q5.zero, q5.one, 2)
     with pytest.raises(BadInput):
         NormResidueOracle(q5, 3)  # m must be 2 or p
-    with pytest.raises(BadInput):
+    with pytest.raises(Unsupported, match="mu_p is not contained in F"):
         NormResidueOracle(cbrt3, 3)  # mu_3 is not in Q_3(cbrt 3)
 
 
@@ -348,21 +377,22 @@ def test_norms_above_the_level_bound_are_mth_powers(name, m, ys):
         old = list(ext.spanning_norms(_old_high(ctx, m)))
         assert old[:len(new)] == new
         for elem in old[len(new):]:
-            assert red.full_normal_form(elem) == [], y_text
-        old_pivots = {}
+            assert not any(red.coordinates(elem)), y_text
+        old_rows = []
         for elem in old:
-            red.insert_generator(old_pivots, elem)
+            red.insert(old_rows, red.coordinates(elem))
         for x in xs:
-            assert oracle.trivial(x, y) == red.is_member(old_pivots, x)
+            assert oracle.trivial(x, y) == \
+                (not any(red.reduce(old_rows, red.coordinates(x))))
     assert unramified == {False, True}
 
 
 @pytest.mark.parametrize("name", ["qp-zeta-3", "qp-zeta-5"])
 def test_cold_queries_invert_nothing(monkeypatch, name):
-    # everything is read modulo p-th powers: a pivot is divided off by
-    # multiplying in its (p - j)-th power, and a prime y is normalised by a
-    # power of its unit part, so past the lazy constants of the field no
-    # query inverts a unit
+    # everything is read modulo p-th powers: a coordinate c is cleared by
+    # multiplying in a basis unit's (p - c)-th power, and a prime y is
+    # normalised by a power of its unit part, so past the lazy constants of
+    # the field no query inverts a unit
     ctx = preset(name, 16)
     assert ctx.k == 1 and not ctx.omega.is_zero() and not ctx.w_inv.is_zero()
     calls = []
@@ -418,25 +448,50 @@ def test_ramified_class_norm_count(monkeypatch, name, calls):
     assert len(seen) == calls
 
 
+def _cold_query_products(monkeypatch, name, N):
+    """(all, under _Kummer): the FElem products of one cold query, x = 1 + p
+    against y = 1 + pi, and those of them made while _Kummer builds the
+    extension (Newton's identities) or computes a spanning norm."""
+    ctx = preset(name, N)
+    assert ctx.k == 1 and not ctx.omega.is_zero() and not ctx.w_inv.is_zero()
+    depth, calls = [0], []
+
+    def flagged(fn):
+        def inner(*args, **kwargs):
+            depth[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return inner
+
+    def flagged_norms(self, high):
+        step = flagged(lambda norms=spanning(self, high): next(norms, None))
+        while (elem := step()) is not None:
+            yield elem
+
+    spanning, mul = _Kummer.spanning_norms, FElem.__mul__
+
+    def spy(self, other):
+        calls.append(depth[0] > 0)
+        return mul(self, other)
+
+    monkeypatch.setattr(_Kummer, "__init__", flagged(_Kummer.__init__))
+    monkeypatch.setattr(_Kummer, "spanning_norms", flagged_norms)
+    monkeypatch.setattr(FElem, "__mul__", spy)
+    monkeypatch.setattr(FElem, "__rmul__", spy)
+    NormResidueOracle(ctx, ctx.p).trivial(ctx.from_int(1 + ctx.p),
+                                          ctx.one + ctx.pi)
+    return len(calls), sum(calls)
+
+
 def test_cold_septic_query_multiplication_count(monkeypatch):
     # the pivots of one ramified class at p = 7: 7 closed-form norms, up to
     # the norm group's rank, each a few products once the symmetric
     # functions of the conjugates of G^a are known, where a cofactor
     # expansion paid about 840 per norm
-    ctx = preset("qp-zeta-7", 16)
-    assert ctx.k == 1 and not ctx.omega.is_zero() and not ctx.w_inv.is_zero()
-    calls = []
-    mul = FElem.__mul__
-
-    def spy(self, other):
-        calls.append(None)
-        return mul(self, other)
-
-    monkeypatch.setattr(FElem, "__mul__", spy)
-    monkeypatch.setattr(FElem, "__rmul__", spy)
-    NormResidueOracle(ctx, 7).trivial(ctx.from_int(1 + ctx.p),
-                                      ctx.one + ctx.pi)
-    assert len(calls) <= 467
+    _, kummer = _cold_query_products(monkeypatch, "qp-zeta-7", 16)
+    assert kummer <= 451
 
 
 def test_cold_quintic_query_multiplication_count(monkeypatch):
@@ -445,25 +500,24 @@ def test_cold_quintic_query_multiplication_count(monkeypatch):
     # so its norm is Horner in v1 alone, m products where carrying the
     # powers of v0 took 3m, and the prime element's v0 = 0 leaves the one
     # term e_m v1^m
-    ctx = preset("qp-zeta-5", 32)
-    assert ctx.k == 1 and not ctx.omega.is_zero() and not ctx.w_inv.is_zero()
-    calls = []
-    mul = FElem.__mul__
-
-    def spy(self, other):
-        calls.append(None)
-        return mul(self, other)
-
-    monkeypatch.setattr(FElem, "__mul__", spy)
-    monkeypatch.setattr(FElem, "__rmul__", spy)
-    NormResidueOracle(ctx, 5).trivial(ctx.from_int(1 + ctx.p),
-                                      ctx.one + ctx.pi)
-    assert len(calls) <= 168
+    _, kummer = _cold_query_products(monkeypatch, "qp-zeta-5", 32)
+    assert kummer <= 155
 
 
-def test_tame_reduction_multiplies_no_units(monkeypatch):
-    # with m = 2 and odd p the reducer reads only the exponents of pi and
-    # omega, so dividing off a pivot multiplies no unit parts
+@pytest.mark.parametrize("name,N,bound", [("qp-zeta-7", 16, 525),
+                                          ("qp-zeta-5", 32, 200)])
+def test_cold_query_total_multiplication_count(monkeypatch, name, N, bound):
+    # the whole cold query: the Kummer products above plus the walks that
+    # read y and each spanning norm to its end, clearing every coordinate
+    # with a power of a basis unit from the oracle's table
+    total, _ = _cold_query_products(monkeypatch, name, N)
+    assert total <= bound
+
+
+def test_warm_tame_query_multiplies_only_in_unit_decompose(monkeypatch):
+    # with m = 2 and odd p the coordinates are the exponents of pi and
+    # omega that unit_decompose reads, and reducing them against warm
+    # pivots is integer arithmetic: no other product of field elements
     ctx = preset("cbrt-3", 32)
     oracle = NormResidueOracle(ctx, 2)
     ys = [element_from_string(ctx, text) for text in ("pi", "2", "2*pi")]
@@ -472,25 +526,32 @@ def test_tame_reduction_multiplies_no_units(monkeypatch):
           for _ in range(20)]
     for y in ys:
         oracle.trivial(ctx.one, y)  # warm the pivots
-    inside, products = [], []
-    divide, mul, power = _Reducer._divide, FElem.__mul__, FElem.__pow__
+    inside, decomposed, products = [], [], []
+    decompose, mul, power = (normoracle.unit_decompose, FElem.__mul__,
+                             FElem.__pow__)
 
-    def spy_divide(self, *args):
+    def spy_decompose(x):
         inside.append(None)
+        decomposed.append(x)
         try:
-            return divide(self, *args)
+            return decompose(x)
         finally:
             inside.pop()
 
     def counted(op):
-        return lambda a, b: (inside and products.append(op)) or \
-            (mul if op == "mul" else power)(a, b)
+        def spy(a, b):
+            if not inside:
+                products.append(op)
+            return op(a, b)
+        return spy
 
-    monkeypatch.setattr(_Reducer, "_divide", spy_divide)
-    monkeypatch.setattr(FElem, "__mul__", counted("mul"))
-    monkeypatch.setattr(FElem, "__pow__", counted("pow"))
+    monkeypatch.setattr(normoracle, "unit_decompose", spy_decompose)
+    monkeypatch.setattr(FElem, "__mul__", counted(mul))
+    monkeypatch.setattr(FElem, "__rmul__", counted(mul))
+    monkeypatch.setattr(FElem, "__pow__", counted(power))
     answers = {oracle.trivial(x, y) for x in xs for y in ys}
     assert answers == {False, True}
+    assert len(decomposed) == len(xs)
     assert products == []
 
 
@@ -526,10 +587,18 @@ _UNRAMIFIED_CASES = [
 ]
 
 
-def _leads_unramified(oracle, y):
+def _lead_position(oracle, y):
+    """The basis position of the first nonzero coordinate of y, None for an
+    m-th power."""
     key = oracle.class_key(y)
-    return (bool(key) and ("pi",) not in dict(key)
-            and key[0][0][0] in ("omega", "coker"))
+    lead = next((col for col, c in enumerate(key) if c), None)
+    return None if lead is None else oracle.reducer.basis[lead]
+
+
+def _leads_unramified(oracle, y):
+    pos = _lead_position(oracle, y)
+    return pos == "omega" or (isinstance(pos, tuple)
+                              and pos[0] == oracle.reducer.critical)
 
 
 @pytest.mark.parametrize("name,N,m,y_text", _UNRAMIFIED_CASES)
@@ -555,26 +624,28 @@ def test_a_unit_leading_at_a_fundamental_level_is_not_unramified():
     ctx = preset("qp-zeta-3", 32)
     oracle = NormResidueOracle(ctx, 3)
     y = element_from_string(ctx, "2*(1+2*pi^3)")
-    assert oracle.class_key(y)[0][0] == ("level", 2)
+    assert _lead_position(oracle, y) == (2, 0)
     assert not _leads_unramified(oracle, y)
 
 
-def test_warm_queries_read_the_class_key_of_y_once(z3, monkeypatch):
+def test_one_oracle_reads_each_element_once(z3, monkeypatch):
+    # x and y share one memo: repeated queries, and an element queried as
+    # x and as y, read its coordinates once
     oracle = NormResidueOracle(z3, 3)
-    calls = []
-    normal_form = oracle.reducer.full_normal_form
-
-    def spy(y):
-        calls.append(y)
-        return normal_form(y)
-
-    monkeypatch.setattr(oracle.reducer, "full_normal_form", spy)
-    y = z3.one + z3.pi
-    first = oracle.trivial(z3.pi, y)
-    assert oracle.trivial(z3.pi, y) == first
-    assert oracle.trivial(z3.one + z3.pi ** 2, y) == \
-        NormResidueOracle(z3, 3).trivial(z3.one + z3.pi ** 2, y)
-    assert len(calls) == 1
+    reads = []
+    class_key = oracle.class_key
+    monkeypatch.setattr(oracle, "class_key",
+                        lambda elem: reads.append(elem.flat)
+                        or class_key(elem))
+    xs = [z3.pi, z3.one + z3.pi ** 2, z3.from_int(2)]
+    ys = [z3.one + z3.pi, z3.pi, z3.from_int(7)]
+    pairs = [(x, y) for x in xs for y in ys]
+    first = [oracle.trivial(x, y) for x, y in pairs]
+    assert [oracle.trivial(x, y) for x, y in pairs] == first
+    fresh = NormResidueOracle(z3, 3)
+    assert [fresh.trivial(x, y) for x, y in pairs] == first
+    assert set(first) == {False, True}
+    assert sorted(reads) == sorted({elem.flat for elem in xs + ys})
 
 
 def test_the_class_key_memo_is_capped(z3, monkeypatch):

@@ -1,4 +1,4 @@
-"""Exhaustive brute-force validation of the class normal form.
+"""Exhaustive brute-force validation of the class coordinates.
 
 The oracle's reducer decides membership in (F^x)^m U^H.  On small fields
 the principal-unit part of that subgroup can be enumerated outright, so the
@@ -16,9 +16,9 @@ from tamewild.normoracle import NormResidueOracle
 
 
 def is_mth_power(oracle, y):
-    """The reducer's verdict: y is in (F^x)^m U^H iff its class key is
-    empty."""
-    return not oracle.class_key(y)
+    """The reducer's verdict: y is in (F^x)^m U^H iff its coordinates are
+    all zero."""
+    return not any(oracle.class_key(y))
 
 
 def _unit_class_digits(ctx, u, depth):
