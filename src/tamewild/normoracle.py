@@ -4,17 +4,26 @@ Decides whether x is a norm from L = F(y^{1/m}) (m = 2 or m = p) by finite
 computation: L is realised explicitly as F[G]/(G^m - R(G)), one monic
 relation chosen by the shape of y (totally ramified by a prime element,
 ramified by a unit, or unramified), norms of a spanning set of
-L^x/(L^x)^m U_L^{e(L/F)(H-1)+1} are pushed down to F in closed form (each
-spanning element is v0 + v1 G^a, whose norm is a form in v0, v1 with the
-elementary symmetric functions of the a-th powers of G's conjugates for
-coefficients, from Newton's identities), and membership is solved by
-Gaussian elimination in the elementary abelian quotient V = F^x/(F^x)^m.
-Deeper units add nothing, since every conjugate of z has v_L(z):
-v_F(N(1+z) - 1) >= v_L(z)/e(L/F).  The norms are generated one at a time
-and inserted only until their span has rank _Reducer.norm_rank, one less
-than dim V: by local class field theory the norm group has index m and
-contains every m-th power, so it is a hyperplane of V, and each later norm
-would reduce to nothing.
+L^x/(L^x)^m U_L^{e(L/F)(H-1)+1} are pushed down to F in closed form, and
+membership is solved by Gaussian elimination in the elementary abelian
+quotient V = F^x/(F^x)^m.  H is p*e1 + 1 for m = p, above which every unit
+is a p-th power, and 1 for m = 2 at odd p.  Deeper units add nothing,
+since every conjugate of z has v_L(z): v_F(N(1+z) - 1) >= v_L(z)/e(L/F).
+
+Each spanning element is v0 + v1 G^a, whose norm is a form in v0, v1 with
+the elementary symmetric functions e_k of the a-th powers of G's
+conjugates for coefficients.  Only the relation's constant R_0 is an
+FElem; its other coefficients are ints, so each e_k is a polynomial in R_0
+with integer coefficients that depend only on the relation's shape (m,
+R_1, ..., R_{m-1}) and p^N.  Those integer-polynomial tables come from the
+power sums of the conjugates and Newton's identities, computed once per
+shape and kept in a bounded memo (KUMMER_TABLE_MEMO); each extension
+evaluates them at its own R_0 from R_0's first m powers.
+
+The norms are generated one at a time and inserted only until their span
+has rank _Reducer.norm_rank, one less than dim V: by local class field
+theory the norm group has index m and contains every m-th power, so it is
+a hyperplane of V, and each later norm would reduce to nothing.
 
 Every element is read once, as its coordinate vector in a fixed basis of
 V, listed in the order a walk meets it: pi; omega when m = 2 and p is odd
@@ -29,9 +38,9 @@ divisible by p below p*e1 and of a level above it is reached, none of a
 level below p*e1 prime to p, and the image of phi at p*e1.  The walk
 records each F_p-digit c there as a coordinate and clears it by
 multiplying in the basis unit's (m - c)-th power, kept once built in one
-table per oracle, so nothing is inverted.  The walk ends in U^H, whose
-elements are m-th powers by the p-power landing bounds, so x is the
-product of the basis units raised to its coordinates, times an m-th power.
+table per oracle, so nothing is inverted.  The walk ends in U^H =
+U^{p*e1+1}, whose elements are p-th powers, so x is the product of the
+basis units raised to its coordinates, times an m-th power.
 The basis has dim V elements (e*d + 2 when mu_p lies in F, 2 in the tame
 case), so the coordinates are unique and additive: coords(xz) = coords(x)
 + coords(z) mod m, and an m-th power reads all zeros.
@@ -54,9 +63,12 @@ multiplied at all.
 
 from __future__ import annotations
 
+import functools
+
 from .errors import BadInput, InvariantFailed, PrecisionExhausted, Unsupported
 from .finitefield import FiniteField, default_modulus
 from .localfield import (
+    FElem,
     LocalFieldCtx,
     cyclotomic_eisenstein,
     split_unit,
@@ -70,6 +82,14 @@ from .localfield import (
 #: class_key and memory stays bounded however many distinct ones a run
 #: queries.
 CLASS_KEY_MEMO = 256
+
+#: Most relation shapes (m, tail, p^N) whose integer tables of elementary
+#: symmetric functions (_elementary_table) the process keeps, the least
+#: recently used dropped first.  A field at one precision has at most four
+#: shapes (a prime element, a wild unit class, the unramified m = 2 and
+#: m = p); at p <= 17 a table is below 0.1 MB, at p = 41, N = 64 it holds
+#: 1.3 MB and takes 1 s of CPU (CPython 3.11, Intel Xeon).
+KUMMER_TABLE_MEMO = 16
 
 
 # ---------------------------------------------------------------------------
@@ -92,8 +112,8 @@ class _Reducer:
             return
         if p != 2 and ctx.k < 1:
             raise Unsupported("mu_p is not contained in F")
-        self.H = ctx.wild_level
         self.critical = p * ctx.e // (p - 1)  # mu_p in F: (p-1) | e
+        self.H = self.critical + 1  # U^{p*e1+1} is all p-th powers
         reached = {row[1] for row in ctx.phi_span.rows}
         self.basis = ["pi"] + [
             (s, j) for s in range(1, self.critical) if s % p
@@ -176,8 +196,67 @@ class _Reducer:
 # explicit Kummer extensions and their norms
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=KUMMER_TABLE_MEMO)
+def _elementary_table(m, tail, mod):
+    """For the relation G^m = T + sum_{j>=1} tail[j-1] G^j, its constant T
+    an indeterminate: for each a = 1, ..., m - 1, the coefficient lists in T
+    (lowest degree first, no trailing zeros) of e_0, ..., e_{m-1}, the
+    elementary symmetric functions of the a-th powers of G's conjugates r_i,
+    in Z[T] mod `mod`.
+
+    The power sums S_n of the r_i for n <= (m-1)^2 come from the division-
+    free S_n = n R_{m-n} + sum_{i < n} R_{m-i} S_{n-i} over the nonzero R_j
+    (the first term only for n <= m): Newton's identities up to m, the
+    relation itself above.  R_0 = T shifts a coefficient list and every
+    other R_j scales it.  The e_k of the r_i^a, whose power sums are S_0,
+    S_a, S_2a, ..., follow from Newton's identities k e_k = sum_{i=1}^k
+    (-1)^(i-1) e_{k-i} S_ia, whose division by the unit k < m is exact
+    because e_k lies in Z[T]."""
+    def add_to(acc, c, poly, shift=0):
+        """acc += c T^shift poly, in place."""
+        acc.extend([0] * (len(poly) + shift - len(acc)))
+        for d, x in enumerate(poly, shift):
+            acc[d] += c * x
+
+    def reduced(poly):
+        poly = [x % mod for x in poly]
+        while poly and not poly[-1]:
+            poly.pop()
+        return poly
+
+    terms = [(m - j, c) for j, c in enumerate(tail, 1) if c % mod]
+    sums = [reduced([m])]
+    for n in range(1, (m - 1) ** 2 + 1):
+        acc = []
+        for i, c in terms:
+            if i < n:
+                add_to(acc, c, sums[n - i])
+            elif i == n:
+                add_to(acc, n * c, [1])
+        if m < n:
+            add_to(acc, 1, sums[n - m], 1)
+        elif m == n:
+            add_to(acc, m, [1], 1)
+        sums.append(reduced(acc))
+    inverses = [pow(k, -1, mod) for k in range(1, m)]  # units: k < m <= p
+    table = []
+    for a in range(1, m):
+        e = [[1]]
+        for k, inv in enumerate(inverses, 1):
+            acc = []
+            for i in range(1, k + 1):
+                sign = 1 if i % 2 else -1
+                for d, x in enumerate(e[k - i]):
+                    if x:
+                        add_to(acc, sign * x, sums[i * a], d)
+            e.append(reduced([x * inv for x in acc]))
+        table.append(tuple(map(tuple, e)))
+    return tuple(table)
+
+
 class _Kummer:
-    """L = F[G]/(G^m - R(G)) for a monic degree-m relation over F, with
+    """L = F[G]/(G^m - R(G)) for the monic relation G^m = const + sum_{j>=1}
+    tail[j-1] G^j over F, its constant an FElem and the rest ints, with
     v_L(G) = lam.  A lam coprime to m makes L totally ramified (lam = 1 for
     a prime element, the unit level for the relation (1+G)^p = y); lam = 0
     makes it unramified, the relation reducing to an irreducible polynomial
@@ -186,52 +265,42 @@ class _Kummer:
 
     Every element whose norm is taken has the form v0 + v1 G^a, so its norm
     is prod_i (v0 + v1 r_i^a) over the conjugates r_i of G, a form in v0, v1
-    whose coefficients are the elementary symmetric functions of the r_i^a.
-    Those come from the power sums of the r_i by Newton's identities, which
-    divide only by k < m, a unit; the identity holds in every commutative
-    ring, so the norm is exact in O/p^N."""
+    whose coefficients are the elementary symmetric functions e_k of the
+    r_i^a.  Each e_k with k < m is a polynomial in the constant with integer
+    coefficients that depend only on (m, tail) and p^N, so the table of them
+    (_elementary_table) is computed once per relation shape and kept; a
+    build evaluates it at its own constant from the powers const^0, ...,
+    const^(m-1), m - 2 products, and e_m = N(G)^a = ((-1)^(m+1) const)^a is
+    one of those powers.  The identities hold in every commutative ring, so
+    the norm is exact in O/p^N."""
 
-    def __init__(self, ctx, m, rhs, lam):
+    def __init__(self, ctx, m, const, tail, lam):
         self.ctx = ctx
         self.m = m
         self.ram_index = m if lam else 1  # e(L/F)
-        self.rhs = rhs  # list of m FElems: G^m = sum rhs[j] G^j
+        self.const = const  # R_0, an FElem
+        self.tail = tail  # R_1, ..., R_{m-1}, ints
         self.lam = lam
-        # the power sums S_n of the r_i for n <= (m-1)^2, by the division-
-        # free S_n = n R_{m-n} + sum_{i < n} R_{m-i} S_{n-i} over the
-        # nonzero R_j (the first term only for n <= m): Newton's identities
-        # up to m, the relation itself above
-        terms = [(m - j, r) for j, r in enumerate(rhs) if not r.is_zero()]
-        sums = [ctx.from_int(m)]
-        for n in range(1, (m - 1) ** 2 + 1):
-            acc = ctx.zero
-            for i, r in terms:
-                if i < n and not sums[n - i].is_zero():
-                    acc = acc + r * sums[n - i]
-                elif i == n:
-                    acc = acc + r * n
-            sums.append(acc)
-        # e_0, ..., e_m of the r_i^a, whose power sums are S_0, S_a, S_2a,
-        # ...; e_m = N(G)^a, with N(G) = (-1)^(m+1) R_0
-        top = rhs[0] if m % 2 else -rhs[0]
-        self._elementary = [None] + [self._newton(sums[::a], top ** a)
-                                     for a in range(1, m)]
+        powers = [ctx.one, const]
+        for _ in range(2, m):
+            powers.append(powers[-1] * const)
+        zeros = ctx.zero.flat[1:]
 
-    def _newton(self, power_sums, last):
-        """e_0, ..., e_m from power_sums[i] = P_i by Newton's identities k e_k
-        = sum_{i=1}^k (-1)^(i-1) e_{k-i} P_i for k < m, which divide only
-        by a unit k; e_m = last."""
-        ctx = self.ctx
-        e = [ctx.one]
-        for k in range(1, self.m):
+        def at_const(coeffs):
+            # sum_d coeffs[d] const^d; most entries are constants, already
+            # reduced mod p^N, and make their flat tuple with no arithmetic
+            if len(coeffs) == 1:
+                return FElem(ctx, coeffs + zeros)
             acc = ctx.zero
-            for i in range(1, k + 1):
-                if power_sums[i].is_zero() or e[k - i].is_zero():
-                    continue
-                term = e[k - i] * power_sums[i]
-                acc = acc + term if i % 2 else acc - term
-            e.append(acc * pow(k, -1, ctx.mod))
-        return e + [last]
+            for c, t in zip(coeffs, powers):
+                if c:
+                    acc = acc + (t if c == 1 else t * c)
+            return acc
+
+        self._elementary = [None] + [
+            [at_const(coeffs) for coeffs in row]
+            + [powers[a] if m % 2 or a % 2 == 0 else -powers[a]]
+            for a, row in enumerate(_elementary_table(m, tail, ctx.mod), 1)]
 
     def norm(self, v0, v1, a):
         """N_{L/F}(v0 + v1 G^a) = sum_j e_j v1^j v0^(m-j), by Horner in v1
@@ -289,8 +358,8 @@ class _Kummer:
             # Teichmuller lift has order prime to p, so its norm is a p-th
             # power and the generator adds nothing
             if m != ctx.p:
-                kappa = FiniteField(ctx.p,
-                                    [-r.residue() for r in self.rhs] + [1])
+                kappa = FiniteField(ctx.p, [-self.const.residue()]
+                                    + [-c for c in self.tail] + [1])
                 g0, g1 = (ctx.from_int(c)
                           for c in kappa.digits(kappa.generator()))
                 yield self.norm(g0, g1, 1)
@@ -310,10 +379,11 @@ def _unramified_kummer(ctx, m):
             "unramified splitting is implemented over prime residue "
             "fields only")
     if m == ctx.p:
-        rhs = [ctx.one, ctx.one] + [ctx.zero] * (m - 2)
+        const, tail = ctx.one, (1,) + (0,) * (m - 2)
     else:
-        rhs = [ctx.from_int(-c) for c in default_modulus(ctx.p, m)[:m]]
-    return _Kummer(ctx, m, rhs, lam=0)
+        c0, *rest = (-c for c in default_modulus(ctx.p, m)[:m])
+        const, tail = ctx.from_int(c0), tuple(rest)
+    return _Kummer(ctx, m, const, tail, lam=0)
 
 
 # ---------------------------------------------------------------------------
@@ -352,9 +422,8 @@ class NormResidueOracle:
             # totally ramified: for y = pi^v u_y and c = v^-1 mod m, y^c is
             # u_y^c pi times an m-th power of pi, a prime element
             v, u_y = split_unit(y)
-            rhs = [ctx.zero] * m
-            rhs[0] = u_y ** pow(v, -1, m) * ctx.pi
-            return _Kummer(ctx, m, rhs, lam=1)
+            return _Kummer(ctx, m, u_y ** pow(v, -1, m) * ctx.pi,
+                           (0,) * (m - 1), lam=1)
         if not red.wild:
             # odd p, m = 2, unit class: only the omega coordinate survives,
             # so L is the unramified quadratic extension
@@ -371,9 +440,9 @@ class NormResidueOracle:
                 y_red = y_red * red.power(col, c)
         # relation (1+G)^p = y_red: (1+G)^p - 1 is G times the Eisenstein
         # polynomial of Q_p(zeta_p), whose lead is 1
-        rhs = [y_red - ctx.one] + [ctx.from_int(-c) for c in
-                                   cyclotomic_eisenstein(ctx.p)[:-1]]
-        return _Kummer(ctx, m, rhs, lam=lam)
+        return _Kummer(ctx, m, y_red - ctx.one,
+                       tuple(-c for c in cyclotomic_eisenstein(ctx.p)[:-1]),
+                       lam=lam)
 
     def _pivots_for(self, y):
         key = self._coordinates(y)

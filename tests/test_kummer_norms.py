@@ -6,17 +6,74 @@ here is the definition: the determinant of multiplication by an element of
 L = F[G]/(G^m - R(G)) in the G-power basis, expanded by cofactors.  Both
 are polynomial identities with integer coefficients, so they agree
 exactly, as FElems, not only modulo m-th powers.
+
+The symmetric functions themselves are evaluated from integer tables in
+the relation's constant (`normoracle._elementary_table`); their reference
+is the recurrence on FElems that computed them per extension, power sums
+of the conjugates and then Newton's identities.
 """
 
 import random
 
 import pytest
 
+from tamewild import normoracle
 from tamewild.cli import element_from_string
 from tamewild.finitefield import FiniteField
-from tamewild.localfield import preset
-from tamewild.normoracle import NormResidueOracle
+from tamewild.localfield import preset, qp, qp_zeta
+from tamewild.normoracle import NormResidueOracle, _unramified_kummer
 from test_oracle_golden import _extension_kind
+
+
+def _relation(ext):
+    """R_0, ..., R_{m-1} of the relation G^m = sum_j R_j G^j, as FElems."""
+    return [ext.const] + [ext.ctx.from_int(c) for c in ext.tail]
+
+
+def _residue_field(ext):
+    """kappa_L = F_p[G]/(G^m - R(G)) of an unramified extension."""
+    return FiniteField(ext.ctx.p, [-ext.const.residue()]
+                       + [-c for c in ext.tail] + [1])
+
+
+def _newton(ctx, m, power_sums, last):
+    """e_0, ..., e_m from power_sums[i] = P_i by Newton's identities k e_k
+    = sum_{i=1}^k (-1)^(i-1) e_{k-i} P_i for k < m, which divide only
+    by a unit k; e_m = last."""
+    e = [ctx.one]
+    for k in range(1, m):
+        acc = ctx.zero
+        for i in range(1, k + 1):
+            if power_sums[i].is_zero() or e[k - i].is_zero():
+                continue
+            term = e[k - i] * power_sums[i]
+            acc = acc + term if i % 2 else acc - term
+        e.append(acc * pow(k, -1, ctx.mod))
+    return e + [last]
+
+
+def reference_elementary(ext):
+    """[None, e(1), ..., e(m-1)], e(a) = e_0, ..., e_m of the a-th powers
+    of G's conjugates r_i, all on FElems: the power sums S_n of the r_i for
+    n <= (m-1)^2 by the division-free S_n = n R_{m-n} + sum_{i < n} R_{m-i}
+    S_{n-i} over the nonzero R_j (the first term only for n <= m), then
+    Newton's identities on S_0, S_a, S_2a, ..., with e_m = N(G)^a and N(G)
+    = (-1)^(m+1) R_0."""
+    ctx, m = ext.ctx, ext.m
+    rhs = _relation(ext)
+    terms = [(m - j, r) for j, r in enumerate(rhs) if not r.is_zero()]
+    sums = [ctx.from_int(m)]
+    for n in range(1, (m - 1) ** 2 + 1):
+        acc = ctx.zero
+        for i, r in terms:
+            if i < n and not sums[n - i].is_zero():
+                acc = acc + r * sums[n - i]
+            elif i == n:
+                acc = acc + r * n
+        sums.append(acc)
+    top = rhs[0] if m % 2 else -rhs[0]
+    return [None] + [_newton(ctx, m, sums[::a], top ** a)
+                     for a in range(1, m)]
 
 
 def _felem_det(ctx, mat):
@@ -37,7 +94,7 @@ def _felem_det(ctx, mat):
 def reference_norm(ext, vec):
     """N_{L/F}(sum vec[j] G^j) as the determinant of the multiplication
     matrix, whose j-th column is vec times G^j."""
-    ctx, m = ext.ctx, ext.m
+    ctx, m, rhs = ext.ctx, ext.m, _relation(ext)
     cols = [list(vec)]
     for _ in range(m - 1):
         prev = cols[-1]
@@ -45,7 +102,7 @@ def reference_norm(ext, vec):
         shifted = [ctx.zero] + prev[:-1]
         if not top.is_zero():
             for j in range(m):
-                shifted[j] = shifted[j] + top * ext.rhs[j]
+                shifted[j] = shifted[j] + top * rhs[j]
         cols.append(shifted)
     return _felem_det(ctx, [[cols[j][i] for j in range(m)]
                             for i in range(m)])
@@ -131,8 +188,7 @@ def test_spanning_norms_are_the_determinants(name, N, m, ys):
             basis = [(0, ctx.teichmuller_power(c)) for c in range(ctx.d)]
         else:
             if m != ctx.p:
-                kappa = FiniteField(ctx.p,
-                                    [-r.residue() for r in ext.rhs] + [1])
+                kappa = _residue_field(ext)
                 g0, g1 = kappa.digits(kappa.generator())
                 elements.append((ctx.from_int(g0), ctx.from_int(g1), 1))
             basis = [(c, ctx.one) for c in range(m)]
@@ -157,7 +213,7 @@ def test_unramified_generator_norm_is_spanned_without_it(name, N, y_text):
     ext = oracle._build_extension(list(oracle.class_key(y)), y)
     assert ext.ram_index == 1
     red, rows = oracle.reducer, oracle._pivots_for(y)
-    kappa = FiniteField(p, [-r.residue() for r in ext.rhs] + [1])
+    kappa = _residue_field(ext)
     gen = [ctx.from_int(c) for c in kappa.digits(kappa.generator())]
     rng = random.Random(f"generator-{name}")
     vectors = [gen] + [[_random_elem(ctx, rng) for _ in range(p)]
@@ -166,3 +222,48 @@ def test_unramified_generator_norm_is_spanned_without_it(name, N, y_text):
         assert not any(red.reduce(rows, red.coordinates(
             reference_norm(ext, vec))))
     assert any(red.reduce(rows, red.coordinates(ctx.pi)))
+
+
+def _relation_shapes(p, N):
+    """(kind, extension) for every relation shape the oracle builds over
+    Q_p(zeta_p) (Q_2 at p = 2) at precision N, each ramified shape for two
+    constants: a prime element, a wild unit class, the unramified
+    extension of degree p and, for odd p, the unramified quadratic one."""
+    ctx = qp(2, N) if p == 2 else qp_zeta(p, N)
+    oracle = NormResidueOracle(ctx, p)
+    for c in (1, 2 * p - 1):
+        for y in (ctx.from_int(c) * ctx.pi,
+                  ctx.one + ctx.from_int(c) * ctx.pi):
+            key = oracle.class_key(y)
+            yield _extension_kind(oracle, key, y), \
+                oracle._build_extension(list(key), y)
+    yield "cokernel", _unramified_kummer(ctx, p)
+    if p != 2:
+        yield "unramified-quadratic", _unramified_kummer(ctx, 2)
+
+
+@pytest.mark.parametrize("N", [8, 32])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17])
+def test_elementary_tables_are_the_felem_recurrence(p, N):
+    kinds = set()
+    for kind, ext in _relation_shapes(p, N):
+        kinds.add(kind)
+        assert ext._elementary == reference_elementary(ext), (kind, p, N)
+    assert kinds == {"prime-element", "wild-unit", "cokernel"} | (
+        set() if p == 2 else {"unramified-quadratic"})
+
+
+def test_a_second_build_of_a_shape_computes_no_table():
+    # the tables depend only on (m, tail, p^N): a fresh oracle on a fresh
+    # context of the same field evaluates the kept table at its own constant
+    def build(y_text):
+        ctx = preset("qp-zeta-5", 16)
+        y = element_from_string(ctx, y_text)
+        oracle = NormResidueOracle(ctx, 5)
+        return oracle._build_extension(list(oracle.class_key(y)), y)
+
+    build("1+pi")
+    misses = normoracle._elementary_table.cache_info().misses
+    second = build("1+2*pi")
+    assert normoracle._elementary_table.cache_info().misses == misses
+    assert second._elementary == reference_elementary(second)

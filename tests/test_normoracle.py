@@ -267,10 +267,13 @@ def test_unramified_splitting_needs_prime_residue_field():
         norm_residue_trivial(ctx.pi, ctx.omega, 2)
 
 
+def _zeta9(N):
+    return LocalFieldCtx(3, [3, 9, 18, 21, 15, 6, 1], N, name="qp-zeta9-3")
+
+
 def test_wild_oracle_on_k2_field():
     # Q_3(zeta_9): k = 2 >= 1, so the m = 3 oracle applies
-    from tamewild.localfield import LocalFieldCtx
-    F = LocalFieldCtx(3, [3, 9, 18, 21, 15, 6, 1], 16, name="qp-zeta9-3")
+    F = _zeta9(16)
     y = F.one + F.pi
     rng = random.Random(11)
     for _ in range(10):
@@ -283,6 +286,45 @@ def test_wild_oracle_on_k2_field():
     coker_y = F.one + F.pi ** 9  # leads at the critical cokernel level
     assert not norm_residue_trivial(F.pi, coker_y, 3)
     assert norm_residue_trivial(F.pi ** 3, coker_y, 3)
+
+
+def test_the_walk_stops_above_the_critical_level(monkeypatch):
+    # over Q_3(zeta_9) (k = 2) every unit of U^{p*e1+1} = U^10 is a cube,
+    # so the walk stops there and not at the wild level 16: the same
+    # coordinates for fewer products
+    F = _zeta9(16)
+    red = NormResidueOracle(F, 3).reducer
+    assert (red.critical, red.H, F.wild_level) == (9, 10, 16)
+    rng = random.Random("zeta9-reads")
+    units = [F.one + F.pi * _random_nonzero(F, rng) for _ in range(20)]
+    products, mul = [], FElem.__mul__
+
+    def spy(self, other):
+        products.append(None)
+        return mul(self, other)
+
+    monkeypatch.setattr(FElem, "__mul__", spy)
+    monkeypatch.setattr(FElem, "__rmul__", spy)
+    coords = [red.coordinates(u) for u in units]
+    assert len(products) <= 296  # 734 walking to the wild level
+    monkeypatch.undo()
+    deep = NormResidueOracle(F, 3).reducer
+    deep.H = F.wild_level
+    assert [deep.coordinates(u) for u in units] == coords
+    assert all(map(any, coords))
+
+
+def test_a_deep_valuation_is_read_while_levels_below_the_walk_remain():
+    # M = 96 and v = 82 leave 14 certified levels, enough to walk to level
+    # 10; pi^81 is a cube, so the answer is that for 2*pi
+    from tamewild.errors import PrecisionExhausted
+    F = _zeta9(16)
+    y = F.one + F.pi
+    assert norm_residue_trivial(F.pi ** 82 * 2, y, 3) is False
+    assert norm_residue_trivial(F.pi * 2, y, 3) is False
+    with pytest.raises(PrecisionExhausted, match="valuation 86 leaves no "
+                       "certified digits below level 10"):
+        norm_residue_trivial(F.pi ** 86 * 2, y, 3)
 
 
 def test_bilinearity_in_x(z3):
@@ -489,9 +531,11 @@ def test_cold_septic_query_multiplication_count(monkeypatch):
     # the pivots of one ramified class at p = 7: 7 closed-form norms, up to
     # the norm group's rank, each a few products once the symmetric
     # functions of the conjugates of G^a are known, where a cofactor
-    # expansion paid about 840 per norm
+    # expansion paid about 840 per norm; the symmetric functions are the
+    # kept integer tables evaluated at the relation's constant: 5 products
+    # for its powers, and int multiples of them
     _, kummer = _cold_query_products(monkeypatch, "qp-zeta-7", 16)
-    assert kummer <= 451
+    assert kummer <= 119
 
 
 def test_cold_quintic_query_multiplication_count(monkeypatch):
@@ -501,11 +545,11 @@ def test_cold_quintic_query_multiplication_count(monkeypatch):
     # powers of v0 took 3m, and the prime element's v0 = 0 leaves the one
     # term e_m v1^m
     _, kummer = _cold_query_products(monkeypatch, "qp-zeta-5", 32)
-    assert kummer <= 155
+    assert kummer <= 46
 
 
-@pytest.mark.parametrize("name,N,bound", [("qp-zeta-7", 16, 525),
-                                          ("qp-zeta-5", 32, 200)])
+@pytest.mark.parametrize("name,N,bound", [("qp-zeta-7", 16, 193),
+                                          ("qp-zeta-5", 32, 91)])
 def test_cold_query_total_multiplication_count(monkeypatch, name, N, bound):
     # the whole cold query: the Kummer products above plus the walks that
     # read y and each spanning norm to its end, clearing every coordinate

@@ -66,7 +66,7 @@ def _extension_kind(oracle, key, y):
     ext = oracle._build_extension(list(key), y)
     if ext.ram_index == 1:
         return "cokernel" if oracle.reducer.wild else "unramified-quadratic"
-    if all(r.is_zero() for r in ext.rhs[1:]):
+    if not any(ext.tail):
         return "prime-element"
     return "wild-unit"
 
