@@ -51,6 +51,13 @@ over its base, so a product over a tower with s > 1 fails in _build_tables.
 factor, the one factorization over F_q, runs squarefree_decomposition,
 distinct_degree and _edf, seeded by the polynomial so that it is
 deterministic; funcfield reads the orders of rational functions off it.
+
+echelon_reduce and echelon_insert are the one Gaussian elimination over a
+prime field F_l: vectors of ints mod l against rows kept in echelon form.
+Columns beside a row's own carry along whatever it was built from, so a
+reduction also reports the combination of rows it subtracted.  The image
+of the critical level's graded p-power map (localfield.LocalFieldCtx.
+phi_span) and the norm group of the norm-residue oracle are such rows.
 """
 
 from __future__ import annotations
@@ -350,37 +357,25 @@ def default_modulus(p, s):
                 if is_irreducible(FqPoly(fp, list(tail) + [1])))
 
 
-class DigitSpan:
-    """Echelonized F_l-span of elements of `field`, l its characteristic,
-    each read as its F_l^d digit vector (a prime field's element is its own
-    vector).  Rows carry witness data, and reductions report the
-    combination used."""
+def echelon_reduce(rows, vec, l):
+    """vec minus the combination of the echelon rows that clears every
+    column a row leads, entries ints mod the prime l; rows are (lead, row)
+    in the order inserted, with row[lead] = 1 and row zero at the lead of
+    every earlier row."""
+    for lead, row in rows:
+        c = vec[lead]
+        if c:
+            vec = [(a - c * b) % l for a, b in zip(vec, row)]
+    return vec
 
-    def __init__(self, field):
-        self.field = field
-        self.p = field.p
-        self.rows = []  # (vec, pivot digit index, its inverse, witness)
 
-    def reduce(self, vec):
-        """(residual, combo) with combo = [(witness, scale), ...] such that
-        vec = residual + sum scale * row_vec."""
-        k = self.field
-        combo = []
-        for row_vec, piv, inv, wit in self.rows:
-            c = k.digits(vec)[piv]
-            if c:
-                scale = c * inv % self.p
-                vec = k.sub(vec, k.scale(row_vec, scale))
-                combo.append((wit, scale))
-        return vec, combo
-
-    def insert(self, vec, witness):
-        """Insert a row whose vector is already reduced against this span."""
-        if not vec:
-            raise BadInput("cannot insert a zero row")
-        piv, lead = next((i, c) for i, c in enumerate(self.field.digits(vec))
-                         if c)
-        self.rows.append((vec, piv, pow(lead, -1, self.p), witness))
+def echelon_insert(rows, vec, l):
+    """Add vec to the span of rows, keeping them in echelon form."""
+    vec = echelon_reduce(rows, vec, l)
+    lead = next((col for col, c in enumerate(vec) if c), None)
+    if lead is not None:
+        inv = pow(vec[lead], -1, l)
+        rows.append((lead, tuple(c * inv % l for c in vec)))
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BadInput, InvariantFailed, PrecisionExhausted, Unsupported
-from .finitefield import MAX_Q, DigitSpan, FiniteField, default_modulus
+from .finitefield import (
+    MAX_Q,
+    FiniteField,
+    default_modulus,
+    echelon_insert,
+    echelon_reduce,
+)
 from .ntheory import isprime
 
 #: The precision N of a field when none is given: of presets, field
@@ -292,17 +298,16 @@ class LocalFieldCtx:
         p-power map sends level t < e1 to p*t by the Frobenius (a =
         c^(1/p)), level t > e1 to t + e by multiplication by rho (a =
         c/rho), and the critical level t = e1 to p*t by phi (phi_span); no
-        p-th power lands on a level s < p*e1 prime to p."""
-        kappa, p = self.kappa, self.p
+        p-th power lands on a level s < p*e1 prime to p.  At the critical
+        level (c | 0) reduces to (r | -a) against the rows of phi_span."""
+        kappa, p, d = self.kappa, self.p, self.d
         above = s * (p - 1) - p * self.e  # the sign of s - p*e1
         if above > 0:
             return kappa.mul(c, kappa.inv(self.rho)), s - self.e, 0
         if above == 0:
-            r, combo = self.phi_span.reduce(c)
-            a = 0
-            for wit, scale in combo:
-                a = kappa.add(a, kappa.scale(wit, scale))
-            return a, s // p, r
+            vec = echelon_reduce(self.phi_span, kappa.digits(c) + [0] * d, p)
+            a = kappa.pack([-x for x in vec[d:]])
+            return a, s // p, kappa.pack(vec[:d])
         if s % p:
             return 0, s // p, c
         return kappa.pow(c, self.q // p), s // p, 0
@@ -350,20 +355,20 @@ class LocalFieldCtx:
     @_lazy
     def phi_span(self):
         """The image of phi(a) = a^p + rho*a, the graded p-power map at the
-        critical level, as a DigitSpan over kappa whose rows carry their
-        preimages."""
-        kappa = self.kappa
-        span = DigitSpan(kappa)
-        gen = kappa.generator() if self.d > 1 else kappa.one
-        for j in range(self.d):
+        critical level, as echelon rows (finitefield.echelon_insert) over F_p
+        of the vectors digits(phi(a)) ++ digits(a), each leading at a digit
+        of phi(a): the last d entries of a row are a preimage of the
+        first d."""
+        kappa, p, d = self.kappa, self.p, self.d
+        rows = []
+        gen = kappa.generator() if d > 1 else kappa.one
+        for j in range(d):
             a = kappa.pow(gen, j)
-            img = kappa.add(kappa.pow(a, self.p), kappa.mul(self.rho, a))
-            residual, combo = span.reduce(img)
-            if residual:
-                for prev, scale in combo:
-                    a = kappa.sub(a, kappa.scale(prev, scale))
-                span.insert(residual, a)
-        return span
+            img = kappa.add(kappa.pow(a, p), kappa.mul(self.rho, a))
+            vec = echelon_reduce(rows, kappa.digits(img) + kappa.digits(a), p)
+            if any(vec[:d]):  # a kernel vector would lead at a digit of a
+                echelon_insert(rows, vec, p)
+        return rows
 
     @_lazy
     def omega(self):
@@ -382,7 +387,8 @@ class LocalFieldCtx:
         mu_p lies in F iff e1 is an integer and phi has a kernel, that is
         iff -rho = a^(p-1) for some a in kappa; then x = 1 + [a] pi^e1 has
         x^p in U^{p*e1+1}, where every unit is a p-th power, so the walk
-        strip_pth_powers(x^p) ends at 1 with a z that makes zeta_p = x*z.
+        strip_pth_powers(x^p) ends at 1 with level units whose product z
+        makes zeta_p = x*z.
         Each zeta_{p^(j+1)} is pth_root(zeta_{p^j}) until that is None.
         zeta_{p^j} is certified mod pi^{M-j*e}, and the decision reads its
         digits up to level p*e1, so PrecisionExhausted is raised once
@@ -395,7 +401,7 @@ class LocalFieldCtx:
         if r:
             return 0
         x = self.level_unit(kappa.pow(kappa.generator(), n), e // (p - 1))
-        zeta, k = x * strip_pth_powers(x ** p, self.M)[1], 1
+        zeta, k = math.prod(strip_pth_powers(x ** p, self.M)[1], start=x), 1
         critical = p * e // (p - 1)
         while self.M - k * e > critical:
             zeta = pth_root(zeta)
@@ -821,37 +827,39 @@ def hasse_forward(ctx, t, depth=None):
 
 
 def strip_pth_powers(u, stop):
-    """(u*x^p, x, lead): multiply p-th powers into the principal unit u,
-    level by level, until u*x^p lies in U^stop (lead None) or keeps a digit
-    r at a level s < stop that no p-th power reaches (lead (s, r)).  The
-    digit c at s is cleared as far as p-th powers reach it by (1 + [a]
-    pi^t)^p, (a, t, m) = graded_pth_root(s, -c), which leaves -m; no
-    inverse is taken, and each cleared level raises the level of u*x^p."""
+    """(u*x^p, units, lead): multiply p-th powers into the principal unit
+    u, level by level, until u*x^p lies in U^stop (lead None) or keeps a
+    digit r at a level s < stop that no p-th power reaches (lead (s, r)),
+    x the product of the level units in the list units, which is left to
+    a caller that reads it.  The digit c at s is cleared as far as p-th
+    powers reach it by (1 + [a] pi^t)^p, (a, t, m) = graded_pth_root(s,
+    -c), which leaves -m; no inverse is taken, and each cleared level
+    raises the level of u*x^p."""
     ctx = u.ctx
     one, p, neg = ctx.one, ctx.p, ctx.kappa.neg
-    x = one
+    units = []
     while True:
         y = u - one
         s, c = lead(y) if not y.is_zero() else (stop, 0)
         if s >= stop:
-            return u, x, None
+            return u, units, None
         if s < 1:
             raise BadInput("strip_pth_powers needs a principal unit")
         a, t, missed = ctx.graded_pth_root(s, neg(c))
         if a:
             corr = ctx.level_unit(a, t)
-            x = x * corr
+            units.append(corr)
             u = u * corr ** p
         if missed:
-            return u, x, (s, neg(missed))
+            return u, units, (s, neg(missed))
 
 
 def pth_root(w):
     """A p-th root x of the principal unit w, exact mod pi^M and unique up
     to mu_p(F), or None when w is no p-th power: the walk from w^-1 ends at
     1 (then x^p = w) or at a digit that no p-th power reaches."""
-    _, x, stuck = strip_pth_powers(w.invert_unit(), w.ctx.M)
-    return None if stuck else x
+    _, units, stuck = strip_pth_powers(w.invert_unit(), w.ctx.M)
+    return None if stuck else math.prod(units, start=w.ctx.one)
 
 
 def pth_root_in_filtration(w, t):

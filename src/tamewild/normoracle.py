@@ -21,9 +21,9 @@ shape and kept in a bounded memo (KUMMER_TABLE_MEMO); each extension
 evaluates them at its own R_0 from R_0's first m powers.
 
 The norms are generated one at a time and inserted only until their span
-has rank _Reducer.norm_rank, one less than dim V: by local class field
-theory the norm group has index m and contains every m-th power, so it is
-a hyperplane of V, and each later norm would reduce to nothing.
+has rank NormResidueOracle.norm_rank, one less than dim V: by local class
+field theory the norm group has index m and contains every m-th power, so
+it is a hyperplane of V, and each later norm would reduce to nothing.
 
 Every element is read once, as its coordinate vector in a fixed basis of
 V, listed in the order a walk meets it: pi; omega when m = 2 and p is odd
@@ -40,16 +40,18 @@ records each F_p-digit c there as a coordinate and clears it by
 multiplying in the basis unit's (m - c)-th power, kept once built in one
 table per oracle, so nothing is inverted.  The walk ends in U^H =
 U^{p*e1+1}, whose elements are p-th powers, so x is the product of the
-basis units raised to its coordinates, times an m-th power.
-The basis has dim V elements (e*d + 2 when mu_p lies in F, 2 in the tame
-case), so the coordinates are unique and additive: coords(xz) = coords(x)
-+ coords(z) mod m, and an m-th power reads all zeros.
+basis units raised to its coordinates, times an m-th power; the walk
+multiplies no root together, since nothing reads it.  The basis has dim V
+elements (e*d + 2 when mu_p lies in F, 2 in the tame case), so the
+coordinates are unique and additive: coords(xz) = coords(x) + coords(z)
+mod m, and an m-th power reads all zeros.
 
 The norm group is then a row space: each spanning norm's vector is
-inserted into echelon rows of ints mod m, and x is a norm iff its vector
-reduces to zero.  A reduced vector can be nonzero only at the one column
-that no row leads.  One memo, keyed by the flat tuple, holds the
-coordinates of x and y alike, so a warm query reads neither.
+inserted into echelon rows of ints mod m (finitefield.echelon_insert), and
+x is a norm iff its vector reduces to zero.  A reduced vector can be
+nonzero only at the one column that no row leads.  One memo, keyed by the
+flat tuple, holds the coordinates of x and y alike, so a warm query reads
+neither.
 
 Kummer norms are kept modulo m-th powers too: a norm drops the powers of
 pi that keep its coefficients integral, so a level unit 1 + scale G^a pi^b
@@ -57,8 +59,9 @@ with b >= 0 keeps v0 = 1 and its norm is Horner in v1 alone, m products;
 and no generator whose norm is an m-th power (pi^m when pi stays prime,
 omega^m when kappa_L = kappa, the Teichmuller generator of kappa_L^x when
 L is unramified of degree p) is built.  In the tame case (m = 2, odd p)
-only the exponents of pi and omega are read, so unit parts are not
-multiplied at all.
+only the exponents of pi and omega are read, v(x) and the discrete log of
+x's leading digit (localfield.lead), so unit parts are not multiplied at
+all.
 """
 
 from __future__ import annotations
@@ -66,11 +69,16 @@ from __future__ import annotations
 import functools
 
 from .errors import BadInput, InvariantFailed, PrecisionExhausted, Unsupported
-from .finitefield import FiniteField, default_modulus
+from .finitefield import (
+    FiniteField,
+    default_modulus,
+    echelon_insert,
+    echelon_reduce,
+)
 from .localfield import (
     FElem,
-    LocalFieldCtx,
     cyclotomic_eisenstein,
+    lead,
     split_unit,
     strip_pth_powers,
     unit_decompose,
@@ -90,106 +98,6 @@ CLASS_KEY_MEMO = 256
 #: m = p); at p <= 17 a table is below 0.1 MB, at p = 41, N = 64 it holds
 #: 1.3 MB and takes 1 s of CPU (CPython 3.11, Intel Xeon).
 KUMMER_TABLE_MEMO = 16
-
-
-# ---------------------------------------------------------------------------
-# coordinates in F^x / (F^x)^m and elimination on them
-# ---------------------------------------------------------------------------
-
-class _Reducer:
-    """Coordinates in a fixed basis of the F_m-space V = F^x/(F^x)^m
-    (module docstring), and echelon rows of ints mod m over them."""
-
-    def __init__(self, ctx: LocalFieldCtx, m: int):
-        self.ctx = ctx
-        self.m = m
-        self.kappa = ctx.kappa
-        p = ctx.p
-        self.wild = m == p  # otherwise m = 2 and p is odd
-        if not self.wild:
-            self.H = 1  # principal units are 2-divisible for odd p
-            self.basis = ["pi", "omega"]
-            return
-        if p != 2 and ctx.k < 1:
-            raise Unsupported("mu_p is not contained in F")
-        self.critical = p * ctx.e // (p - 1)  # mu_p in F: (p-1) | e
-        self.H = self.critical + 1  # U^{p*e1+1} is all p-th powers
-        reached = {row[1] for row in ctx.phi_span.rows}
-        self.basis = ["pi"] + [
-            (s, j) for s in range(1, self.critical) if s % p
-            for j in range(ctx.d)] + [
-            (self.critical, j) for j in range(ctx.d) if j not in reached]
-        self._column = {pos: col for col, pos in enumerate(self.basis)}
-        self._powers = {}  # (column, k) -> the column's basis unit ^ k
-
-    @property
-    def norm_rank(self):
-        """The F_m-rank of N(L^x) in V for a cyclic L/F of degree m, dim V
-        - 1.  By local class field theory N(L^x) has index [L:F] = m in F^x
-        and contains (F^x)^m (Fesenko-Vostokov, Local Fields and Their
-        Extensions, Ch. IV), so its image is a hyperplane.  dim V is
-        [F:Q_p] + 2 when mu_p is in F (m = p, and m = 2 at p = 2) and 2 for
-        m = 2 at odd p, the length of the basis either way."""
-        return len(self.basis) - 1
-
-    def power(self, col, k):
-        """The level unit at column col of the basis, raised to k; a higher
-        power is taken of the unit from the table, not rebuilt."""
-        unit = self._powers.get((col, k))
-        if unit is None:
-            if k > 1:
-                unit = self.power(col, 1) ** k
-            else:
-                s, j = self.basis[col]
-                unit = self.ctx.level_unit(self.kappa.pack([0] * j + [1]), s)
-            self._powers[col, k] = unit
-        return unit
-
-    def coordinates(self, x):
-        """The coordinate vector of the class of x in the basis, a tuple of
-        ints mod m; all zeros iff x is an m-th power."""
-        v = valuation(x)
-        if self.ctx.M - v <= self.H:
-            # dividing by pi^v leaves fewer certified digits than the
-            # walk needs to read; an element that reads zero has v = M
-            raise PrecisionExhausted(
-                f"valuation {v} leaves no certified digits below level "
-                f"{self.H}")
-        dec = unit_decompose(x)
-        if not self.wild:
-            return dec.n % 2, dec.i % 2
-        # gcd(p, q-1) = 1: omega is a p-th power and has no column
-        coords = [dec.n % self.m] + [0] * (len(self.basis) - 1)
-        u = dec.u
-        while True:
-            u, _, stuck = strip_pth_powers(u, self.H)
-            if stuck is None:
-                return tuple(coords)
-            s, digit = stuck
-            for j, c in enumerate(self.kappa.digits(digit)):
-                if c:
-                    col = self._column[s, j]
-                    coords[col] = c
-                    u = u * self.power(col, self.m - c)
-
-    def reduce(self, rows, vec):
-        """vec minus the combination of the echelon rows that clears every
-        column a row leads; rows are (lead, row) in the order inserted, with
-        row[lead] = 1 and row zero at the lead of every earlier row."""
-        m = self.m
-        for lead, row in rows:
-            c = vec[lead]
-            if c:
-                vec = [(a - c * b) % m for a, b in zip(vec, row)]
-        return vec
-
-    def insert(self, rows, vec):
-        """Add vec to the span of rows, keeping them in echelon form."""
-        vec = self.reduce(rows, vec)
-        lead = next((col for col, c in enumerate(vec) if c), None)
-        if lead is not None:
-            inv = pow(vec[lead], -1, self.m)
-            rows.append((lead, tuple(c * inv % self.m for c in vec)))
 
 
 # ---------------------------------------------------------------------------
@@ -391,21 +299,91 @@ def _unramified_kummer(ctx, m):
 # ---------------------------------------------------------------------------
 
 class NormResidueOracle:
-    """Per-(F, m) oracle; pivots are cached by the coordinates of y (the
-    extension depends on y only modulo m-th powers)."""
+    """Per-(F, m) oracle: coordinates in a fixed basis of the F_m-space
+    V = F^x/(F^x)^m (module docstring), and the norm group of F(y^{1/m})
+    as echelon rows of ints mod m over them, cached by the coordinates of
+    y (the extension depends on y only modulo m-th powers)."""
 
     def __init__(self, ctx, m):
         self.ctx = ctx
-        self.m = int(m)
-        if self.m not in (2, ctx.p):
+        self.m = m = int(m)
+        p = ctx.p
+        if m not in (2, p):
             raise BadInput("m must be 2 or the residue characteristic")
-        self.reducer = _Reducer(ctx, self.m)
         self._pivot_cache = {}
         self._keys = {}  # elem.flat -> class_key(elem), at most CLASS_KEY_MEMO
+        self.wild = m == p  # otherwise m = 2 and p is odd
+        if not self.wild:
+            self.H = 1  # principal units are 2-divisible for odd p
+            self.basis = ["pi", "omega"]
+            return
+        if p != 2 and ctx.k < 1:
+            raise Unsupported("mu_p is not contained in F")
+        self.critical = p * ctx.e // (p - 1)  # mu_p in F: (p-1) | e
+        self.H = self.critical + 1  # U^{p*e1+1} is all p-th powers
+        reached = {lead for lead, _ in ctx.phi_span}
+        self.basis = ["pi"] + [
+            (s, j) for s in range(1, self.critical) if s % p
+            for j in range(ctx.d)] + [
+            (self.critical, j) for j in range(ctx.d) if j not in reached]
+        self._column = {pos: col for col, pos in enumerate(self.basis)}
+        self._powers = {}  # (column, k) -> the column's basis unit ^ k
+
+    @property
+    def norm_rank(self):
+        """The F_m-rank of N(L^x) in V for a cyclic L/F of degree m, dim V
+        - 1.  By local class field theory N(L^x) has index [L:F] = m in F^x
+        and contains (F^x)^m (Fesenko-Vostokov, Local Fields and Their
+        Extensions, Ch. IV), so its image is a hyperplane.  dim V is
+        [F:Q_p] + 2 when mu_p is in F (m = p, and m = 2 at p = 2) and 2 for
+        m = 2 at odd p, the length of the basis either way."""
+        return len(self.basis) - 1
+
+    def power(self, col, k):
+        """The level unit at column col of the basis, raised to k; a higher
+        power is taken of the unit from the table, not rebuilt."""
+        unit = self._powers.get((col, k))
+        if unit is None:
+            if k > 1:
+                unit = self.power(col, 1) ** k
+            else:
+                s, j = self.basis[col]
+                unit = self.ctx.level_unit(
+                    self.ctx.kappa.pack([0] * j + [1]), s)
+            self._powers[col, k] = unit
+        return unit
+
+    def coordinates(self, x):
+        """The coordinate vector of the class of x in the basis, a tuple of
+        ints mod m; all zeros iff x is an m-th power."""
+        ctx, m = self.ctx, self.m
+        v = valuation(x)
+        if ctx.M - v <= self.H:
+            # dividing by pi^v leaves fewer certified digits than the
+            # walk needs to read; an element that reads zero has v = M
+            raise PrecisionExhausted(
+                f"valuation {v} leaves no certified digits below level "
+                f"{self.H}")
+        if not self.wild:
+            return v % 2, ctx.kappa.dlog(lead(x)[1]) % 2
+        dec = unit_decompose(x)
+        # gcd(p, q-1) = 1: omega is a p-th power and has no column
+        coords = [dec.n % m] + [0] * (len(self.basis) - 1)
+        u = dec.u
+        while True:
+            u, _, stuck = strip_pth_powers(u, self.H)
+            if stuck is None:
+                return tuple(coords)
+            s, digit = stuck
+            for j, c in enumerate(ctx.kappa.digits(digit)):
+                if c:
+                    col = self._column[s, j]
+                    coords[col] = c
+                    u = u * self.power(col, m - c)
 
     def class_key(self, y):
         """The coordinate vector of y: all zeros iff y is an m-th power."""
-        return self.reducer.coordinates(y)
+        return self.coordinates(y)
 
     def _coordinates(self, elem):
         """class_key(elem), read once while elem.flat stays in the memo."""
@@ -417,27 +395,27 @@ class NormResidueOracle:
         return key
 
     def _build_extension(self, key, y):
-        ctx, m, red = self.ctx, self.m, self.reducer
+        ctx, m = self.ctx, self.m
         if key[0]:
             # totally ramified: for y = pi^v u_y and c = v^-1 mod m, y^c is
             # u_y^c pi times an m-th power of pi, a prime element
             v, u_y = split_unit(y)
             return _Kummer(ctx, m, u_y ** pow(v, -1, m) * ctx.pi,
                            (0,) * (m - 1), lam=1)
-        if not red.wild:
+        if not self.wild:
             # odd p, m = 2, unit class: only the omega coordinate survives,
             # so L is the unramified quadratic extension
             return _unramified_kummer(ctx, 2)
         # wild unit class: the walk stops below p*e1 only at levels prime
         # to p, and a class leading at the critical level is unramified
-        lead = next(col for col, c in enumerate(key) if c)
-        lam, _ = red.basis[lead]
-        if lam == red.critical:
+        first = next(col for col, c in enumerate(key) if c)
+        lam, _ = self.basis[first]
+        if lam == self.critical:
             return _unramified_kummer(ctx, m)
         y_red = ctx.one
         for col, c in enumerate(key):
             if c:
-                y_red = y_red * red.power(col, c)
+                y_red = y_red * self.power(col, c)
         # relation (1+G)^p = y_red: (1+G)^p - 1 is G times the Eisenstein
         # polynomial of Q_p(zeta_p), whose lead is 1
         return _Kummer(ctx, m, y_red - ctx.one,
@@ -450,19 +428,18 @@ class NormResidueOracle:
             return None  # y is an m-th power: L = F, everything is a norm
         if key not in self._pivot_cache:
             ext = self._build_extension(key, y)
-            red = self.reducer
             rows = []
             # norms from U_L^high lie in U_F^H (module docstring); once the
             # rows reach the norm group's rank, no later norm is computed
-            high = ext.ram_index * (red.H - 1) + 1
+            high = ext.ram_index * (self.H - 1) + 1
             for elem in ext.spanning_norms(high):
-                red.insert(rows, red.coordinates(elem))
-                if len(rows) == red.norm_rank:
+                echelon_insert(rows, self.coordinates(elem), self.m)
+                if len(rows) == self.norm_rank:
                     break
             else:
                 raise InvariantFailed(
                     f"the spanning norms reach rank {len(rows)}, below the "
-                    f"norm group's rank {red.norm_rank}")
+                    f"norm group's rank {self.norm_rank}")
             self._pivot_cache[key] = rows
         return self._pivot_cache[key]
 
@@ -472,7 +449,7 @@ class NormResidueOracle:
         rows = self._pivots_for(y)
         if rows is None:
             return True
-        return not any(self.reducer.reduce(rows, self._coordinates(x)))
+        return not any(echelon_reduce(rows, self._coordinates(x), self.m))
 
 
 def norm_residue_trivial(x, y, m):

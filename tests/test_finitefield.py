@@ -8,7 +8,15 @@ import pytest
 
 from tamewild import finitefield
 from tamewild.errors import BadInput
-from tamewild.finitefield import MAX_Q, GF, FiniteField, FqPoly, is_irreducible
+from tamewild.finitefield import (
+    MAX_Q,
+    GF,
+    FiniteField,
+    FqPoly,
+    echelon_insert,
+    echelon_reduce,
+    is_irreducible,
+)
 
 
 class _Ref:
@@ -536,3 +544,58 @@ def test_frobenius_powers_take_no_squarings(monkeypatch):
     assert counts() == (0, 56, 49)
     assert tower.power_norm(a) == 4
     assert counts() == (3, 6, 3)
+
+
+# -- echelon rows over F_l -------------------------------------------------
+
+def _assert_echelon(rows, l):
+    for i, (lead, row) in enumerate(rows):
+        assert row[lead] == 1 and all(0 <= c < l for c in row)
+        assert all(c == 0 for c in row[:lead])
+        assert all(row[earlier] == 0 for earlier, _ in rows[:i])
+
+
+@pytest.mark.parametrize("l", [2, 3, 5, 7])
+def test_echelon_rows_carry_the_combination_in_extra_columns(l):
+    # rows built from (img_i | e_i): reducing (v | 0) leaves (r | -c) with
+    # v = r + sum c_i img_i, r zero at every lead, and r = 0 iff v lies in
+    # the span of the img_i
+    rng = random.Random(f"echelon-{l}")
+    for _ in range(40):
+        n, k = rng.randint(1, 6), rng.randint(1, 7)
+        imgs = []
+        for _ in range(k):
+            if imgs and rng.random() < 0.3:  # a dependent image
+                cs = [rng.randrange(l) for _ in imgs]
+                imgs.append([sum(c * img[j] for c, img in zip(cs, imgs)) % l
+                             for j in range(n)])
+            else:
+                imgs.append([rng.randrange(l) for _ in range(n)])
+        rows = []
+        for i, img in enumerate(imgs):
+            echelon_insert(rows, img + [int(j == i) for j in range(k)], l)
+            _assert_echelon(rows, l)
+        for _ in range(10):
+            spanned = rng.random() < 0.5
+            if spanned:
+                cs = [rng.randrange(l) for _ in imgs]
+                v = [sum(c * img[j] for c, img in zip(cs, imgs)) % l
+                     for j in range(n)]
+            else:
+                v = [rng.randrange(l) for _ in range(n)]
+            reduced = echelon_reduce(rows, v + [0] * k, l)
+            r, c = reduced[:n], [-t % l for t in reduced[n:]]
+            assert all(reduced[lead] == 0 for lead, _ in rows)
+            assert v == [(r[j] + sum(ci * img[j] for ci, img in zip(c, imgs)))
+                         % l for j in range(n)]
+            if spanned:
+                assert not any(r)
+
+
+def test_echelon_insert_skips_a_vector_in_the_span():
+    rows = []
+    echelon_insert(rows, [0, 2, 1], 3)
+    echelon_insert(rows, [0, 1, 2], 3)  # twice the first row
+    echelon_insert(rows, [0, 0, 0], 3)
+    assert rows == [(1, (0, 1, 2))]
+    assert echelon_reduce(rows, [1, 1, 0], 3) == [1, 0, 1]

@@ -269,8 +269,8 @@ def test_strip_pth_powers_multiplies_in_x_to_the_p(name):
     for _ in range(10):
         u = ctx.one + _random_nonzero(ctx, rng) * ctx.pi
         for stop in (2, ctx.e + 2, ctx.M):
-            v, x, stuck = strip_pth_powers(u, stop)
-            assert v == u * x ** ctx.p
+            v, units, stuck = strip_pth_powers(u, stop)
+            assert v == u * math.prod(units, start=ctx.one) ** ctx.p
             if stuck is None:
                 lv = unit_level(v)
                 assert lv >= stop
@@ -280,9 +280,9 @@ def test_strip_pth_powers_multiplies_in_x_to_the_p(name):
             assert s < stop and lead(v - ctx.one) == (s, r)
             assert ctx.graded_pth_root(s, r) == (0, s // ctx.p, r)
         # pth_root(w) is the walk from w^-1 to 1
-        v, x, stuck = strip_pth_powers(u ** ctx.p, ctx.M)
+        v, units, stuck = strip_pth_powers(u ** ctx.p, ctx.M)
         assert v == ctx.one and stuck is None
-        assert (x * u) ** ctx.p == ctx.one
+        assert math.prod(units, start=u) ** ctx.p == ctx.one
 
 
 def test_strip_pth_powers_stops_at_a_fundamental_level(z3, z5):
@@ -293,8 +293,8 @@ def test_strip_pth_powers_stops_at_a_fundamental_level(z3, z5):
                 continue
             for c in range(1, p):
                 u = ctx.level_unit(c, s) * (ctx.one + ctx.pi ** (s + 1))
-                assert strip_pth_powers(u, ctx.M) == (u, ctx.one, (s, c))
-                assert strip_pth_powers(u, s) == (u, ctx.one, None)
+                assert strip_pth_powers(u, ctx.M) == (u, [], (s, c))
+                assert strip_pth_powers(u, s) == (u, [], None)
 
 
 # -- roots of unity -----------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 
 from tamewild.cli import dispatch, element_from_string
 from tamewild.errors import BadInput, InvariantFailed, Unsupported
-from tamewild.finitefield import FiniteField
+from tamewild.finitefield import FiniteField, echelon_insert, echelon_reduce
 from tamewild.localfield import (
     FElem,
     LocalFieldCtx,
@@ -20,7 +20,6 @@ from tamewild import normoracle
 from tamewild.normoracle import (
     NormResidueOracle,
     _Kummer,
-    _Reducer,
     _unramified_kummer,
     norm_residue_trivial,
 )
@@ -197,19 +196,19 @@ _COORDINATE_CASES = [("qp-zeta-3", 3), ("qp-zeta-5", 5), ("qp-zeta-7", 7),
 def test_coordinates_are_additive_and_vanish_on_mth_powers(name, m):
     ctx = (LocalFieldCtx(2, [2, 2, 1], 16, name=name) if name == "q2-i"
            else preset(name, 16))
-    red = NormResidueOracle(ctx, m).reducer
+    oracle = NormResidueOracle(ctx, m)
     rng = random.Random(f"coordinates-{name}")
     read = set()
     for _ in range(15):
         x, z, t = (_random_nonzero(ctx, rng) * ctx.pi ** rng.randrange(m)
                    for _ in range(3))
-        cx, cz = red.coordinates(x), red.coordinates(z)
-        assert len(cx) == len(red.basis)
-        assert red.coordinates(x * z) == \
+        cx, cz = oracle.coordinates(x), oracle.coordinates(z)
+        assert len(cx) == len(oracle.basis)
+        assert oracle.coordinates(x * z) == \
             tuple((a + b) % m for a, b in zip(cx, cz))
-        assert not any(red.coordinates(t ** m))
+        assert not any(oracle.coordinates(t ** m))
         read.update(col for col, c in enumerate(cx) if c)
-    assert read == set(range(len(red.basis)))
+    assert read == set(range(len(oracle.basis)))
 
 
 # -- guards ---------------------------------------------------------------------
@@ -291,10 +290,11 @@ def test_wild_oracle_on_k2_field():
 def test_the_walk_stops_above_the_critical_level(monkeypatch):
     # over Q_3(zeta_9) (k = 2) every unit of U^{p*e1+1} = U^10 is a cube,
     # so the walk stops there and not at the wild level 16: the same
-    # coordinates for fewer products
+    # coordinates for fewer products; the level units the walk multiplies
+    # in are not multiplied into a root, which nothing reads
     F = _zeta9(16)
-    red = NormResidueOracle(F, 3).reducer
-    assert (red.critical, red.H, F.wild_level) == (9, 10, 16)
+    oracle = NormResidueOracle(F, 3)
+    assert (oracle.critical, oracle.H, F.wild_level) == (9, 10, 16)
     rng = random.Random("zeta9-reads")
     units = [F.one + F.pi * _random_nonzero(F, rng) for _ in range(20)]
     products, mul = [], FElem.__mul__
@@ -305,10 +305,10 @@ def test_the_walk_stops_above_the_critical_level(monkeypatch):
 
     monkeypatch.setattr(FElem, "__mul__", spy)
     monkeypatch.setattr(FElem, "__rmul__", spy)
-    coords = [red.coordinates(u) for u in units]
-    assert len(products) <= 296  # 734 walking to the wild level
+    coords = [oracle.coordinates(u) for u in units]
+    assert len(products) <= 271  # 622 walking to the wild level
     monkeypatch.undo()
-    deep = NormResidueOracle(F, 3).reducer
+    deep = NormResidueOracle(F, 3)
     deep.H = F.wild_level
     assert [deep.coordinates(u) for u in units] == coords
     assert all(map(any, coords))
@@ -410,22 +410,21 @@ def test_norms_above_the_level_bound_are_mth_powers(name, m, ys):
     for y_text in ys:
         y = element_from_string(ctx, y_text)
         oracle = NormResidueOracle(ctx, m)
-        red = oracle.reducer
         ext = oracle._build_extension(list(oracle.class_key(y)), y)
         unramified.add(ext.ram_index == 1)
-        high = ext.ram_index * (red.H - 1) + 1
+        high = ext.ram_index * (oracle.H - 1) + 1
         assert _old_high(ctx, m) > high
         new = list(ext.spanning_norms(high))
         old = list(ext.spanning_norms(_old_high(ctx, m)))
         assert old[:len(new)] == new
         for elem in old[len(new):]:
-            assert not any(red.coordinates(elem)), y_text
+            assert not any(oracle.coordinates(elem)), y_text
         old_rows = []
         for elem in old:
-            red.insert(old_rows, red.coordinates(elem))
+            echelon_insert(old_rows, oracle.coordinates(elem), m)
         for x in xs:
             assert oracle.trivial(x, y) == \
-                (not any(red.reduce(old_rows, red.coordinates(x))))
+                (not any(echelon_reduce(old_rows, oracle.coordinates(x), m)))
     assert unramified == {False, True}
 
 
@@ -558,10 +557,11 @@ def test_cold_query_total_multiplication_count(monkeypatch, name, N, bound):
     assert total <= bound
 
 
-def test_warm_tame_query_multiplies_only_in_unit_decompose(monkeypatch):
-    # with m = 2 and odd p the coordinates are the exponents of pi and
-    # omega that unit_decompose reads, and reducing them against warm
-    # pivots is integer arithmetic: no other product of field elements
+def test_warm_tame_query_multiplies_nothing(monkeypatch):
+    # with m = 2 and odd p the coordinates are v(x) and the discrete log of
+    # x's leading digit, both read off one block of x, and reducing them
+    # against warm pivots is integer arithmetic: no product of field
+    # elements, no division by pi^v and no unit decomposition
     ctx = preset("cbrt-3", 32)
     oracle = NormResidueOracle(ctx, 2)
     ys = [element_from_string(ctx, text) for text in ("pi", "2", "2*pi")]
@@ -570,33 +570,21 @@ def test_warm_tame_query_multiplies_only_in_unit_decompose(monkeypatch):
           for _ in range(20)]
     for y in ys:
         oracle.trivial(ctx.one, y)  # warm the pivots
-    inside, decomposed, products = [], [], []
-    decompose, mul, power = (normoracle.unit_decompose, FElem.__mul__,
-                             FElem.__pow__)
-
-    def spy_decompose(x):
-        inside.append(None)
-        decomposed.append(x)
-        try:
-            return decompose(x)
-        finally:
-            inside.pop()
+    calls = []
 
     def counted(op):
-        def spy(a, b):
-            if not inside:
-                products.append(op)
-            return op(a, b)
+        def spy(*args):
+            calls.append(op)
+            return op(*args)
         return spy
 
-    monkeypatch.setattr(normoracle, "unit_decompose", spy_decompose)
-    monkeypatch.setattr(FElem, "__mul__", counted(mul))
-    monkeypatch.setattr(FElem, "__rmul__", counted(mul))
-    monkeypatch.setattr(FElem, "__pow__", counted(power))
+    monkeypatch.setattr(normoracle, "unit_decompose",
+                        counted(normoracle.unit_decompose))
+    for name in ("__mul__", "__rmul__", "__pow__", "div_pi_pow"):
+        monkeypatch.setattr(FElem, name, counted(getattr(FElem, name)))
     answers = {oracle.trivial(x, y) for x in xs for y in ys}
     assert answers == {False, True}
-    assert len(decomposed) == len(xs)
-    assert products == []
+    assert calls == []
 
 
 def test_big_unramified_ring_builds_no_tables(monkeypatch):
@@ -636,13 +624,13 @@ def _lead_position(oracle, y):
     m-th power."""
     key = oracle.class_key(y)
     lead = next((col for col, c in enumerate(key) if c), None)
-    return None if lead is None else oracle.reducer.basis[lead]
+    return None if lead is None else oracle.basis[lead]
 
 
 def _leads_unramified(oracle, y):
     pos = _lead_position(oracle, y)
     return pos == "omega" or (isinstance(pos, tuple)
-                              and pos[0] == oracle.reducer.critical)
+                              and pos[0] == oracle.critical)
 
 
 @pytest.mark.parametrize("name,N,m,y_text", _UNRAMIFIED_CASES)

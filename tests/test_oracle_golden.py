@@ -1,7 +1,7 @@
 """Seeded norm-residue answers and class keys, pinned as digests.
 
 The digests in golden/oracle_answers.json were recorded with
-golden/regen.py; any change to what the reducer or the oracle answers shows
+golden/regen.py; any change to the oracle's class keys or answers shows
 up here as a changed digest for the (field, m) it touches.
 """
 
@@ -13,6 +13,8 @@ import random
 from pathlib import Path
 
 import pytest
+
+from tamewild.finitefield import echelon_insert, echelon_reduce
 
 REGEN = Path(__file__).resolve().parent / "golden" / "regen.py"
 
@@ -65,7 +67,7 @@ def _extension_kind(oracle, key, y):
         return "mth-power"
     ext = oracle._build_extension(list(key), y)
     if ext.ram_index == 1:
-        return "cokernel" if oracle.reducer.wild else "unramified-quadratic"
+        return "cokernel" if oracle.wild else "unramified-quadratic"
     if not any(ext.tail):
         return "prime-element"
     return "wild-unit"
@@ -102,16 +104,15 @@ def test_cases_reach_every_extension_kind():
 def _full_span_pivots(oracle, y):
     """The reference build: every norm of the spanning set inserted, with
     no stop at the norm group's rank."""
-    red = oracle.reducer
     ext = oracle._build_extension(list(oracle.class_key(y)), y)
     rows = []
-    for elem in ext.spanning_norms(ext.ram_index * (red.H - 1) + 1):
-        red.insert(rows, red.coordinates(elem))
+    for elem in ext.spanning_norms(ext.ram_index * (oracle.H - 1) + 1):
+        echelon_insert(rows, oracle.coordinates(elem), oracle.m)
     return rows
 
 
-def _is_norm(red, rows, x):
-    return not any(red.reduce(rows, red.coordinates(x)))
+def _is_norm(oracle, rows, x):
+    return not any(echelon_reduce(rows, oracle.coordinates(x), oracle.m))
 
 
 @pytest.mark.parametrize("index", range(len(IDS)), ids=IDS)
@@ -129,11 +130,10 @@ def test_stopped_pivots_are_the_full_span(index):
             continue
         full = _full_span_pivots(oracle, y)
         stopped = oracle._pivots_for(y)
-        red = oracle.reducer
-        assert len(full) == red.norm_rank
+        assert len(full) == oracle.norm_rank
         assert stopped == full
-        assert [_is_norm(red, stopped, x) for x in xs] == \
-            [_is_norm(red, full, x) for x in xs]
+        assert [_is_norm(oracle, stopped, x) for x in xs] == \
+            [_is_norm(oracle, full, x) for x in xs]
         built += 1
     assert built
 
@@ -141,10 +141,10 @@ def test_stopped_pivots_are_the_full_span(index):
 @pytest.mark.parametrize("index", range(len(IDS)), ids=IDS)
 def test_norm_rank_is_the_basis_length_less_one(index):
     oracle, _ = _transcript(index)
-    red, ctx = oracle.reducer, oracle.ctx
-    assert len(red.coordinates(ctx.pi)) == len(red.basis)
-    assert red.norm_rank == len(red.basis) - 1
-    assert red.norm_rank == (ctx.e * ctx.d + 1 if red.wild else 1)
+    ctx = oracle.ctx
+    assert len(oracle.coordinates(ctx.pi)) == len(oracle.basis)
+    assert oracle.norm_rank == len(oracle.basis) - 1
+    assert oracle.norm_rank == (ctx.e * ctx.d + 1 if oracle.wild else 1)
 
 
 @pytest.mark.parametrize("index", range(len(IDS)), ids=IDS)
@@ -152,16 +152,16 @@ def test_a_reduced_vector_is_zero_off_the_free_column(index):
     # the rows lead all columns but one, so a reduced vector can be nonzero
     # only there, and is nonzero exactly for an x that is no norm
     oracle, rows = _transcript(index)
-    red, ctx = oracle.reducer, oracle.ctx
+    ctx = oracle.ctx
     rng = random.Random(f"free-column-{IDS[index]}")
     xs = [regen._random_x(ctx, rng) for _ in range(12)]
     for y, _, _ in rows:
         pivots = oracle._pivots_for(y)
         if pivots is None:
             continue
-        (free,) = set(range(len(red.basis))) - {lead for lead, _ in pivots}
+        (free,) = set(range(len(oracle.basis))) - {lead for lead, _ in pivots}
         for x in xs:
-            reduced = red.reduce(pivots, red.coordinates(x))
+            reduced = echelon_reduce(pivots, oracle.coordinates(x), oracle.m)
             assert all(c == 0 for col, c in enumerate(reduced)
                        if col != free)
             assert (reduced[free] == 0) == oracle.trivial(x, y)

@@ -1,10 +1,10 @@
 """Exhaustive brute-force validation of the class coordinates.
 
-The oracle's reducer decides membership in (F^x)^m U^H.  On small fields
+The oracle's coordinates decide membership in (F^x)^m U^H.  On small fields
 the principal-unit part of that subgroup can be enumerated outright, so the
-reducer's verdicts are checked against literal power sets, class by class.
+oracle's verdicts are checked against literal power sets, class by class.
 The digits of a class are read through the product-chain reference
-division, independently of the reducer's own digit reader.
+division, independently of the oracle's own digit reader.
 """
 
 import itertools
@@ -16,7 +16,7 @@ from tamewild.normoracle import NormResidueOracle
 
 
 def is_mth_power(oracle, y):
-    """The reducer's verdict: y is in (F^x)^m U^H iff its coordinates are
+    """The oracle's verdict: y is in (F^x)^m U^H iff its coordinates are
     all zero."""
     return not any(oracle.class_key(y))
 
@@ -59,7 +59,7 @@ def _powers_mod_depth(ctx, m, depth):
 def test_cube_classes_match_reducer_z3():
     ctx = qp_zeta(3, 16)
     oracle = NormResidueOracle(ctx, 3)
-    H = oracle.reducer.H  # U^H lies inside the cubes
+    H = oracle.H  # U^H lies inside the cubes
     cubes = _powers_mod_depth(ctx, 3, H)
     for u in _unit_reps(ctx, H):
         expected = _unit_class_digits(ctx, u, H) in cubes
@@ -69,7 +69,7 @@ def test_cube_classes_match_reducer_z3():
 def test_square_classes_match_reducer_q2():
     ctx = qp(2, 16)
     oracle = NormResidueOracle(ctx, 2)
-    H = oracle.reducer.H
+    H = oracle.H
     squares = _powers_mod_depth(ctx, 2, H)
     for u in _unit_reps(ctx, H):
         expected = _unit_class_digits(ctx, u, H) in squares
@@ -91,9 +91,9 @@ def test_square_classes_q2_frozen():
 def test_cube_classes_match_reducer_z5():
     ctx = qp_zeta(5, 16)
     oracle = NormResidueOracle(ctx, 5)
-    H = oracle.reducer.H  # 6 here: |U^1/U^6| = 5^5 classes
+    H = oracle.H  # 6 here: |U^1/U^6| = 5^5 classes
     fifths = _powers_mod_depth(ctx, 5, 3)  # shallow sample for runtime
-    # spot-check: every literal fifth power is reducer-trivial
+    # spot-check: every literal fifth power reads all zeros
     for u in _unit_reps(ctx, 3):
         assert is_mth_power(oracle, u ** 5)
 
